@@ -27,6 +27,7 @@ from .core import (
     Translate,
     add,
     dominates,
+    mat_vec,
     shape_key,
     shapes_upto,
     sub,
@@ -39,10 +40,6 @@ __all__ = ["dim_vector", "BratteliDiagram", "bratteli",
            "GeneratorIndex", "GradingPartition", "grading_filter"]
 
 
-def _mat_vec(mat, v):
-    return tuple(sum(row[a] * v[a] for a in range(len(v))) for row in mat)
-
-
 def dim_vector(ts: TileSystem, dmap: DecorationMap, m: Shape) -> tuple[int, ...]:
     """Counts of decorated words of shape m, indexed by terminus letter.
 
@@ -52,13 +49,15 @@ def dim_vector(ts: TileSystem, dmap: DecorationMap, m: Shape) -> tuple[int, ...]
     m = vec(m)
     if len(m) != ts.rank:
         raise ValueError(f"shape {m} has wrong rank")
+    if any(c < 0 for c in m):
+        raise ValueError(f"shape {m} has a negative component")
     d = [0] * ts.n_letters
     for a in dmap.delta:
         d[a] += 1
     d = tuple(d)
     for j in range(1, ts.rank + 1):
         for _ in range(m[j - 1]):
-            d = _mat_vec(ts.matrices[j - 1], d)
+            d = mat_vec(ts.matrices[j - 1], d)
     return d
 
 

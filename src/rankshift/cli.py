@@ -80,8 +80,8 @@ def parse_system(data, transpose: bool = False, origin: str = "<data>"
     for key in ("rank", "alphabet", "matrices"):
         _require(key in data, f"{origin}: missing field {key!r}")
     rank = data["rank"]
-    _require(isinstance(rank, int) and rank >= 1,
-             f"{origin}: 'rank' must be an integer >= 1")
+    _require(type(rank) is int and rank >= 1,
+             f"{origin}: 'rank' must be an integer >= 1, not {rank!r}")
     letters = data["alphabet"]
     _require(isinstance(letters, list) and letters
              and all(isinstance(a, str) for a in letters),
@@ -103,9 +103,9 @@ def parse_system(data, transpose: bool = False, origin: str = "<data>"
             _require(isinstance(row, list) and len(row) == n,
                      f"{origin}: matrices[{j}][{b}] is not a row of length {n}")
             for a, e in enumerate(row):
-                _require(e in (0, 1),
+                _require(type(e) is int and e in (0, 1),
                          f"{origin}: matrices[{j}][{b}][{a}] is {e!r}, "
-                         f"entries must be 0 or 1")
+                         f"entries must be the integers 0 or 1")
             rows.append(row)
         if transpose:
             rows = [[rows[a][b] for a in range(n)] for b in range(n)]
@@ -158,7 +158,10 @@ def save_system(ts: TileSystem, path, dmap: DecorationMap | None = None) -> None
 # small formatting helpers
 # ---------------------------------------------------------------------------
 
-def _parse_shape(text: str, rank: int, what: str = "shape") -> Shape:
+def _parse_shape(text: str | None, rank: int, what: str) -> Shape | None:
+    """The shape given to flag ``what``; None when the flag was not given."""
+    if text is None:
+        return None
     try:
         parts = vec(int(p) for p in text.split(","))
     except ValueError:
@@ -167,6 +170,8 @@ def _parse_shape(text: str, rank: int, what: str = "shape") -> Shape:
     if len(parts) != rank:
         raise SystemFileError(f"{what} {text!r} has {len(parts)} components, "
                               f"system rank is {rank}")
+    if any(c < 0 for c in parts):
+        raise SystemFileError(f"{what} {text!r} has a negative component")
     return parts
 
 
@@ -182,8 +187,8 @@ def _format_word(ts: TileSystem, w, dmap: DecorationMap | None = None) -> str:
     return f"shape={_format_shape(w.shape)} cells={w.render(ts.alphabet)}"
 
 
-def _word_arg(ts: TileSystem, shape_text: str, cells_text: str) -> Word:
-    shape = _parse_shape(shape_text, ts.rank)
+def _word_arg(ts: TileSystem, shape_text: str, cells_text: str, what: str) -> Word:
+    shape = _parse_shape(shape_text, ts.rank, what)
     cells = cells_text.split(",") if cells_text else []
     return validate_word(ts, cells, shape=shape)
 
@@ -197,12 +202,9 @@ def _cmd_verify(args) -> int:
     r = ts.rank
     report = verify.verify_report(
         ts,
-        h1_oracle_bound=_parse_shape(args.h1_oracle_bound, r, "--h1-oracle-bound")
-        if args.h1_oracle_bound else None,
-        h3_p_bound=_parse_shape(args.h3_p_bound, r, "--h3-p-bound")
-        if args.h3_p_bound else None,
-        h3_shape_bound=_parse_shape(args.h3_shape_bound, r, "--h3-shape-bound")
-        if args.h3_shape_bound else None,
+        h1_oracle_bound=_parse_shape(args.h1_oracle_bound, r, "--h1-oracle-bound"),
+        h3_p_bound=_parse_shape(args.h3_p_bound, r, "--h3-p-bound"),
+        h3_shape_bound=_parse_shape(args.h3_shape_bound, r, "--h3-shape-bound"),
         h3_star_cap=args.h3_star_cap,
     )
     if args.json:
@@ -219,7 +221,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_count(args) -> int:
     ts, dmap = load_system(args.system, transpose=args.transpose)
-    shape = _parse_shape(args.shape, ts.rank)
+    shape = _parse_shape(args.shape, ts.rank, "--shape")
     dims = af_core.dim_vector(ts, dmap, shape)
     total = sum(dims)
     if args.json:
@@ -237,7 +239,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     ts, dmap = load_system(args.system, transpose=args.transpose)
-    shape = _parse_shape(args.shape, ts.rank)
+    shape = _parse_shape(args.shape, ts.rank, "--shape")
     origin = ts.alphabet.resolve(args.origin) if args.origin else None
     terminus = ts.alphabet.resolve(args.terminus) if args.terminus else None
     count = 0
@@ -259,7 +261,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_extend(args) -> int:
     ts, _ = load_system(args.system, transpose=args.transpose)
-    w = _word_arg(ts, args.shape, args.cells)
+    w = _word_arg(ts, args.shape, args.cells, "--shape")
     a = ts.alphabet.resolve(args.letter)
     out = extend_unit(ts, w, args.direction, a)
     print(_format_word(ts, out))
@@ -268,36 +270,36 @@ def _cmd_extend(args) -> int:
 
 def _cmd_product(args) -> int:
     ts, _ = load_system(args.system, transpose=args.transpose)
-    u = _word_arg(ts, args.shape1, args.cells1)
-    v = _word_arg(ts, args.shape2, args.cells2)
+    u = _word_arg(ts, args.shape1, args.cells1, "--shape1")
+    v = _word_arg(ts, args.shape2, args.cells2, "--shape2")
     print(_format_word(ts, product(ts, u, v)))
     return 0
 
 
-def _witness_gate(ts: TileSystem) -> None:
+def _load_gated(args) -> tuple[TileSystem, DecorationMap]:
+    """Load the system for a witness command, refusing it unless (H0)-(H2) hold."""
+    ts, dmap = load_system(args.system, transpose=args.transpose)
     for check in (verify.check_h0(ts), verify.check_h1_local(ts),
                   verify.check_h2(ts)):
         if not check.ok:
             raise SubshiftError(
                 f"witness machinery requires (H0)-(H2); {check.condition} failed: "
                 f"{json.dumps(check.witness, sort_keys=True)}")
+    return ts, dmap
 
 
 def _cmd_witness_nonperiodic(args) -> int:
-    ts, _ = load_system(args.system, transpose=args.transpose)
-    _witness_gate(ts)
+    ts, _ = _load_gated(args)
     p_bound = _parse_shape(args.p_bound, ts.rank, "--p-bound")
     origin = ts.alphabet.resolve(args.origin) if args.origin else 0
-    bound = (_parse_shape(args.shape_bound, ts.rank, "--shape-bound")
-             if args.shape_bound else None)
+    bound = _parse_shape(args.shape_bound, ts.rank, "--shape-bound")
     w = witnesses.nonperiodic_all(ts, p_bound, origin, bound)
     print(_format_word(ts, w))
     return 0
 
 
 def _cmd_witness_connect(args) -> int:
-    ts, _ = load_system(args.system, transpose=args.transpose)
-    _witness_gate(ts)
+    ts, _ = _load_gated(args)
     a = ts.alphabet.resolve(args.origin)
     b = ts.alphabet.resolve(args.terminus)
     n_min = _parse_shape(args.min_shape, ts.rank, "--min-shape")
@@ -306,8 +308,7 @@ def _cmd_witness_connect(args) -> int:
 
 
 def _cmd_witness_distinct_pair(args) -> int:
-    ts, _ = load_system(args.system, transpose=args.transpose)
-    _witness_gate(ts)
+    ts, _ = _load_gated(args)
     u, v = witnesses.distinct_pair(ts, max_grade=args.max_grade)
     print(_format_word(ts, u))
     print(_format_word(ts, v))
@@ -315,11 +316,9 @@ def _cmd_witness_distinct_pair(args) -> int:
 
 
 def _cmd_witness_set_s(args) -> int:
-    ts, _ = load_system(args.system, transpose=args.transpose)
-    _witness_gate(ts)
+    ts, _ = _load_gated(args)
     m = _parse_shape(args.p_bound, ts.rank, "--p-bound")
-    bound = (_parse_shape(args.shape_bound, ts.rank, "--shape-bound")
-             if args.shape_bound else None)
+    bound = _parse_shape(args.shape_bound, ts.rank, "--shape-bound")
     l, family = witnesses.separating_family(ts, m, bound)
     print(f"common-shape:{_format_shape(l)}")
     for a in range(ts.n_letters):
@@ -328,14 +327,11 @@ def _cmd_witness_set_s(args) -> int:
 
 
 def _cmd_witness_q_support(args) -> int:
-    ts, dmap = load_system(args.system, transpose=args.transpose)
-    _witness_gate(ts)
+    ts, dmap = _load_gated(args)
     m = _parse_shape(args.p_bound, ts.rank, "--p-bound")
-    bound = (_parse_shape(args.shape_bound, ts.rank, "--shape-bound")
-             if args.shape_bound else None)
+    bound = _parse_shape(args.shape_bound, ts.rank, "--shape-bound")
     l, family = witnesses.separating_family(ts, m, bound)
-    total = (_parse_shape(args.total, ts.rank, "--total")
-             if args.total else None)
+    total = _parse_shape(args.total, ts.rank, "--total")
     support = witnesses.projection_support(ts, dmap, m, l, family, total=total)
     print(f"common-shape:{_format_shape(l)}")
     print(f"support-size:{len(support)}")

@@ -10,6 +10,9 @@ product, and fast enumeration of extensions.
 Independently of any of that, this module also provides brute-force grid
 enumeration (:func:`iter_grid_completions`, :func:`words_of_shape`), which
 never uses the forced-fill path and therefore serves as its oracle.
+:func:`iter_grid_completions` is the package's only grid search: the (H1)
+oracle and the projection support constrain it by fixing cells, one search
+per pattern, rather than tracking patterns inside the search.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .core import (
 
 __all__ = [
     "extend_unit", "word_from_path", "product", "list_extensions",
-    "iter_grid_completions", "count_grid_completions", "words_of_shape",
+    "iter_grid_completions", "words_of_shape",
     "decorated_words_of_shape", "staircase_steps",
 ]
 
@@ -74,7 +77,6 @@ def extend_unit(ts: TileSystem, w: Word, j: int, a: int) -> Word:
         (cell for cell in box_cells(new_shape) if cell[j - 1] == new_shape[j - 1]),
         reverse=True)
     far_corner = layer[0]
-    full = (1 << ts.n_letters) - 1
     for x in layer:
         below = sum((c - (1 if i == j - 1 else 0)) * s
                     for i, (c, s) in enumerate(zip(x, new_st)))
@@ -168,18 +170,6 @@ def list_extensions(ts: TileSystem, u: WordLike, n: Shape
 # brute-force grid enumeration (independent of the forced-fill machinery)
 # ---------------------------------------------------------------------------
 
-def _grid_plan(ts: TileSystem, shape: Shape):
-    """Per-cell (flat predecessor index, direction) constraint lists."""
-    st = strides(shape)
-    plan = []
-    for cell in box_cells(shape):
-        idx = sum(c * s for c, s in zip(cell, st))
-        preds = tuple((idx - st[j - 1], j) for j in range(1, len(shape) + 1)
-                      if cell[j - 1] > 0)
-        plan.append(preds)
-    return plan
-
-
 def iter_grid_completions(ts: TileSystem, shape: Shape,
                           fixed: dict[int, int] | None = None,
                           limit: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -188,58 +178,62 @@ def iter_grid_completions(ts: TileSystem, shape: Shape,
     ``fixed`` maps flat row-major cell indices to letter indices.  Grids are
     produced in lexicographic order of their full row-major tuple; cells are
     assigned one by one with every constraint towards already-assigned
-    neighbours enforced, so the search is exact.
+    neighbours enforced, so the search is exact.  At most ``limit`` grids
+    are produced.
     """
     shape = vec(shape)
-    plan = _grid_plan(ts, shape)
+    if any(c < 0 for c in shape):
+        raise ValueError(f"shape {shape} has a negative component")
+    if limit is not None and limit <= 0:
+        return
+    st = strides(shape)
+    succ = [[ts.successor_mask(j, a) for a in range(ts.n_letters)]
+            for j in range(1, len(shape) + 1)]
+    # per cell: (flat index of the predecessor, its successor masks) pairs
+    plan = []
+    for cell in box_cells(shape):
+        idx = sum(c * s for c, s in zip(cell, st))
+        plan.append(tuple((idx - st[k], succ[k])
+                          for k in range(len(shape)) if cell[k] > 0))
     n_cells = len(plan)
-    fixed = fixed or {}
-    full = (1 << ts.n_letters) - 1
-    assign = [-1] * n_cells
+    allowed = [(1 << ts.n_letters) - 1] * n_cells
+    for i, a in (fixed or {}).items():
+        if not 0 <= i < n_cells:
+            raise ValueError(f"fixed cell index {i} outside [0, {n_cells})")
+        allowed[i] &= 1 << a
+    assign = [0] * n_cells
     produced = 0
 
-    # iterative DFS over cells in row-major order
-    stack: list[list[int]] = []
-
     def candidates(i: int) -> list[int]:
-        mask = full
-        if i in fixed:
-            mask &= 1 << fixed[i]
-        for p, j in plan[i]:
-            mask &= ts.successor_mask(j, assign[p])
+        """Letters allowed at cell i, largest first (so pop() takes the least)."""
+        mask = allowed[i]
+        for p, masks in plan[i]:
+            mask &= masks[assign[p]]
         out = []
         while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
+            b = mask.bit_length() - 1
+            out.append(b)
+            mask ^= 1 << b
         return out
 
+    # iterative DFS over cells in row-major order
     i = 0
-    stack.append(candidates(0))
+    stack = [candidates(0)]
     while stack:
-        if limit is not None and produced >= limit:
-            return
         options = stack[-1]
         if not options:
             stack.pop()
             i -= 1
             continue
-        assign[i] = options.pop(0)
+        assign[i] = options.pop()
         if i == n_cells - 1:
-            produced += 1
             yield tuple(assign)
+            produced += 1
+            if produced == limit:
+                return
             continue
         i += 1
         stack.append(candidates(i))
-
-
-def count_grid_completions(ts: TileSystem, shape: Shape,
-                           fixed: dict[int, int] | None = None,
-                           limit: int | None = None) -> int:
-    n = 0
-    for _ in iter_grid_completions(ts, shape, fixed, limit):
-        n += 1
-    return n
 
 
 def words_of_shape(ts: TileSystem, shape: Shape,

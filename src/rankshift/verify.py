@@ -37,6 +37,7 @@ from .core import (
     dominates,
     is_periodic,
     is_zero,
+    mat_vec,
     shapes_upto,
     strides,
     sub,
@@ -124,12 +125,6 @@ def check_h0(ts: TileSystem) -> CheckResult:
     return CheckResult("H0", Status.PASS)
 
 
-def _matmul(p, q):
-    n = len(p)
-    return [[sum(p[b][c] * q[c][a] for c in range(n)) for a in range(n)]
-            for b in range(n)]
-
-
 def check_h1_local(ts: TileSystem) -> CheckResult:
     """The local product conditions (H1a), (H1b), (H1c).
 
@@ -138,11 +133,13 @@ def check_h1_local(ts: TileSystem) -> CheckResult:
     """
     n = ts.n_letters
     names = ts.alphabet.letters
-    mats = [list(map(list, m)) for m in ts.matrices]
+    mats = ts.matrices
+    # row b of p M_k is M_k^T applied to row b of p
+    cols = [tuple(zip(*m)) for m in mats]
     for i in range(1, ts.rank + 1):
         for j in range(i + 1, ts.rank + 1):
-            pij = _matmul(mats[i - 1], mats[j - 1])
-            pji = _matmul(mats[j - 1], mats[i - 1])
+            pij = [mat_vec(cols[j - 1], row) for row in mats[i - 1]]
+            pji = [mat_vec(cols[i - 1], row) for row in mats[j - 1]]
             for b in range(n):
                 for a in range(n):
                     if pij[b][a] != pji[b][a]:
@@ -156,7 +153,7 @@ def check_h1_local(ts: TileSystem) -> CheckResult:
                             "b": names[b], "a": names[a],
                             "value": pij[b][a]})
             for k in range(j + 1, ts.rank + 1):
-                pijk = _matmul(pij, mats[k - 1])
+                pijk = [mat_vec(cols[k - 1], row) for row in pij]
                 for b in range(n):
                     for a in range(n):
                         if pijk[b][a] > 1:
@@ -360,15 +357,17 @@ def fiber_transfer_round(ts: TileSystem, family: FiberFamily
     """
     j = family.direction
     known = {(c, s) for c, sets_ in family.sets_by_origin.items() for s in sets_}
+    seen = set(known)
     new = []
-    for c, fiber in list(known):
+    for c, fiber in known:
         for k in range(1, ts.rank + 1):
             if k == j:
                 continue
             for c_new in ts.predecessors(k, c):
-                t = _transfer(ts, j, k, c_new, fiber)
-                if (c_new, t) not in known and (c_new, t) not in set(new):
-                    new.append((c_new, t))
+                pair = (c_new, _transfer(ts, j, k, c_new, fiber))
+                if pair not in seen:
+                    seen.add(pair)
+                    new.append(pair)
     new.sort(key=lambda p: (p[0], sorted(p[1])))
     return new
 
@@ -466,6 +465,20 @@ def nonperiodic_witness(ts: TileSystem, p: Translate, shape_bound: Shape
     return None
 
 
+def _h3_search(ts: TileSystem, p_bound: Shape, shape_bound: Shape
+               ) -> tuple[dict[Translate, Word], list[Translate]]:
+    """Witnesses by canonical p with |p| <= p_bound, and the p left without."""
+    found = {}
+    missing = []
+    for p in translate_reps(p_bound):
+        w = nonperiodic_witness(ts, p, shape_bound)
+        if w is None:
+            missing.append(p)
+        else:
+            found[p] = w
+    return found, missing
+
+
 def check_h3_bounded(ts: TileSystem, p_bound: Shape, shape_bound: Shape
                      ) -> CheckResult:
     """Search for a non-p-periodic word for every p with |p| <= p_bound.
@@ -478,39 +491,26 @@ def check_h3_bounded(ts: TileSystem, p_bound: Shape, shape_bound: Shape
     p_bound = vec(p_bound)
     shape_bound = vec(shape_bound)
     params = {"p_bound": list(p_bound), "shape_bound": list(shape_bound)}
-    witnesses = {}
-    missing = []
-    for p in translate_reps(p_bound):
-        w = nonperiodic_witness(ts, p, shape_bound)
-        if w is None:
-            missing.append(list(p))
-        else:
-            witnesses[",".join(map(str, p))] = _word_json(ts, w)
+    found, missing = _h3_search(ts, p_bound, shape_bound)
     if missing:
         return CheckResult("H3 (bounded)", Status.FAIL,
-                           {"no_witness_for": missing,
+                           {"no_witness_for": [list(p) for p in missing],
                             "note": "inconclusive for (H3) globally"},
                            params)
     return CheckResult("H3 (bounded)", Status.BOUNDED_PASS,
-                       {"witnesses": witnesses}, params)
+                       {"witnesses": {",".join(map(str, p)): _word_json(ts, w)
+                                      for p, w in found.items()}}, params)
 
 
 def h3_bounded_witnesses(ts: TileSystem, p_bound: Shape, shape_bound: Shape
                          ) -> dict[Translate, Word]:
     """Witness words per canonical p, raising if any p has none in bounds."""
-    out = {}
-    missing = []
-    for p in translate_reps(vec(p_bound)):
-        w = nonperiodic_witness(ts, p, vec(shape_bound))
-        if w is None:
-            missing.append(p)
-        else:
-            out[p] = w
+    found, missing = _h3_search(ts, vec(p_bound), vec(shape_bound))
     if missing:
         raise WitnessSearchError(
             f"no non-periodic witness within shape bound {tuple(shape_bound)} "
             f"for translates {missing}")
-    return out
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from .core import (
     neg,
     restrict,
     strides,
-    sub,
     translate_reps,
     translates_agree,
     vec,
@@ -39,6 +38,7 @@ from .core import (
 )
 from .completion import (
     extend_unit,
+    iter_grid_completions,
     product,
     word_from_path,
     words_of_shape,
@@ -262,9 +262,11 @@ def projection_support(ts: TileSystem, dmap: DecorationMap, m: Shape,
     whose support consists exactly of the extensions of the base support.
 
     The enumeration is a direct grid search (it never uses the forced-fill
-    machinery): cells are assigned row-major under the transition
-    constraints, and cells inside the window additionally track which family
-    members still match, so mismatching grids are abandoned early.
+    machinery): one :func:`~rankshift.completion.iter_grid_completions` run
+    per distinct family member, with that member's letters fixed on the
+    window.  Distinct members of one shape cannot both fill the same window,
+    so the runs are disjoint, and their union is returned in the canonical
+    (lexicographic row-major) order.
     """
     m = vec(m)
     l = vec(l)
@@ -274,76 +276,18 @@ def projection_support(ts: TileSystem, dmap: DecorationMap, m: Shape,
     total = vec(total)
     if not dominates(total, window_hi):
         raise ValueError(f"total shape {total} must dominate m + l = {window_hi}")
-    members = [family[a] for a in sorted(family)]
+    members = dict.fromkeys(family.values())
     if any(w.shape != l for w in members):
         raise ValueError(f"family members must all have the common shape {l}")
+    st = strides(total)
+    window = [sum((c + o) * s for c, o, s in zip(cell, m, st))
+              for cell in box_cells(l)]
+    grids = sorted(letters for w in members
+                   for letters in iter_grid_completions(
+                       ts, total, dict(zip(window, w.letters))))
     groups = dmap.by_letter(ts.n_letters)
     out = []
-    for w in _window_constrained_words(ts, total, m, l, members):
-        for d in groups[w.origin]:
-            out.append(DecoratedWord(d, w))
+    for letters in grids:
+        w = Word(total, letters)
+        out.extend(DecoratedWord(d, w) for d in groups[w.origin])
     return out
-
-
-def _window_constrained_words(ts: TileSystem, total: Shape, lo: Shape,
-                              l: Shape, members: list[Word]) -> Iterator[Word]:
-    """Valid grids on [0, total] whose [lo, lo+l] window equals some member."""
-    st = strides(total)
-    cells = list(box_cells(total))
-    n_cells = len(cells)
-    rank = len(total)
-    hi = add(lo, l)
-    # per-cell predecessor constraints and, inside the window, the letter each
-    # member shows there
-    preds: list[tuple[tuple[int, int], ...]] = []
-    window_letters: list[tuple[int, ...] | None] = []
-    for cell in cells:
-        idx_preds = tuple((sum(c * s for c, s in zip(cell, st)) - st[j - 1], j)
-                          for j in range(1, rank + 1) if cell[j - 1] > 0)
-        preds.append(idx_preds)
-        if all(a <= c <= b for a, c, b in zip(lo, cell, hi)):
-            y = sub(cell, lo)
-            window_letters.append(tuple(w.at(y) for w in members))
-        else:
-            window_letters.append(None)
-
-    full = (1 << ts.n_letters) - 1
-    assign = [-1] * n_cells
-
-    def options_at(i: int, alive: int) -> list[tuple[int, int]]:
-        """Letter choices for cell i as (letter, surviving member mask)."""
-        mask = full
-        for p, j in preds[i]:
-            mask &= ts.successor_mask(j, assign[p])
-        shown = window_letters[i]
-        if shown is None:
-            opts = []
-            while mask:
-                low = mask & -mask
-                opts.append((low.bit_length() - 1, alive))
-                mask ^= low
-            return opts
-        per_letter: dict[int, int] = {}
-        while alive:
-            low = alive & -alive
-            letter = shown[low.bit_length() - 1]
-            if mask >> letter & 1:
-                per_letter[letter] = per_letter.get(letter, 0) | low
-            alive ^= low
-        return sorted(per_letter.items())
-
-    i = 0
-    stack = [options_at(0, (1 << len(members)) - 1)]
-    while stack:
-        opts = stack[-1]
-        if not opts:
-            stack.pop()
-            i -= 1
-            continue
-        letter, alive = opts.pop(0)
-        assign[i] = letter
-        if i == n_cells - 1:
-            yield Word(total, tuple(assign))
-            continue
-        i += 1
-        stack.append(options_at(i, alive))

@@ -34,6 +34,12 @@ def test_dim_vector_fs2_headline(fs2):
     assert sum(dims) == 16
 
 
+def test_dim_vector_rejects_negative_shape(gm2):
+    dmap = DecorationMap.identity(gm2.alphabet)
+    with pytest.raises(ValueError, match="negative"):
+        dim_vector(gm2, dmap, (2, -1))
+
+
 def test_dim_vector_matches_enumeration_small(corpus):
     for name, ts in corpus:
         dmap = DecorationMap.identity(ts.alphabet)

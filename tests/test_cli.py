@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 
 import pytest
 
@@ -59,6 +61,33 @@ def test_load_rejects_bad_entry():
         parse_system(data)
     assert "matrices[0][0][1]" in str(err.value)
     assert "2" in str(err.value)
+
+
+@pytest.mark.parametrize("rank", [True, 1.0, "1", 0])
+def test_load_rejects_non_integer_rank(rank):
+    data = {"rank": rank, "alphabet": ["0", "1"],
+            "matrices": [[[1, 1], [1, 0]]]}
+    with pytest.raises(SystemFileError) as err:
+        parse_system(data)
+    assert "'rank'" in str(err.value)
+
+
+@pytest.mark.parametrize("entry", [True, False, 1.0, 0.0])
+def test_load_rejects_non_integer_entry(entry):
+    data = {"rank": 1, "alphabet": ["0", "1"],
+            "matrices": [[[1, 1], [entry, 0]]]}
+    with pytest.raises(SystemFileError) as err:
+        parse_system(data)
+    assert "matrices[0][1][0]" in str(err.value)
+
+
+def test_count_on_loosely_typed_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "loose.json"
+    path.write_text('{"rank": true, "alphabet": ["0", "1"], '
+                    '"matrices": [[[1.0, true], [1, 0]]]}')
+    assert main(["count", str(path), "--shape", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "'rank'" in captured.err
 
 
 def test_load_rejects_unknown_decoration_letter():
@@ -139,6 +168,34 @@ def test_count_total_only(fs2_file, capsys):
 def test_count_bad_shape_exits_2(gm2_file, capsys):
     assert main(["count", gm2_file, "--shape", "1"]) == 2
     assert main(["count", gm2_file, "--shape", "x,y"]) == 2
+
+
+def test_count_negative_shape_exits_2(gm_file, capsys):
+    assert main(["count", gm_file, "--shape=-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--shape" in captured.err and "negative" in captured.err
+
+
+def test_bratteli_negative_upto_exits_2(gm_file, capsys):
+    assert main(["bratteli", gm_file, "--upto=-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--upto" in captured.err and "negative" in captured.err
+
+
+def test_enumerate_negative_shape_exits_2(gm_file, capsys):
+    assert main(["enumerate", gm_file, "--shape=-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--shape" in captured.err and "negative" in captured.err
+
+
+def test_witness_set_s_negative_p_bound_exits_2(fs2_file, capsys):
+    assert main(["witness", "set-s", fs2_file, "--p-bound=-1,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--p-bound" in captured.err and "negative" in captured.err
 
 
 def test_enumerate(gm_file, capsys):
@@ -276,3 +333,45 @@ def test_output_is_deterministic(gm2_file, capsys):
     main(["verify", gm2_file, "--json"])
     second = capsys.readouterr().out
     assert first == second
+
+
+SAMPLES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "samples")
+
+# (argv with sample file names, exit code, SHA-256 of stdout); the CLI's
+# contract is byte-identical output, so a digest changes only on purpose
+GOLDEN = [
+    ("witness q-support gm2.json --p-bound 1,1", 0,
+     "433d58c441e2ba83302154f87ee03dac5e50d7d1ed3698c9a617bcd9ac217af8"),
+    ("witness q-support gm2.json --p-bound 1,1 --total 12,8", 0,
+     "432cc88d6cb8f8b4c212498393b2d700e4c736f57d03134ecf299fdb5f48af91"),
+    ("witness q-support fs2.json --p-bound 1,1", 0,
+     "400650826b373bdd1ac31635478fd069eaddd1877c6082a79e5fcccc9c208646"),
+    ("witness q-support fs2.json --p-bound 1,1 --total 12,7", 0,
+     "82ad2d266d7701177e7d786ee1c60df01db74e5b378c9f16f7743fecf68b9b4e"),
+    ("witness set-s gm2.json --p-bound 1,1", 0,
+     "f47b64b9b842ef9c062ec41d5b3377bfeb1bdb9c529c452a2aeb15d8cc416c42"),
+    ("witness nonperiodic fs2.json --p-bound 1,1", 0,
+     "93a14eebd4eab800b457c1a0a96425a88ccc84af1d59744c2e999bcf732c3e77"),
+    ("witness connect gm2.json --from 11 --to 11 --min-shape 2,1", 0,
+     "8618749eac84f05b42bed34fc177677da6f1b95f398621c9ce18ce2fe1dad673"),
+    ("witness distinct-pair gm2.json", 0,
+     "0011af91a72d54fea27e11bd8c5676fc28e460b097d78f4be7d5f86885228c97"),
+    ("verify fs2.json --json", 0,
+     "f2fb5e0306b359a9baea81accea19549329ec5d4803e6298deea3e55dda0d981"),
+    ("verify gm2.json --json", 1,
+     "4bb485668dad33cd4e3612bfd27246bf20ee881cd0f40b6595a83a11303e8b3b"),
+    ("enumerate gm2.json --shape 3,3 --terminus 11", 0,
+     "6c3b6d1cfe28e5daa1997fced0cf97b3699ac9049738c19445dc3cff78f8d14e"),
+    ("bratteli gm2.json --upto 3,3 --format json", 0,
+     "76047f8c43983571e82dd43d6a0dbbcf09eac700ea84ee8abf7e5be38d998971"),
+]
+
+
+def test_golden_output_digests(capsys):
+    """Stdout stays byte-identical on the sample systems."""
+    for command, code, digest in GOLDEN:
+        argv = [os.path.join(SAMPLES, a) if a.endswith(".json") else a
+                for a in command.split()]
+        assert main(argv) == code, command
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command

@@ -10,7 +10,6 @@ from rankshift import (
     validate_word,
 )
 from rankshift.completion import (
-    count_grid_completions,
     extend_unit,
     iter_grid_completions,
     list_extensions,
@@ -203,8 +202,16 @@ def test_words_of_shape_order_and_filters(gm):
         [(0, 0, 1), (1, 0, 1)]
 
 
-def test_count_grid_completions_limit(fs2):
-    assert count_grid_completions(fs2, (1, 1), limit=5) == 5
+def test_iter_grid_completions_limit(fs2):
+    assert sum(1 for _ in iter_grid_completions(fs2, (1, 1), limit=5)) == 5
+    assert list(iter_grid_completions(fs2, (1, 1), limit=0)) == []
+
+
+def test_iter_grid_completions_rejects_bad_input(gm2):
+    with pytest.raises(ValueError, match="negative"):
+        next(iter_grid_completions(gm2, (1, -1)))
+    with pytest.raises(ValueError, match="outside"):
+        next(iter_grid_completions(gm2, (1, 1), {4: 0}))
 
 
 def _random_word_from(ts, rng, origin):

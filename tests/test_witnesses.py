@@ -210,22 +210,30 @@ def test_projection_support_size_formula(fs2):
         assert restrict(dw.word, m, hi) in members
 
 
-def test_projection_support_brute_force_cross_check(gm2):
-    """Window-pruned enumeration agrees with filtering all decorated words."""
+def test_projection_support_brute_force_cross_check(gm2, fs2):
+    """Per-member grid searches agree with filtering all decorated words.
+
+    Covers both systems, totals at and above m + l, a family with a member
+    listed twice, and a decoration map with two decorations on one letter.
+    """
     from rankshift.completion import decorated_words_of_shape
-    dmap = DecorationMap.identity(gm2.alphabet)
-    m = (1, 0)
-    # a tiny hand-rolled family: restriction targets of shape (1, 1)
-    family = {}
-    for a in range(gm2.n_letters):
-        family[a] = next(words_of_shape(gm2, (1, 1), origin=a))
-    support = projection_support(gm2, dmap, m, (1, 1), family)
-    hi = add(m, (1, 1))
-    total = add(m, (1, 1))
-    members = set(family.values())
-    naive = [dw for dw in decorated_words_of_shape(gm2, dmap, total)
-             if restrict(dw.word, m, hi) in members]
-    assert support == naive
+    m, l = (1, 0), (1, 1)
+    hi = add(m, l)
+    dmap = DecorationMap(("a", "b", "c", "d", "e"), (0, 2, 0, 1, 3))
+    cases = [(gm2, hi, False), (fs2, hi, False), (gm2, (3, 2), False),
+             (fs2, (2, 3), False), (gm2, (2, 2), True), (fs2, hi, True)]
+    for ts, total, duplicate in cases:
+        # a tiny hand-rolled family: restriction targets of shape l
+        family = {a: next(words_of_shape(ts, l, origin=a))
+                  for a in range(ts.n_letters)}
+        if duplicate:
+            family[3] = family[1]
+        support = projection_support(ts, dmap, m, l, family, total=total)
+        members = set(family.values())
+        naive = [dw for dw in decorated_words_of_shape(ts, dmap, total)
+                 if restrict(dw.word, m, hi) in members]
+        assert support == naive, (ts, total, duplicate)
+        assert len(set(support)) == len(support)
 
 
 def test_projection_support_refinement(fs2):
