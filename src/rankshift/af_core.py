@@ -153,6 +153,8 @@ def bratteli(ts: TileSystem, dmap: DecorationMap, upto: Shape) -> BratteliDiagra
     upto = vec(upto)
     if len(upto) != ts.rank:
         raise ValueError(f"bound {upto} has wrong rank")
+    if any(c < 0 for c in upto):
+        raise ValueError(f"bound {upto} has a negative component")
     nodes = {m: dim_vector(ts, dmap, m) for m in shapes_upto(upto)}
     return BratteliDiagram(ts, dmap, upto, nodes)
 

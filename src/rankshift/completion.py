@@ -10,9 +10,10 @@ product, and fast enumeration of extensions.
 Independently of any of that, this module also provides brute-force grid
 enumeration (:func:`iter_grid_completions`, :func:`words_of_shape`), which
 never uses the forced-fill path and therefore serves as its oracle.
-:func:`iter_grid_completions` is the package's only grid search: the (H1)
-oracle and the projection support constrain it by fixing cells, one search
-per pattern, rather than tracking patterns inside the search.
+:func:`iter_grid_completions` is the package's only grid search.  The (H1)
+oracle enumerates each total shape with it once and counts the words by their
+restrictions; the projection support constrains it by fixing cells, one
+search per family member, rather than tracking patterns inside the search.
 """
 
 from __future__ import annotations
@@ -171,21 +172,18 @@ def list_extensions(ts: TileSystem, u: WordLike, n: Shape
 # ---------------------------------------------------------------------------
 
 def iter_grid_completions(ts: TileSystem, shape: Shape,
-                          fixed: dict[int, int] | None = None,
-                          limit: int | None = None) -> Iterator[tuple[int, ...]]:
+                          fixed: dict[int, int] | None = None
+                          ) -> Iterator[tuple[int, ...]]:
     """All valid letter grids on [0, shape] extending a partial assignment.
 
     ``fixed`` maps flat row-major cell indices to letter indices.  Grids are
     produced in lexicographic order of their full row-major tuple; cells are
     assigned one by one with every constraint towards already-assigned
-    neighbours enforced, so the search is exact.  At most ``limit`` grids
-    are produced.
+    neighbours enforced, so the search is exact.
     """
     shape = vec(shape)
     if any(c < 0 for c in shape):
         raise ValueError(f"shape {shape} has a negative component")
-    if limit is not None and limit <= 0:
-        return
     st = strides(shape)
     succ = [[ts.successor_mask(j, a) for a in range(ts.n_letters)]
             for j in range(1, len(shape) + 1)]
@@ -202,7 +200,6 @@ def iter_grid_completions(ts: TileSystem, shape: Shape,
             raise ValueError(f"fixed cell index {i} outside [0, {n_cells})")
         allowed[i] &= 1 << a
     assign = [0] * n_cells
-    produced = 0
 
     def candidates(i: int) -> list[int]:
         """Letters allowed at cell i, largest first (so pop() takes the least)."""
@@ -228,9 +225,6 @@ def iter_grid_completions(ts: TileSystem, shape: Shape,
         assign[i] = options.pop()
         if i == n_cells - 1:
             yield tuple(assign)
-            produced += 1
-            if produced == limit:
-                return
             continue
         i += 1
         stack.append(candidates(i))

@@ -587,8 +587,12 @@ def translates_agree(w1: Word, w2: Word, p: Translate) -> bool:
         raise ValueError("translate has wrong rank")
     lo = join(p, zero(w1.rank))
     hi = meet(w1.shape, add(p, w2.shape))
+    st1, st2 = strides(w1.shape), strides(w2.shape)
+    # cell x of w1 faces cell x - p of w2
+    shift = sum(c * s for c, s in zip(p, st2))
     for x in box_range(lo, hi):
-        if w1.at(x) != w2.at(sub(x, p)):
+        if (w1.letters[sum(c * s for c, s in zip(x, st1))]
+                != w2.letters[sum(c * s for c, s in zip(x, st2)) - shift]):
             return False
     return True
 

@@ -34,15 +34,16 @@ from .core import (
     Word,
     absv,
     box_cells,
+    box_size,
     dominates,
     is_periodic,
-    is_zero,
     mat_vec,
+    restrict,
     shapes_upto,
-    strides,
     sub,
     translate_reps,
     vec,
+    zero,
 )
 from .completion import iter_grid_completions, word_from_path, words_of_shape
 
@@ -164,55 +165,54 @@ def check_h1_local(ts: TileSystem) -> CheckResult:
     return CheckResult("H1a-c", Status.PASS)
 
 
-def _split_completions(ts: TileSystem, total: Shape, m: Shape,
-                       u: Word, v: Word, limit: int) -> list[Word]:
-    """Completions w on [0, total] with w|[0,m] = u, w|[m,total] = v."""
-    st = strides(total)
-    fixed: dict[int, int] = {}
-    for cell in box_cells(m):
-        fixed[sum(c * s for c, s in zip(cell, st))] = u.at(cell)
-    for cell in box_cells(v.shape):
-        flat = sum((c + o) * s for c, o, s in zip(cell, m, st))
-        fixed[flat] = v.at(cell)
-    return [Word(total, letters)
-            for letters in iter_grid_completions(ts, total, fixed, limit=limit)]
-
-
 def check_h1_oracle(ts: TileSystem, shape_bound: Shape) -> CheckResult:
-    """Brute-force the unique-extension statement on bounded shapes.
+    """Brute-force unique factorisation on bounded shapes.
 
-    For every composable pair (u, v) with shape(u) + shape(v) <= shape_bound
-    the number of common extensions is counted by exhaustive grid search and
-    must be exactly one.  Splits where u or v has shape 0 are provably
-    trivial (the extension is the other word) and are skipped.  Intended as
-    an independent oracle for :func:`check_h1_local`; never calls the forced
-    fill.
+    For every shape total <= shape_bound and every split total = m + n, the
+    restriction w -> (w|[0,m], w|[m,total]) must be a bijection from the
+    words of shape total onto the composable pairs (u, v) of shapes m and n.
+    Each total is enumerated once by exhaustive grid search and its words are
+    counted by their restrictions; the first pair in canonical order with no
+    extension, or with two, is the witness.  Splits where u or v has shape 0
+    are trivial (the extension is the other word) and are skipped.  An
+    independent oracle for :func:`check_h1_local`; never calls the forced fill.
     """
     shape_bound = vec(shape_bound)
     if len(shape_bound) != ts.rank:
         raise ValueError("shape bound has wrong rank")
     params = {"shape_bound": list(shape_bound)}
     for total in shapes_upto(shape_bound):
-        if is_zero(total):
+        splits = [m for m in box_cells(total) if 0 < sum(m) < sum(total)]
+        if not splits:
             continue
-        for m in box_cells(total):
+        grids = list(iter_grid_completions(ts, total))
+        # cell i of `cells` holds i, so its restrictions list sub-box cells
+        cells = Word(total, tuple(range(box_size(total))))
+        for m in splits:
             n = sub(total, m)
-            if is_zero(m) or is_zero(n):
-                continue
-            by_origin: dict[int, list[Word]] = {}
-            for v in words_of_shape(ts, n):
-                by_origin.setdefault(v.origin, []).append(v)
-            for u in words_of_shape(ts, m):
-                for v in by_origin.get(u.terminus, ()):
-                    found = _split_completions(ts, total, m, u, v, limit=2)
+            pair_cells = (restrict(cells, zero(ts.rank), m).letters
+                          + restrict(cells, m, total).letters)
+            # pairs are keyed on strings, one code point per letter: they take
+            # far less memory than tuples, which CPython keeps on free lists
+            extensions: dict[str, list[tuple[int, ...]]] = {}
+            for w in grids:
+                pair = "".join(map(chr, map(w.__getitem__, pair_cells)))
+                extensions.setdefault(pair, []).append(w)
+            by_origin: dict[int, list[tuple[int, ...]]] = {}
+            for v in iter_grid_completions(ts, n):
+                by_origin.setdefault(v[0], []).append(v)
+            for u in iter_grid_completions(ts, m):
+                for v in by_origin.get(u[-1], ()):
+                    found = extensions.get("".join(map(chr, u + v)), [])
                     if len(found) != 1:
                         witness = {
-                            "u": _word_json(ts, u), "v": _word_json(ts, v),
+                            "u": _word_json(ts, Word(m, u)),
+                            "v": _word_json(ts, Word(n, v)),
                             "split": list(m), "total": list(total),
-                            "completions": len(found) if len(found) < 2 else ">=2",
-                        }
+                            "completions": len(found) if len(found) < 2 else ">=2"}
                         if found:
-                            witness["examples"] = [_word_json(ts, w) for w in found]
+                            witness["examples"] = [_word_json(ts, Word(total, w))
+                                                   for w in found[:2]]
                         return CheckResult("H1 (oracle)", Status.FAIL,
                                            witness, params)
     return CheckResult("H1 (oracle)", Status.PASS, params=params)

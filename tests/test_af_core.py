@@ -40,6 +40,12 @@ def test_dim_vector_rejects_negative_shape(gm2):
         dim_vector(gm2, dmap, (2, -1))
 
 
+def test_bratteli_rejects_negative_bound(gm):
+    dmap = DecorationMap.identity(gm.alphabet)
+    with pytest.raises(ValueError, match="negative"):
+        bratteli(gm, dmap, (-1,))
+
+
 def test_dim_vector_matches_enumeration_small(corpus):
     for name, ts in corpus:
         dmap = DecorationMap.identity(ts.alphabet)

@@ -1,8 +1,18 @@
+import itertools
 import random
 
 from rankshift import Alphabet, TileSystem, validate_word
 from rankshift.builders import from_rank1, random_system
-from rankshift.core import is_periodic, translate_reps
+from rankshift.completion import iter_grid_completions, words_of_shape
+from rankshift.core import (
+    box_cells,
+    is_periodic,
+    is_zero,
+    shapes_upto,
+    strides,
+    sub,
+    translate_reps,
+)
 from rankshift.verify import (
     Status,
     check_h0,
@@ -91,19 +101,86 @@ def test_h1_oracle_rank1_always_passes(gm, full2):
     assert check_h1_oracle(full2, (4,)).status is Status.PASS
 
 
-def test_h1_oracle_detects_missing_completion():
-    # direction 1: 0->0, 1->1; direction 2: 0->1 only.  Commuting products
-    # both vanish except trivially, H1a/H1b pass, but the pair
-    # (u: 0 -e2-> 1, v: 1 -e1-> 1) has no completion: the square needs
-    # a letter below-right with 0 -> x (dir 1) and x -> 1 (dir 2): x = 0
-    # works: 0->0 dir1, 0->1 dir2. Hmm, completion exists; use local check
-    # agreement instead: this system passes locally, so the oracle must too.
+def test_h1_oracle_agrees_with_local_on_commuting_pair():
+    # direction 1 is the identity (0->0, 1->1) and direction 2 allows 0->1
+    # only, so M_1 M_2 = M_2 M_1 = M_2 has 0/1 entries: (H1a)-(H1c) hold
+    # and the oracle must pass as well.
     m1 = [[1, 0], [0, 1]]
     m2 = [[0, 0], [1, 0]]
     ts = TileSystem(Alphabet("01"), [m1, m2])
     local = check_h1_local(ts)
     oracle = check_h1_oracle(ts, (2, 2))
     assert local.ok == oracle.ok
+
+
+def test_h1_oracle_zero_completion_witness():
+    # 0 -e1-> 1 and 1 -e2-> 0 only: the pair (1 -e2-> 0, 0 -e1-> 1) needs a
+    # direction-1 successor of 1 at cell (1, 0), and there is none
+    m1 = [[0, 0], [1, 0]]
+    m2 = [[0, 1], [0, 0]]
+    result = check_h1_oracle(TileSystem(Alphabet("01"), [m1, m2]), (1, 1))
+    assert result.status is Status.FAIL
+    assert result.witness == {
+        "u": {"shape": [0, 1], "cells": ["1", "0"]},
+        "v": {"shape": [1, 0], "cells": ["0", "1"]},
+        "split": [0, 1], "total": [1, 1], "completions": 0,
+    }
+
+
+def _reference_h1_oracle(ts, shape_bound):
+    """check_h1_oracle(...).to_json() by one fixed-cell search per pair."""
+
+    def word_json(shape, letters):
+        return {"shape": list(shape),
+                "cells": [ts.alphabet.name(a) for a in letters]}
+
+    params = {"shape_bound": list(shape_bound)}
+    for total in shapes_upto(shape_bound):
+        st = strides(total)
+        for m in box_cells(total):
+            n = sub(total, m)
+            if is_zero(m) or is_zero(n):
+                continue
+            by_origin = {}
+            for v in words_of_shape(ts, n):
+                by_origin.setdefault(v.origin, []).append(v)
+            for u in words_of_shape(ts, m):
+                for v in by_origin.get(u.terminus, ()):
+                    fixed = {sum(c * s for c, s in zip(cell, st)): u.at(cell)
+                             for cell in box_cells(m)}
+                    for cell in box_cells(n):
+                        flat = sum((c + o) * s for c, o, s in zip(cell, m, st))
+                        fixed[flat] = v.at(cell)
+                    found = list(itertools.islice(
+                        iter_grid_completions(ts, total, fixed), 2))
+                    if len(found) == 1:
+                        continue
+                    witness = {
+                        "u": word_json(m, u.letters),
+                        "v": word_json(n, v.letters),
+                        "split": list(m), "total": list(total),
+                        "completions": len(found) if len(found) < 2 else ">=2",
+                    }
+                    if found:
+                        witness["examples"] = [word_json(total, g) for g in found]
+                    return {"condition": "H1 (oracle)", "status": "fail",
+                            "params": params, "witness": witness}
+    return {"condition": "H1 (oracle)", "status": "pass", "params": params}
+
+
+def test_h1_oracle_matches_per_pair_search():
+    rng = random.Random(0x5EED)
+    kinds = []
+    for rank, bound, sizes in [(2, (2, 2), [2, 3, 4]), (3, (1, 1, 1), [2, 3])]:
+        for _ in range(100):
+            ts = random_system(rng, rng.choice(sizes), rank,
+                               density=rng.choice([0.3, 0.5, 0.7]))
+            got = check_h1_oracle(ts, bound).to_json()
+            assert got == _reference_h1_oracle(ts, bound)
+            kinds.append(got.get("witness", {}).get("completions"))
+    # mostly failing systems, with both kinds of witness
+    assert kinds.count(None) < len(kinds) // 4
+    assert kinds.count(0) >= 20 and kinds.count(">=2") >= 20
 
 
 def test_h1_oracle_agreement_randomized():
