@@ -34,6 +34,7 @@ from .core import (
     Shape,
     SubshiftError,
     TileSystem,
+    UnknownLetterError,
     Word,
     validate_word,
     vec,
@@ -120,6 +121,8 @@ def parse_system(data, transpose: bool = False, origin: str = "<data>"
         _require(isinstance(names, list) and names
                  and all(isinstance(d, str) for d in names),
                  f"{origin}: decorations.names must be a nonempty string list")
+        _require(len(set(names)) == len(names),
+                 f"{origin}: decorations.names has duplicate names")
         _require(isinstance(delta_names, list) and len(delta_names) == len(names),
                  f"{origin}: decorations.delta must align with decorations.names")
         delta = []
@@ -149,9 +152,12 @@ def system_to_json(ts: TileSystem, dmap: DecorationMap | None = None) -> dict:
 
 
 def save_system(ts: TileSystem, path, dmap: DecorationMap | None = None) -> None:
-    with open(path, "w") as fh:
-        json.dump(system_to_json(ts, dmap), fh, indent=2)
-        fh.write("\n")
+    try:
+        with open(path, "w") as fh:
+            json.dump(system_to_json(ts, dmap), fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise SystemFileError(f"{path}: {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +179,12 @@ def _parse_shape(text: str | None, rank: int, what: str) -> Shape | None:
     if any(c < 0 for c in parts):
         raise SystemFileError(f"{what} {text!r} has a negative component")
     return parts
+
+
+def _check_floor(value: int | None, floor: int, what: str) -> None:
+    """Reject a search bound given to flag ``what`` that is below ``floor``."""
+    if value is not None and value < floor:
+        raise SystemFileError(f"{what} must be at least {floor}, not {value}")
 
 
 def _format_shape(s: Sequence[int]) -> str:
@@ -198,6 +210,7 @@ def _word_arg(ts: TileSystem, shape_text: str, cells_text: str, what: str) -> Wo
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
+    _check_floor(args.h3_star_cap, 1, "--h3-star-cap")
     ts, _ = load_system(args.system, transpose=args.transpose)
     r = ts.rank
     report = verify.verify_report(
@@ -238,6 +251,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    _check_floor(args.limit, 0, "--limit")
     ts, dmap = load_system(args.system, transpose=args.transpose)
     shape = _parse_shape(args.shape, ts.rank, "--shape")
     origin = ts.alphabet.resolve(args.origin) if args.origin else None
@@ -308,6 +322,7 @@ def _cmd_witness_connect(args) -> int:
 
 
 def _cmd_witness_distinct_pair(args) -> int:
+    _check_floor(args.max_grade, 1, "--max-grade")
     ts, _ = _load_gated(args)
     u, v = witnesses.distinct_pair(ts, max_grade=args.max_grade)
     print(_format_word(ts, u))
@@ -537,7 +552,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemFileError as exc:
+    except (SystemFileError, UnknownLetterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SubshiftError as exc:

@@ -12,8 +12,9 @@ enumeration (:func:`iter_grid_completions`, :func:`words_of_shape`), which
 never uses the forced-fill path and therefore serves as its oracle.
 :func:`iter_grid_completions` is the package's only grid search.  The (H1)
 oracle enumerates each total shape with it once and counts the words by their
-restrictions; the projection support constrains it by fixing cells, one
-search per family member, rather than tracking patterns inside the search.
+restrictions; the projection support constrains it by placing one family
+member as a word on the window, one search per member, rather than tracking
+patterns inside the search.
 """
 
 from __future__ import annotations
@@ -31,7 +32,10 @@ from .core import (
     WordLike,
     add,
     box_cells,
+    box_offsets,
+    box_range,
     box_size,
+    dominates,
     letter_word,
     strides,
     unit,
@@ -62,38 +66,31 @@ def extend_unit(ts: TileSystem, w: Word, j: int, a: int) -> Word:
             f"M_{j}({ts.alphabet.name(a)}, {ts.alphabet.name(w.terminus)}) = 0: "
             f"cannot extend in direction {j}")
 
-    old_shape = w.shape
-    new_shape = add(old_shape, unit(ts.rank, j))
+    new_shape = add(w.shape, unit(ts.rank, j))
     new_st = strides(new_shape)
-    old_st = strides(old_shape)
     letters = [-1] * box_size(new_shape)
 
     # copy the old box
-    for cell in box_cells(old_shape):
-        letters[sum(c * s for c, s in zip(cell, new_st))] = \
-            w.letters[sum(c * s for c, s in zip(cell, old_st))]
+    for i, b in zip(box_offsets(new_shape, zero(ts.rank), w.shape), w.letters):
+        letters[i] = b
 
     # fill the new layer (cells with x_j = m_j + 1) from the far corner back
-    layer = sorted(
-        (cell for cell in box_cells(new_shape) if cell[j - 1] == new_shape[j - 1]),
-        reverse=True)
-    far_corner = layer[0]
-    for x in layer:
-        below = sum((c - (1 if i == j - 1 else 0)) * s
-                    for i, (c, s) in enumerate(zip(x, new_st)))
-        mask = ts.successor_mask(j, letters[below])
-        if x == far_corner:
+    layer_lo = tuple(c if k == j - 1 else 0 for k, c in enumerate(new_shape))
+    layer = zip(box_range(layer_lo, new_shape),
+                box_offsets(new_shape, layer_lo, new_shape))
+    for x, i in reversed(list(layer)):
+        mask = ts.successor_mask(j, letters[i - new_st[j - 1]])
+        if x == new_shape:
             mask &= 1 << a
         for k in range(1, ts.rank + 1):
             if k != j and x[k - 1] < new_shape[k - 1]:
-                neighbour = letters[sum(c * s for c, s in zip(x, new_st)) + new_st[k - 1]]
-                mask &= ts.predecessor_mask(k, neighbour)
+                mask &= ts.predecessor_mask(k, letters[i + new_st[k - 1]])
         if mask == 0 or mask & (mask - 1):
             cands = [b for b in range(ts.n_letters) if mask >> b & 1]
             raise CompletionError(
                 f"cell {x}: {len(cands)} consistent letters while extending in "
                 f"direction {j}; the system violates (H1)", cell=x, candidates=cands)
-        letters[sum(c * s for c, s in zip(x, new_st))] = mask.bit_length() - 1
+        letters[i] = mask.bit_length() - 1
     return Word(new_shape, tuple(letters))
 
 
@@ -172,11 +169,12 @@ def list_extensions(ts: TileSystem, u: WordLike, n: Shape
 # ---------------------------------------------------------------------------
 
 def iter_grid_completions(ts: TileSystem, shape: Shape,
-                          fixed: dict[int, int] | None = None
+                          fixed: Sequence[tuple[Shape, Word]] = ()
                           ) -> Iterator[tuple[int, ...]]:
-    """All valid letter grids on [0, shape] extending a partial assignment.
+    """All valid letter grids on [0, shape] that show the placed words.
 
-    ``fixed`` maps flat row-major cell indices to letter indices.  Grids are
+    ``fixed`` lists placements ``(k, u)``: every grid shows the word u on the
+    sub-box [k, k + shape(u)], which must lie in [0, shape].  Grids are
     produced in lexicographic order of their full row-major tuple; cells are
     assigned one by one with every constraint towards already-assigned
     neighbours enforced, so the search is exact.
@@ -188,17 +186,16 @@ def iter_grid_completions(ts: TileSystem, shape: Shape,
     succ = [[ts.successor_mask(j, a) for a in range(ts.n_letters)]
             for j in range(1, len(shape) + 1)]
     # per cell: (flat index of the predecessor, its successor masks) pairs
-    plan = []
-    for cell in box_cells(shape):
-        idx = sum(c * s for c, s in zip(cell, st))
-        plan.append(tuple((idx - st[k], succ[k])
-                          for k in range(len(shape)) if cell[k] > 0))
+    plan = [tuple((i - st[k], succ[k]) for k in range(len(shape)) if cell[k] > 0)
+            for i, cell in enumerate(box_cells(shape))]
     n_cells = len(plan)
     allowed = [(1 << ts.n_letters) - 1] * n_cells
-    for i, a in (fixed or {}).items():
-        if not 0 <= i < n_cells:
-            raise ValueError(f"fixed cell index {i} outside [0, {n_cells})")
-        allowed[i] &= 1 << a
+    for k, u in fixed:
+        hi = add(k, u.shape)
+        if any(c < 0 for c in k) or not dominates(shape, hi):
+            raise ValueError(f"placed box [{tuple(k)}, {hi}] outside [0, {shape}]")
+        for i, a in zip(box_offsets(shape, k, hi), u.letters):
+            allowed[i] &= 1 << a
     assign = [0] * n_cells
 
     def candidates(i: int) -> list[int]:
@@ -235,14 +232,15 @@ def words_of_shape(ts: TileSystem, shape: Shape,
                    terminus: int | None = None) -> Iterator[Word]:
     """All words of the given shape, lexicographic in row-major letters.
 
-    Optional origin/terminus filters fix the first/last cell.
+    Optional origin/terminus filters place one-letter words at 0 and at shape.
     """
     shape = vec(shape)
-    fixed = {}
+    rank = len(shape)
+    fixed = []
     if origin is not None:
-        fixed[0] = origin
+        fixed.append((zero(rank), letter_word(rank, origin)))
     if terminus is not None:
-        fixed[box_size(shape) - 1] = terminus
+        fixed.append((shape, letter_word(rank, terminus)))
     for letters in iter_grid_completions(ts, shape, fixed):
         yield Word(shape, letters)
 

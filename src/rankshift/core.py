@@ -170,9 +170,12 @@ def strides(shape: Shape) -> tuple[int, ...]:
     return tuple(out)
 
 
-def cell_index(shape: Shape, cell: Sequence[int]) -> int:
-    st = strides(shape)
-    return sum(c * s for c, s in zip(cell, st))
+def box_offsets(shape: Shape, lo: Sequence[int], hi: Sequence[int]) -> list[int]:
+    """Row-major positions in [0, shape] of the cells of [lo, hi], in order."""
+    offsets = [0]
+    for a, b, s in zip(lo, hi, strides(shape)):
+        offsets = [o + c * s for o in offsets for c in range(a, b + 1)]
+    return offsets
 
 
 def shapes_upto(bound: Shape) -> list[Shape]:
@@ -389,7 +392,7 @@ class Word:
             raise ValueError(f"cell {cell} has wrong rank")
         if any(not 0 <= c <= m for c, m in zip(cell, self.shape)):
             raise ValueError(f"cell {tuple(cell)} outside box [0, {self.shape}]")
-        return self.letters[cell_index(self.shape, cell)]
+        return self.letters[box_offsets(self.shape, cell, cell)[0]]
 
     def render(self, alphabet: Alphabet, cell_sep: str = ",") -> str:
         return cell_sep.join(alphabet.name(a) for a in self.letters)
@@ -481,8 +484,7 @@ def word_violations(ts: TileSystem, shape: Shape, letters: Sequence[int]):
     """All (cell, direction) pairs where a unit step fails its matrix."""
     st = strides(shape)
     out = []
-    for cell in box_cells(shape):
-        idx = sum(c * s for c, s in zip(cell, st))
+    for idx, cell in enumerate(box_cells(shape)):
         a = letters[idx]
         for j in range(1, len(shape) + 1):
             if cell[j - 1] < shape[j - 1]:
@@ -569,12 +571,8 @@ def restrict(w: WordLike, k: Shape, l: Shape) -> WordLike:
         raise ValueError("restriction bounds have wrong rank")
     if not (dominates(k, zero(w.rank)) and dominates(l, k) and dominates(w.shape, l)):
         raise ValueError(f"need 0 <= {k} <= {l} <= {w.shape}")
-    new_shape = sub(l, k)
-    st = strides(w.shape)
-    letters = tuple(
-        w.letters[sum((c + o) * s for c, o, s in zip(cell, k, st))]
-        for cell in box_cells(new_shape))
-    return Word(new_shape, letters)
+    letters = tuple(map(w.letters.__getitem__, box_offsets(w.shape, k, l)))
+    return Word(sub(l, k), letters)
 
 
 def translates_agree(w1: Word, w2: Word, p: Translate) -> bool:

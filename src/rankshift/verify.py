@@ -34,11 +34,10 @@ from .core import (
     Word,
     absv,
     box_cells,
-    box_size,
+    box_offsets,
     dominates,
     is_periodic,
     mat_vec,
-    restrict,
     shapes_upto,
     sub,
     translate_reps,
@@ -186,12 +185,10 @@ def check_h1_oracle(ts: TileSystem, shape_bound: Shape) -> CheckResult:
         if not splits:
             continue
         grids = list(iter_grid_completions(ts, total))
-        # cell i of `cells` holds i, so its restrictions list sub-box cells
-        cells = Word(total, tuple(range(box_size(total))))
         for m in splits:
             n = sub(total, m)
-            pair_cells = (restrict(cells, zero(ts.rank), m).letters
-                          + restrict(cells, m, total).letters)
+            pair_cells = (box_offsets(total, zero(ts.rank), m)
+                          + box_offsets(total, m, total))
             # pairs are keyed on strings, one code point per letter: they take
             # far less memory than tuples, which CPython keeps on free lists
             extensions: dict[str, list[tuple[int, ...]]] = {}
@@ -385,6 +382,8 @@ def check_h3_star(ts: TileSystem, j: int, max_sets: int = 100_000
     """
     if not 1 <= j <= ts.rank:
         raise ValueError(f"direction {j} out of range 1..{ts.rank}")
+    if max_sets < 1:
+        raise ValueError(f"max_sets must be at least 1, not {max_sets}")
     params = {"direction": j, "max_sets": max_sets}
     sets_by_origin: dict[int, list[frozenset[int]]] = {c: [] for c in range(ts.n_letters)}
     provenance: dict[tuple[int, frozenset[int]], tuple] = {}

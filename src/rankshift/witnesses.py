@@ -22,7 +22,6 @@ from .core import (
     WitnessSearchError,
     Word,
     add,
-    box_cells,
     compositions,
     dominates,
     is_zero,
@@ -30,7 +29,6 @@ from .core import (
     letter_word,
     neg,
     restrict,
-    strides,
     translate_reps,
     translates_agree,
     vec,
@@ -263,10 +261,10 @@ def projection_support(ts: TileSystem, dmap: DecorationMap, m: Shape,
 
     The enumeration is a direct grid search (it never uses the forced-fill
     machinery): one :func:`~rankshift.completion.iter_grid_completions` run
-    per distinct family member, with that member's letters fixed on the
-    window.  Distinct members of one shape cannot both fill the same window,
-    so the runs are disjoint, and their union is returned in the canonical
-    (lexicographic row-major) order.
+    per distinct family member, placed as a word on the window.  Distinct
+    members of one shape cannot both fill the same window, so the runs are
+    disjoint, and their union is returned in the canonical (lexicographic
+    row-major) order.
     """
     m = vec(m)
     l = vec(l)
@@ -279,12 +277,8 @@ def projection_support(ts: TileSystem, dmap: DecorationMap, m: Shape,
     members = dict.fromkeys(family.values())
     if any(w.shape != l for w in members):
         raise ValueError(f"family members must all have the common shape {l}")
-    st = strides(total)
-    window = [sum((c + o) * s for c, o, s in zip(cell, m, st))
-              for cell in box_cells(l)]
     grids = sorted(letters for w in members
-                   for letters in iter_grid_completions(
-                       ts, total, dict(zip(window, w.letters))))
+                   for letters in iter_grid_completions(ts, total, [(m, w)]))
     groups = dmap.by_letter(ts.n_letters)
     out = []
     for letters in grids:

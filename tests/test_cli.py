@@ -1,8 +1,11 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rankshift import DecorationMap, load_system, save_system
 from rankshift.cli import SystemFileError, main, parse_system, system_to_json
@@ -375,3 +378,113 @@ def test_golden_output_digests(capsys):
         assert main(argv) == code, command
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+
+
+@pytest.mark.parametrize("command", [
+    ["tensor", "{gm}", "{gm}", "-o", "{missing}"],
+    ["redecorate", "{gm}", "--map", "0=1;1=0", "-o", "{missing}"],
+])
+def test_unwritable_output_exits_2(tmp_path, gm_file, command, capsys):
+    missing = str(tmp_path / "no-such-dir" / "out.json")
+    argv = [a.format(gm=gm_file, missing=missing) for a in command]
+    assert main(argv) == 2
+    assert missing in capsys.readouterr().err
+
+
+def test_save_system_reports_path(tmp_path, gm):
+    missing = tmp_path / "no-such-dir" / "out.json"
+    with pytest.raises(SystemFileError, match="no-such-dir"):
+        save_system(gm, missing)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "{gm}", "--h3-star-cap", "0"], "--h3-star-cap"),
+    (["witness", "distinct-pair", "{fs2}", "--max-grade", "0"], "--max-grade"),
+    (["enumerate", "{gm}", "--shape", "2", "--limit", "-1"], "--limit"),
+])
+def test_search_bound_below_floor_exits_2(gm_file, fs2_file, argv, flag, capsys):
+    assert main([a.format(gm=gm_file, fs2=fs2_file) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "{gm}", "--shape", "1", "--origin", "9"],
+    ["extend", "{gm}", "--shape", "1", "--cells", "0,1", "--direction", "1",
+     "--letter", "7"],
+])
+def test_unknown_letter_exits_2(gm_file, argv, capsys):
+    assert main([a.format(gm=gm_file) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unknown letter")
+
+
+def test_load_rejects_duplicate_decoration_names():
+    data = {"rank": 1, "alphabet": ["0", "1"],
+            "matrices": [[[1, 1], [1, 0]]],
+            "decorations": {"names": ["d", "d"], "delta": ["0", "1"]}}
+    with pytest.raises(SystemFileError) as err:
+        parse_system(data)
+    assert "decorations.names" in str(err.value)
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3)
+    | st.floats(allow_nan=False) | st.sampled_from(["", "0", "1", "a"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["names", "delta", "x"]), inner, max_size=3),
+    max_leaves=8)
+
+
+@st.composite
+def _system_json(draw):
+    """A well-formed system file with up to two fields swapped for any JSON."""
+    letters = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3,
+                            unique=True))
+    n = len(letters)
+    rank = draw(st.integers(1, 2))
+    bit = st.integers(0, 1)
+    matrices = draw(st.lists(st.lists(st.lists(bit, min_size=n, max_size=n),
+                                      min_size=n, max_size=n),
+                             min_size=rank, max_size=rank))
+    k = draw(st.integers(1, 3))
+    decorations = {
+        "names": draw(st.lists(st.sampled_from(["x", "y"]), min_size=k, max_size=k)),
+        "delta": draw(st.lists(st.sampled_from(letters), min_size=k, max_size=k))}
+    data = {"rank": rank, "alphabet": letters, "matrices": matrices,
+            "decorations": decorations}
+    fields = [(decorations, "names"), (decorations, "delta"), (matrices[0][0], 0),
+              (matrices[0], 0)] + [(data, key) for key in sorted(data)]
+    for i in sorted(draw(st.sets(st.integers(0, len(fields) - 1), max_size=2))):
+        parent, key = fields[i]
+        parent[key] = draw(_json)
+    return data
+
+
+@given(st.one_of(_json, _system_json()))
+@settings(max_examples=300, deadline=None)
+def test_parse_system_raises_only_system_file_error(data):
+    try:
+        ts, dmap = parse_system(data)
+    except SystemFileError:
+        return
+    assert len(dmap.delta) == len(dmap.names) and ts.rank == data["rank"]
+
+
+def test_console_main_survives_closed_pipe():
+    """A reader that stops early (``| head -1``) gets exit 0 and no traceback."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from rankshift.cli import console_main; console_main()",
+         "enumerate", os.path.join(SAMPLES, "gm2.json"), "--shape", "8,8"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"shape=8,8 cells=")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert "Traceback" not in err

@@ -17,7 +17,7 @@ from rankshift.completion import (
     word_from_path,
     words_of_shape,
 )
-from rankshift.core import DecorationMap, box_cells, strides
+from rankshift.core import DecorationMap, zero
 
 
 def test_extend_unit_rank1(gm):
@@ -73,11 +73,8 @@ def test_extend_unit_matches_brute_force(corpus):
                     for a in ts.successors(j, w.terminus):
                         got = extend_unit(ts, w, j, a)
                         total = got.shape
-                        st = strides(total)
-                        fixed = {}
-                        for cell in box_cells(shape):
-                            fixed[sum(c * s for c, s in zip(cell, st))] = w.at(cell)
-                        fixed[len(got.letters) - 1] = a
+                        fixed = [(zero(ts.rank), w),
+                                 (total, letter_word(ts.rank, a))]
                         brute = list(itertools.islice(
                             iter_grid_completions(ts, total, fixed), 3))
                         assert len(brute) == 1, (name, w, j, a)
@@ -201,6 +198,9 @@ def test_words_of_shape_order_and_filters(gm):
         [(1, 0, 0), (1, 0, 1)]
     assert [w.letters for w in words_of_shape(gm, (2,), terminus=1)] == \
         [(0, 0, 1), (1, 0, 1)]
+    # at shape 0 origin and terminus are one cell: both filters must hold
+    assert list(words_of_shape(gm, (0,), origin=0, terminus=1)) == []
+    assert [w.letters for w in words_of_shape(gm, (0,), origin=1, terminus=1)] == [(1,)]
 
 
 def test_iter_grid_completions_limit(fs2):
@@ -211,8 +211,13 @@ def test_iter_grid_completions_limit(fs2):
 def test_iter_grid_completions_rejects_bad_input(gm2):
     with pytest.raises(ValueError, match="negative"):
         next(iter_grid_completions(gm2, (1, -1)))
-    with pytest.raises(ValueError, match="outside"):
-        next(iter_grid_completions(gm2, (1, 1), {4: 0}))
+    corner = letter_word(2, 0)
+    square = next(words_of_shape(gm2, (1, 1)))
+    assert len(list(iter_grid_completions(gm2, (1, 1), [((1, 1), corner)]))) > 0
+    for k, u in [((-1, 0), corner), ((0, -1), square), ((2, 0), corner),
+                 ((0, 1), square), ((1, 1), square)]:
+        with pytest.raises(ValueError, match="outside"):
+            next(iter_grid_completions(gm2, (1, 1), [(k, u)]))
 
 
 def _random_word_from(ts, rng, origin):

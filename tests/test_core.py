@@ -18,6 +18,8 @@ from rankshift import (
 from rankshift.core import (
     absv,
     box_cells,
+    box_offsets,
+    box_range,
     meet,
     strides,
     sub,
@@ -149,6 +151,22 @@ def test_validate_agrees_with_naive_scan(gm2, data):
     else:
         with pytest.raises(InvalidWordError):
             validate_word(gm2, names, shape=shape)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_box_offsets_match_stride_sums(data):
+    """box_offsets lists the stride sums of the sub-box cells, in row-major order."""
+    rank = data.draw(st.integers(1, 3))
+    shape = tuple(data.draw(st.integers(0, 3)) for _ in range(rank))
+    # lo and hi are drawn independently, so hi < lo (an empty sub-box) occurs
+    lo = tuple(data.draw(st.integers(0, m)) for m in shape)
+    hi = tuple(data.draw(st.integers(0, m)) for m in shape)
+    st_ = strides(shape)
+    reference = [sum(c * s for c, s in zip(cell, st_)) for cell in box_range(lo, hi)]
+    assert box_offsets(shape, lo, hi) == reference
+    assert box_offsets(shape, (0,) * rank, shape) == list(range(len(list(box_cells(shape)))))
+    assert box_offsets((2, 2), (1, 2), (1, 1)) == []
 
 
 def test_restrict_identity(fs2):

@@ -18,22 +18,16 @@ from rankshift.completion import (
     word_from_path,
     words_of_shape,
 )
-from rankshift.core import add, box_cells, compositions, strides, unit
+from rankshift.core import Word, add, compositions, unit, zero
 from rankshift.verify import Status, check_h0, check_h1_local, check_h3_star
 
 
 def brute_fiber(ts, j, w):
     """All letters that one-layer direction-j extensions of w place at e_j."""
     total = add(w.shape, unit(ts.rank, j))
-    st = strides(total)
-    fixed = {}
-    for cell in box_cells(w.shape):
-        fixed[sum(c * s for c, s in zip(cell, st))] = w.at(cell)
-    out = set()
-    ej_flat = st[j - 1]
-    for letters in iter_grid_completions(ts, total, fixed):
-        out.add(letters[ej_flat])
-    return frozenset(out)
+    placed = [(zero(ts.rank), w)]
+    return frozenset(Word(total, letters).at(unit(ts.rank, j))
+                     for letters in iter_grid_completions(ts, total, placed))
 
 
 def assert_family_matches_brute_force(ts, max_grade=3):

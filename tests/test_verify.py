@@ -1,6 +1,8 @@
 import itertools
 import random
 
+import pytest
+
 from rankshift import Alphabet, TileSystem, validate_word
 from rankshift.builders import from_rank1, random_system
 from rankshift.completion import iter_grid_completions, words_of_shape
@@ -9,9 +11,9 @@ from rankshift.core import (
     is_periodic,
     is_zero,
     shapes_upto,
-    strides,
     sub,
     translate_reps,
+    zero,
 )
 from rankshift.verify import (
     Status,
@@ -136,7 +138,6 @@ def _reference_h1_oracle(ts, shape_bound):
 
     params = {"shape_bound": list(shape_bound)}
     for total in shapes_upto(shape_bound):
-        st = strides(total)
         for m in box_cells(total):
             n = sub(total, m)
             if is_zero(m) or is_zero(n):
@@ -146,13 +147,8 @@ def _reference_h1_oracle(ts, shape_bound):
                 by_origin.setdefault(v.origin, []).append(v)
             for u in words_of_shape(ts, m):
                 for v in by_origin.get(u.terminus, ()):
-                    fixed = {sum(c * s for c, s in zip(cell, st)): u.at(cell)
-                             for cell in box_cells(m)}
-                    for cell in box_cells(n):
-                        flat = sum((c + o) * s for c, o, s in zip(cell, m, st))
-                        fixed[flat] = v.at(cell)
-                    found = list(itertools.islice(
-                        iter_grid_completions(ts, total, fixed), 2))
+                    found = list(itertools.islice(iter_grid_completions(
+                        ts, total, [(zero(ts.rank), u), (m, v)]), 2))
                     if len(found) == 1:
                         continue
                     witness = {
@@ -264,6 +260,11 @@ def test_h3_star_rank1_seed_rule(gm, full2):
 def test_h3_star_cap_hit(fs2):
     result, _ = check_h3_star(fs2, 1, max_sets=1)
     assert result.status is Status.CAP_HIT
+
+
+def test_h3_star_rejects_cap_below_one(fs2):
+    with pytest.raises(ValueError, match="max_sets"):
+        check_h3_star(fs2, 1, max_sets=0)
 
 
 def test_h3_star_witness_word_revalidates(gm2):
