@@ -9,10 +9,10 @@ obey the matrix recursion
 
 because a word of shape m + e_j is determined by its restriction to [0, m]
 plus one allowed terminus step (forced fill).  Inclusion multiplicities from
-level m to m + e_j are exactly the matrix entries M_j(b, a), and the two
-composite multiplicity matrices around any lattice square agree because the
-matrices commute.  Counts are kept as Python integers, so exponential growth
-cannot overflow.
+level m to m + e_j are exactly the matrix entries M_j(b, a).  Counts follow
+one fixed path, d_m = M_r^{m_r} ... M_1^{m_1} d_0 (direction 1 first); other
+paths, and the two composites around a lattice square, agree only when the
+matrices commute.  Counts are Python integers, so growth cannot overflow.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ __all__ = ["dim_vector", "BratteliDiagram", "bratteli",
 def dim_vector(ts: TileSystem, dmap: DecorationMap, m: Shape) -> tuple[int, ...]:
     """Counts of decorated words of shape m, indexed by terminus letter.
 
-    Computed by the matrix recursion, not enumeration; any monotone path
-    from 0 to m gives the same answer since the matrices commute.
+    Matrix recursion along one fixed path (M_1 m_1 times, then M_2, ..., M_r
+    last); other monotone paths agree only when the matrices commute.
     """
     m = vec(m)
     if len(m) != ts.rank:
@@ -149,13 +149,20 @@ class BratteliDiagram:
 
 
 def bratteli(ts: TileSystem, dmap: DecorationMap, upto: Shape) -> BratteliDiagram:
-    """The full graded diagram on [0, upto]."""
+    """The full graded diagram on [0, upto].
+
+    Level m > 0 is M_j times level m - e_j, j the last direction with m_j > 0:
+    the product `dim_vector` takes, so levels equal it for any matrices.
+    """
     upto = vec(upto)
     if len(upto) != ts.rank:
         raise ValueError(f"bound {upto} has wrong rank")
     if any(c < 0 for c in upto):
         raise ValueError(f"bound {upto} has a negative component")
-    nodes = {m: dim_vector(ts, dmap, m) for m in shapes_upto(upto)}
+    nodes = {zero(ts.rank): dim_vector(ts, dmap, zero(ts.rank))}
+    for m in shapes_upto(upto)[1:]:  # grade first: m - e_j comes before m
+        j = max(i for i, c in enumerate(m, 1) if c)
+        nodes[m] = mat_vec(ts.matrices[j - 1], nodes[sub(m, unit(ts.rank, j))])
     return BratteliDiagram(ts, dmap, upto, nodes)
 
 

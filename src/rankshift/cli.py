@@ -258,9 +258,7 @@ def _cmd_enumerate(args) -> int:
     terminus = ts.alphabet.resolve(args.terminus) if args.terminus else None
     count = 0
     if args.decorated:
-        source = decorated_words_of_shape(ts, dmap, shape, terminus=terminus)
-        if origin is not None:
-            source = (dw for dw in source if dw.word.origin == origin)
+        source = decorated_words_of_shape(ts, dmap, shape, origin, terminus)
     else:
         source = words_of_shape(ts, shape, origin=origin, terminus=terminus)
     for w in source:

@@ -246,9 +246,10 @@ def words_of_shape(ts: TileSystem, shape: Shape,
 
 
 def decorated_words_of_shape(ts: TileSystem, dmap: DecorationMap, shape: Shape,
+                             origin: int | None = None,
                              terminus: int | None = None) -> Iterator[DecoratedWord]:
     """All decorated words of the given shape, word-major canonical order."""
     groups = dmap.by_letter(ts.n_letters)
-    for w in words_of_shape(ts, shape, terminus=terminus):
+    for w in words_of_shape(ts, shape, origin=origin, terminus=terminus):
         for d in groups[w.origin]:
             yield DecoratedWord(d, w)

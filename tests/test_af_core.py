@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 
 from rankshift import DecorationMap, bratteli, dim_vector, grading_filter
 from rankshift.af_core import GeneratorIndex
+from rankshift.builders import random_system
 from rankshift.completion import decorated_words_of_shape
 from rankshift.core import add, box_cells, unit
 
@@ -53,6 +55,34 @@ def test_dim_vector_matches_enumeration_small(corpus):
         for m in box_cells(bound):
             assert dim_vector(ts, dmap, m) == _enumerated_dims(ts, dmap, m), \
                 (name, m)
+
+
+def test_bratteli_levels_match_dim_vector():
+    """Each level is one step from the level before it, along dim_vector's path.
+
+    Most draws of rank 2 or 3 do not commute, so a diagram that stepped along
+    another path (from the first nonzero direction, say) would differ from
+    dim_vector here; the commuting gm2 of test_bratteli_dims_recursion
+    cannot tell the two apart.
+    """
+    rng = random.Random(20261018)
+    non_commuting = 0
+    for _ in range(60):
+        rank = rng.randint(1, 3)
+        ts = random_system(rng, rng.randint(2, 4), rank)
+        dmap = DecorationMap.identity(ts.alphabet)
+        upto = tuple(rng.randint(0, 4) for _ in range(rank))
+        diagram = bratteli(ts, dmap, upto)
+        assert sorted(diagram.nodes) == sorted(box_cells(upto))
+        for m in box_cells(upto):
+            assert diagram.dims(m) == dim_vector(ts, dmap, m), (ts.matrices, m)
+        non_commuting += any(_matmul(a, b) != _matmul(b, a)
+                             for a, b in itertools.combinations(ts.matrices, 2))
+    assert non_commuting >= 10
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def test_dim_vector_respects_decorations(gm):

@@ -488,3 +488,17 @@ def test_console_main_survives_closed_pipe():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0
     assert "Traceback" not in err
+
+
+def test_python_m_rankshift_runs_cli_without_warning():
+    """``python -m rankshift`` is the CLI, with no runpy warning under -W error."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "rankshift", "count",
+         os.path.join(SAMPLES, "gm.json"), "--shape", "3"],
+        capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.decode().strip() == "total:8"
+    assert proc.stderr == b""

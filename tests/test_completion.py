@@ -10,6 +10,7 @@ from rankshift import (
     validate_word,
 )
 from rankshift.completion import (
+    decorated_words_of_shape,
     extend_unit,
     iter_grid_completions,
     list_extensions,
@@ -201,6 +202,25 @@ def test_words_of_shape_order_and_filters(gm):
     # at shape 0 origin and terminus are one cell: both filters must hold
     assert list(words_of_shape(gm, (0,), origin=0, terminus=1)) == []
     assert [w.letters for w in words_of_shape(gm, (0,), origin=1, terminus=1)] == [(1,)]
+
+
+@pytest.mark.parametrize("name", ["gm2", "fs2"])
+def test_decorated_words_of_shape_origin(name, request):
+    """Placing the origin in the search keeps exactly the filtered words, in order."""
+    ts = request.getfixturevalue(name)
+    doubled = DecorationMap(("x", "y") + ts.alphabet.letters[1:],
+                            (0,) + tuple(range(ts.n_letters)))
+    for dmap in (DecorationMap.identity(ts.alphabet), doubled):
+        for shape in [(0, 0), (1, 0), (0, 2), (2, 1), (2, 2)]:
+            every = list(decorated_words_of_shape(ts, dmap, shape))
+            for a in range(ts.n_letters):
+                assert list(decorated_words_of_shape(ts, dmap, shape, origin=a)) == \
+                    [dw for dw in every if dw.word.origin == a], (dmap, shape, a)
+                for t in range(ts.n_letters):
+                    assert list(decorated_words_of_shape(
+                        ts, dmap, shape, origin=a, terminus=t)) == \
+                        [dw for dw in every
+                         if dw.word.origin == a and dw.word.terminus == t]
 
 
 def test_iter_grid_completions_limit(fs2):
