@@ -213,10 +213,15 @@ def _cmd_verify(args) -> int:
     _check_floor(args.h3_star_cap, 1, "--h3-star-cap")
     ts, _ = load_system(args.system, transpose=args.transpose)
     r = ts.rank
+    h1_bound = _parse_shape(args.h1_oracle_bound, r, "--h1-oracle-bound")
+    p_bound = _parse_shape(args.h3_p_bound, r, "--h3-p-bound")
+    # bounds that admit no split, or no p != 0, would pass vacuously
+    _check_floor(h1_bound and sum(h1_bound), 2, "the grade of --h1-oracle-bound")
+    _check_floor(p_bound and max(p_bound), 1, "the largest component of --h3-p-bound")
     report = verify.verify_report(
         ts,
-        h1_oracle_bound=_parse_shape(args.h1_oracle_bound, r, "--h1-oracle-bound"),
-        h3_p_bound=_parse_shape(args.h3_p_bound, r, "--h3-p-bound"),
+        h1_oracle_bound=h1_bound,
+        h3_p_bound=p_bound,
         h3_shape_bound=_parse_shape(args.h3_shape_bound, r, "--h3-shape-bound"),
         h3_star_cap=args.h3_star_cap,
     )

@@ -14,7 +14,8 @@ never uses the forced-fill path and therefore serves as its oracle.
 oracle enumerates each total shape with it once and counts the words by their
 restrictions; the projection support constrains it by placing one family
 member as a word on the window, one search per member, rather than tracking
-patterns inside the search.
+patterns inside the search.  Placed words are propagated backwards before the
+search starts, so a fixed terminus prunes from the first cell.
 """
 
 from __future__ import annotations
@@ -177,7 +178,11 @@ def iter_grid_completions(ts: TileSystem, shape: Shape,
     sub-box [k, k + shape(u)], which must lie in [0, shape].  Grids are
     produced in lexicographic order of their full row-major tuple; cells are
     assigned one by one with every constraint towards already-assigned
-    neighbours enforced, so the search is exact.
+    neighbours enforced, so the search is exact.  When words are placed, one
+    reverse sweep first narrows each cell x to letters with an allowed
+    successor at every x + e_k.  It drops only letters that are in no grid,
+    so the grids and their order stay; it is skipped without placements,
+    where it would cost time and, on an essential system, drop nothing.
     """
     shape = vec(shape)
     if any(c < 0 for c in shape):
@@ -196,6 +201,11 @@ def iter_grid_completions(ts: TileSystem, shape: Shape,
             raise ValueError(f"placed box [{tuple(k)}, {hi}] outside [0, {shape}]")
         for i, a in zip(box_offsets(shape, k, hi), u.letters):
             allowed[i] &= 1 << a
+    if fixed:
+        # reverse row-major order settles each cell before its predecessors read it
+        for i in reversed(range(n_cells)):
+            for p, masks in plan[i]:
+                allowed[p] &= sum(1 << a for a, m in enumerate(masks) if m & allowed[i])
     assign = [0] * n_cells
 
     def candidates(i: int) -> list[int]:

@@ -50,7 +50,6 @@ __all__ = [
     "Status", "CheckResult", "VerificationReport", "FiberFamily",
     "check_h0", "check_h1_local", "check_h1_oracle", "check_h2",
     "check_h3_star", "check_h3_bounded", "verify_report",
-    "fiber_transfer_round",
 ]
 
 
@@ -173,12 +172,16 @@ def check_h1_oracle(ts: TileSystem, shape_bound: Shape) -> CheckResult:
     Each total is enumerated once by exhaustive grid search and its words are
     counted by their restrictions; the first pair in canonical order with no
     extension, or with two, is the witness.  Splits where u or v has shape 0
-    are trivial (the extension is the other word) and are skipped.  An
+    are trivial (the extension is the other word) and are skipped, so a bound
+    of grade below 2 checks nothing and raises :class:`ValueError`.  An
     independent oracle for :func:`check_h1_local`; never calls the forced fill.
     """
     shape_bound = vec(shape_bound)
     if len(shape_bound) != ts.rank:
         raise ValueError("shape bound has wrong rank")
+    if sum(shape_bound) < 2:
+        raise ValueError(f"shape bound {shape_bound} has no split into two "
+                         f"nonzero shapes; its grade must be at least 2")
     params = {"shape_bound": list(shape_bound)}
     for total in shapes_upto(shape_bound):
         splits = [m for m in box_cells(total) if 0 < sum(m) < sum(total)]
@@ -346,29 +349,6 @@ def _transfer(ts: TileSystem, j: int, k: int, c_new: int,
     return frozenset(out)
 
 
-def fiber_transfer_round(ts: TileSystem, family: FiberFamily
-                         ) -> list[tuple[int, frozenset[int]]]:
-    """Apply one full transfer round; return pairs not already in the family.
-
-    Empty output certifies that the family is a fixed point.
-    """
-    j = family.direction
-    known = {(c, s) for c, sets_ in family.sets_by_origin.items() for s in sets_}
-    seen = set(known)
-    new = []
-    for c, fiber in known:
-        for k in range(1, ts.rank + 1):
-            if k == j:
-                continue
-            for c_new in ts.predecessors(k, c):
-                pair = (c_new, _transfer(ts, j, k, c_new, fiber))
-                if pair not in seen:
-                    seen.add(pair)
-                    new.append(pair)
-    new.sort(key=lambda p: (p[0], sorted(p[1])))
-    return new
-
-
 def check_h3_star(ts: TileSystem, j: int, max_sets: int = 100_000
                   ) -> tuple[CheckResult, FiberFamily]:
     """Decide (H3*) in direction j by the fiber-set fixed point.
@@ -485,10 +465,13 @@ def check_h3_bounded(ts: TileSystem, p_bound: Shape, shape_bound: Shape
     p ranges over representatives modulo p <-> -p (periodicity is symmetric).
     Bounded-pass lists one witness per p; a fail means some p has no witness
     within shape_bound, which is inconclusive for (H3) globally and is
-    reported as such.
+    reported as such.  An all-zero p_bound admits no p and raises
+    :class:`ValueError`.
     """
     p_bound = vec(p_bound)
     shape_bound = vec(shape_bound)
+    if not any(p_bound):
+        raise ValueError(f"p bound {p_bound} admits no translate p != 0")
     params = {"p_bound": list(p_bound), "shape_bound": list(shape_bound)}
     found, missing = _h3_search(ts, p_bound, shape_bound)
     if missing:

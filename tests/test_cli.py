@@ -1,8 +1,11 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -401,6 +404,11 @@ def test_save_system_reports_path(tmp_path, gm):
     (["verify", "{gm}", "--h3-star-cap", "0"], "--h3-star-cap"),
     (["witness", "distinct-pair", "{fs2}", "--max-grade", "0"], "--max-grade"),
     (["enumerate", "{gm}", "--shape", "2", "--limit", "-1"], "--limit"),
+    # bounds that would pass vacuously: no split of grade >= 2, no p != 0
+    (["verify", "{fs2}", "--h1-oracle-bound", "1,0"], "--h1-oracle-bound"),
+    (["verify", "{fs2}", "--h1-oracle-bound", "0,0"], "--h1-oracle-bound"),
+    (["verify", "{gm}", "--h1-oracle-bound", "1"], "--h1-oracle-bound"),
+    (["verify", "{fs2}", "--h3-p-bound", "0,0"], "--h3-p-bound"),
 ])
 def test_search_bound_below_floor_exits_2(gm_file, fs2_file, argv, flag, capsys):
     assert main([a.format(gm=gm_file, fs2=fs2_file) for a in argv]) == 2
@@ -502,3 +510,90 @@ def test_python_m_rankshift_runs_cli_without_warning():
     assert proc.returncode == 0
     assert proc.stdout.decode().strip() == "total:8"
     assert proc.stderr == b""
+
+
+def _shape_text(top=3):
+    """Small shapes of rank 1-2, then of any rank or negative, then garbled."""
+    return st.one_of(
+        st.lists(st.integers(0, top), min_size=1, max_size=2),
+        st.lists(st.integers(-1, top), max_size=3),
+    ).map(lambda cs: ",".join(map(str, cs))) | st.sampled_from(["x", "1,,1", "1.5", "1;1"])
+
+
+_SAMPLE = st.sampled_from(["gm.json", "gm2.json", "fs2.json", "full2.json",
+                           "missing.json"]).map(lambda f: os.path.join(SAMPLES, f))
+_LETTER = st.sampled_from(["0", "1", "00", "01", "10", "11", "", "z"])
+_CELLS = st.lists(_LETTER, max_size=4).map(",".join)
+_INT = st.integers(-1, 3).map(str) | st.just("x")
+
+
+def _flag(name, value):
+    """A required flag with a drawn value."""
+    return value.map(lambda v: [name, v])
+
+
+def _option(name, value):
+    """An optional flag: absent, or present with a drawn value."""
+    return st.none() | _flag(name, value)
+
+
+def _switch(name):
+    return st.sampled_from([None, [name]])
+
+
+def _argv(head, *parts):
+    return st.tuples(*parts).map(
+        lambda ps: head + [a for p in ps if p is not None
+                           for a in ([p] if isinstance(p, str) else p)])
+
+
+_ARGV = st.one_of(
+    _argv(["verify"], _SAMPLE, _option("--h1-oracle-bound", _shape_text()),
+          _option("--h3-p-bound", _shape_text()),
+          _option("--h3-shape-bound", _shape_text()),
+          _option("--h3-star-cap", _INT), _switch("--json")),
+    _argv(["count"], _SAMPLE, _flag("--shape", _shape_text()),
+          _switch("--per-letter"), _switch("--json")),
+    _argv(["enumerate"], _SAMPLE, _flag("--shape", _shape_text()),
+          _option("--origin", _LETTER), _option("--terminus", _LETTER),
+          _option("--limit", _INT), _switch("--decorated")),
+    _argv(["extend"], _SAMPLE, _flag("--shape", _shape_text()), _flag("--cells", _CELLS),
+          _flag("--direction", _INT), _flag("--letter", _LETTER)),
+    _argv(["product"], _SAMPLE, _flag("--shape1", _shape_text()),
+          _flag("--cells1", _CELLS), _flag("--shape2", _shape_text()),
+          _flag("--cells2", _CELLS)),
+    _argv(["witness", "nonperiodic"], _SAMPLE, _flag("--p-bound", _shape_text()),
+          _option("--origin", _LETTER), _option("--shape-bound", _shape_text())),
+    _argv(["witness", "connect"], _SAMPLE, _flag("--from", _LETTER),
+          _flag("--to", _LETTER), _flag("--min-shape", _shape_text())),
+    _argv(["witness", "distinct-pair"], _SAMPLE, _option("--max-grade", _INT)),
+    # set-s and q-support grow fast in the p bound, so theirs stays at 2
+    _argv(["witness", "set-s"], _SAMPLE, _flag("--p-bound", _shape_text(2)),
+          _option("--shape-bound", _shape_text())),
+    _argv(["witness", "q-support"], _SAMPLE, _flag("--p-bound", _shape_text(2)),
+          _option("--shape-bound", _shape_text()), _option("--total", _shape_text())),
+    _argv(["bratteli"], _SAMPLE, _flag("--upto", _shape_text()),
+          _option("--format", st.sampled_from(["text", "dot", "json", "xml"])),
+          _switch("--chain")),
+    _argv(["tensor"], _SAMPLE, _SAMPLE, _flag("-o", st.just("{out}"))),
+    _argv(["redecorate"], _SAMPLE,
+          _flag("--map", st.lists(st.tuples(_LETTER, _shape_text()), max_size=3)
+                .map(lambda items: ";".join(f"{d}={s}" for d, s in items))),
+          _option("-o", st.just("{out}"))),
+)
+
+
+@given(_ARGV)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_cli_argv_fuzz_exits_cleanly(argv):
+    """Any small or garbled argv ends with exit 0, 1 or 2 and no traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [a.replace("{out}", os.path.join(tmp, "out.json")) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -18,7 +18,8 @@ from rankshift.completion import (
     word_from_path,
     words_of_shape,
 )
-from rankshift.core import DecorationMap, zero
+from rankshift.builders import random_system
+from rankshift.core import DecorationMap, Word, box_size, zero
 
 
 def test_extend_unit_rank1(gm):
@@ -238,6 +239,47 @@ def test_iter_grid_completions_rejects_bad_input(gm2):
                  ((0, 1), square), ((1, 1), square)]:
         with pytest.raises(ValueError, match="outside"):
             next(iter_grid_completions(gm2, (1, 1), [(k, u)]))
+
+
+def _brute_grids(ts, shape, placed):
+    """Every letter grid on [0, shape], filtered by the matrices and placements."""
+    cells = list(itertools.product(*(range(m + 1) for m in shape)))
+    index = {x: i for i, x in enumerate(cells)}
+    steps = [(index[x], index[x[:k] + (x[k] + 1,) + x[k + 1:]], k + 1)
+             for x in cells for k in range(len(shape)) if x[k] < shape[k]]
+    pins = []
+    for corner, u in placed:
+        sub = itertools.product(*(range(m + 1) for m in u.shape))
+        for y, a in zip(sub, u.letters):
+            pins.append((index[tuple(c + d for c, d in zip(corner, y))], a))
+    return [g for g in itertools.product(range(ts.n_letters), repeat=len(cells))
+            if all(g[i] == a for i, a in pins)
+            and all(ts.transition(k, g[i], g[j]) for i, j, k in steps)]
+
+
+def test_placed_search_matches_brute_force():
+    """Placed searches (terminus, interior words) list exactly the brute-force
+    grids, in the same order, also where letters have no successor."""
+    rng = random.Random(606)
+    nonempty = 0
+    for _ in range(300):
+        rank = rng.randint(1, 3)
+        ts = random_system(rng, rng.randint(2, 4), rank)
+        while True:
+            shape = tuple(rng.randint(0, 3) for _ in range(rank))
+            if ts.n_letters ** box_size(shape) <= 4096:
+                break
+        placed = [(shape, letter_word(rank, rng.randrange(ts.n_letters)))]
+        corner = tuple(rng.randint(0, m) for m in shape)
+        sub = tuple(rng.randint(0, m - c) for c, m in zip(corner, shape))
+        words = _brute_grids(ts, sub, [])
+        if words:
+            placed.append((corner, Word(sub, rng.choice(words))))
+            placed = rng.choice([placed, placed[:1], placed[1:]])
+        got = list(iter_grid_completions(ts, shape, placed))
+        assert got == _brute_grids(ts, shape, placed), (ts.matrices, shape, placed)
+        nonempty += bool(got)
+    assert nonempty >= 100
 
 
 def _random_word_from(ts, rng, origin):

@@ -19,7 +19,13 @@ from rankshift.completion import (
     words_of_shape,
 )
 from rankshift.core import Word, add, compositions, unit, zero
-from rankshift.verify import Status, check_h0, check_h1_local, check_h3_star
+from rankshift.verify import (
+    FiberFamily,
+    Status,
+    check_h0,
+    check_h1_local,
+    check_h3_star,
+)
 
 
 def brute_fiber(ts, j, w):
@@ -28,6 +34,41 @@ def brute_fiber(ts, j, w):
     placed = [(zero(ts.rank), w)]
     return frozenset(Word(total, letters).at(unit(ts.rank, j))
                      for letters in iter_grid_completions(ts, total, placed))
+
+
+def fiber_transfer_round(ts, family):
+    """One transfer round over the family, from matrix entries alone.
+
+    Returns the (origin, fiber) pairs the round reaches that the family
+    lacks, sorted; an empty list certifies that the family is a fixed point.
+    The fiber of the step c_new -> c in direction k followed by a word with
+    fiber F holds the direction-j successors a of c_new that step to some
+    b in F in direction k.
+    """
+    j = family.direction
+    known = set(family.all_sets())
+    letters = range(ts.n_letters)
+    new = set()
+    for c, fiber in known:
+        for k in range(1, ts.rank + 1):
+            if k == j:
+                continue
+            for c_new in letters:
+                if not ts.transition(k, c_new, c):
+                    continue
+                pair = (c_new, frozenset(
+                    a for a in letters if ts.transition(j, c_new, a)
+                    and any(ts.transition(k, a, b) for b in fiber)))
+                if pair not in known:
+                    new.add(pair)
+    return sorted(new, key=lambda p: (p[0], sorted(p[1])))
+
+
+def test_transfer_round_reports_a_family_that_is_not_closed(fs2):
+    result, family = check_h3_star(fs2, 1)
+    assert result.status is Status.PASS and fiber_transfer_round(fs2, family) == []
+    wrong = FiberFamily(1, {**family.sets_by_origin, 0: [frozenset({0})]}, {})
+    assert (0, family.sets_by_origin[0][0]) in fiber_transfer_round(fs2, wrong)
 
 
 def assert_family_matches_brute_force(ts, max_grade=3):

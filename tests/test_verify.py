@@ -23,9 +23,9 @@ from rankshift.verify import (
     check_h2,
     check_h3_bounded,
     check_h3_star,
-    fiber_transfer_round,
     verify_report,
 )
+from test_fiber_oracle import fiber_transfer_round
 
 
 # --- (H0) ------------------------------------------------------------------
@@ -294,6 +294,17 @@ def test_h3_bounded_single_letter_fails(single):
 
 def test_h3_bounded_fs2(fs2):
     assert check_h3_bounded(fs2, (1, 1), (2, 2)).status is Status.BOUNDED_PASS
+
+
+def test_vacuous_bounds_raise(gm, fs2):
+    for bound in [(0, 0), (1, 0), (0, 1)]:
+        with pytest.raises(ValueError, match="no split"):
+            check_h1_oracle(fs2, bound)
+    with pytest.raises(ValueError, match="no split"):
+        check_h1_oracle(gm, (1,))
+    assert check_h1_oracle(gm, (2,)).status is Status.PASS
+    with pytest.raises(ValueError, match="no translate"):
+        check_h3_bounded(fs2, (0, 0), (2, 2))
 
 
 # --- aggregate report ----------------------------------------------------------
