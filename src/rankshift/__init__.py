@@ -60,11 +60,8 @@ from .witnesses import (
 )
 from .af_core import (
     BratteliDiagram,
-    GeneratorIndex,
-    GradingPartition,
     bratteli,
     dim_vector,
-    grading_filter,
 )
 from .builders import (
     from_rank1,

@@ -21,10 +21,8 @@ from dataclasses import dataclass, field
 
 from .core import (
     DecorationMap,
-    DecoratedWord,
     Shape,
     TileSystem,
-    Translate,
     add,
     dominates,
     mat_vec,
@@ -36,8 +34,7 @@ from .core import (
     zero,
 )
 
-__all__ = ["dim_vector", "BratteliDiagram", "bratteli",
-           "GeneratorIndex", "GradingPartition", "grading_filter"]
+__all__ = ["dim_vector", "BratteliDiagram", "bratteli"]
 
 
 def dim_vector(ts: TileSystem, dmap: DecorationMap, m: Shape) -> tuple[int, ...]:
@@ -165,53 +162,3 @@ def bratteli(ts: TileSystem, dmap: DecorationMap, upto: Shape) -> BratteliDiagra
         nodes[m] = mat_vec(ts.matrices[j - 1], nodes[sub(m, unit(ts.rank, j))])
     return BratteliDiagram(ts, dmap, upto, nodes)
 
-
-@dataclass(frozen=True)
-class GeneratorIndex:
-    """An index pair (u, v) of decorated words with matching terminus.
-
-    Carries the grading shape(u) - shape(v); no operator semantics attached.
-    """
-
-    u: DecoratedWord
-    v: DecoratedWord
-
-    def __post_init__(self):
-        if self.u.terminus != self.v.terminus:
-            raise ValueError("generator index requires t(u) = t(v)")
-
-    @property
-    def grading(self) -> Translate:
-        return sub(self.u.shape, self.v.shape)
-
-
-@dataclass(frozen=True)
-class GradingPartition:
-    """Generator indices grouped by grading, zero class flagged.
-
-    The zero-grading class collects the equal-shape pairs; it is flagged
-    because the equal-shape pairs are exactly the ones that every level of
-    the filtration diagram can index on its own.
-    """
-
-    classes: dict[Translate, tuple[GeneratorIndex, ...]] = field(compare=False)
-
-    @property
-    def zero_class(self) -> tuple[GeneratorIndex, ...]:
-        for g, members in self.classes.items():
-            if all(c == 0 for c in g):
-                return members
-        return ()
-
-    def __len__(self):
-        return sum(len(v) for v in self.classes.values())
-
-
-def grading_filter(pairs) -> GradingPartition:
-    """Partition generator indices by their grading."""
-    classes: dict[Translate, list[GeneratorIndex]] = {}
-    for gi in pairs:
-        classes.setdefault(gi.grading, []).append(gi)
-    ordered = {g: tuple(members) for g, members in
-               sorted(classes.items(), key=lambda kv: (sum(abs(c) for c in kv[0]), kv[0]))}
-    return GradingPartition(ordered)

@@ -550,9 +550,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: Sequence[str]) -> list[str]:
+    """Rewrite ``--flag -1,2`` as ``--flag=-1,2``.
+
+    argparse takes a token that starts with '-' and is not a plain negative
+    number for an option, so it would report the flag's value as missing
+    instead of letting _parse_shape name the negative component.
+    """
+    out: list[str] = []
+    for token in argv:
+        flag = out[-1] if out else ""
+        if (flag.startswith("--") and len(flag) > 2 and "=" not in flag
+                and token[:1] == "-" and token[1:2].isdigit()):
+            out[-1] = f"{flag}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = parser.parse_args(_attach_negative_values(argv))
     try:
         return args.func(args)
     except (SystemFileError, UnknownLetterError) as exc:

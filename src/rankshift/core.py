@@ -18,6 +18,7 @@ functions, so everything is safe to share between threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
@@ -579,20 +580,41 @@ def translates_agree(w1: Word, w2: Word, p: Translate) -> bool:
     """True iff w1 and the p-translate of w2 agree on their overlap.
 
     The overlap is [0, l1] intersected with [p, p + l2]; an empty overlap
-    counts as agreement.
+    counts as agreement.  Its rows along the last direction are contiguous
+    in both words, so the check compares one slice pair per row and returns
+    False at the first row that differs.  The row plan depends only on
+    (l1, l2, p) and is memoised for the last 1024 such keys.
     """
     if len(p) != w1.rank:
         raise ValueError("translate has wrong rank")
-    lo = join(p, zero(w1.rank))
-    hi = meet(w1.shape, add(p, w2.shape))
-    st1, st2 = strides(w1.shape), strides(w2.shape)
-    # cell x of w1 faces cell x - p of w2
-    shift = sum(c * s for c, s in zip(p, st2))
-    for x in box_range(lo, hi):
-        if (w1.letters[sum(c * s for c, s in zip(x, st1))]
-                != w2.letters[sum(c * s for c, s in zip(x, st2)) - shift]):
+    _same_rank(w1.shape, w2.shape)
+    width, rows = _overlap_rows(tuple(w1.shape), tuple(w2.shape), tuple(p))
+    a, b = w1.letters, w2.letters
+    for i, j in rows:
+        if a[i:i + width] != b[j:j + width]:
             return False
     return True
+
+
+@functools.lru_cache(maxsize=1024)
+def _overlap_rows(l1: Shape, l2: Shape, p: Translate):
+    """Row width and row-start pairs of the overlap of [0, l1] and [p, p + l2].
+
+    Row starts are row-major positions: in [0, l1] for the first word and in
+    [0, l2] for the second, whose cell x - p faces cell x of the first.
+    """
+    if not p:  # rank 0: each box is the one cell 0
+        return 1, ((0, 0),)
+    lo = [max(c, 0) for c in p]
+    hi = [min(a, b + c) for a, b, c in zip(l1, l2, p)]
+    if any(a > b for a, b in zip(lo, hi)):
+        return 0, ()
+    width = hi[-1] - lo[-1] + 1
+    hi[-1] = lo[-1]
+    starts1 = box_offsets(l1, lo, hi)
+    starts2 = box_offsets(l2, [a - c for a, c in zip(lo, p)],
+                          [b - c for b, c in zip(hi, p)])
+    return width, tuple(zip(starts1, starts2))
 
 
 def is_periodic(w: Word, p: Translate) -> bool:

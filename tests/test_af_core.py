@@ -3,8 +3,7 @@ import random
 
 import pytest
 
-from rankshift import DecorationMap, bratteli, dim_vector, grading_filter
-from rankshift.af_core import GeneratorIndex
+from rankshift import DecorationMap, bratteli, dim_vector
 from rankshift.builders import random_system
 from rankshift.completion import decorated_words_of_shape
 from rankshift.core import add, box_cells, unit
@@ -196,34 +195,3 @@ def test_bratteli_exports(gm):
     # rendered twice, identical bytes
     assert dot == bratteli(gm, dmap, (2,)).to_dot()
 
-
-def test_generator_index_requires_matching_terminus(gm2):
-    dmap = DecorationMap.identity(gm2.alphabet)
-    words = list(decorated_words_of_shape(gm2, dmap, (1, 0)))
-    u = words[0]
-    mismatch = next(w for w in words if w.terminus != u.terminus)
-    with pytest.raises(ValueError):
-        GeneratorIndex(u, mismatch)
-
-
-def test_grading_filter(gm2):
-    dmap = DecorationMap.identity(gm2.alphabet)
-    by_shape = {
-        (0, 0): list(decorated_words_of_shape(gm2, dmap, (0, 0))),
-        (2, 0): list(decorated_words_of_shape(gm2, dmap, (2, 0))),
-        (0, 1): list(decorated_words_of_shape(gm2, dmap, (0, 1))),
-    }
-    pairs = []
-    u = by_shape[(0, 0)][0]
-    pairs.append(GeneratorIndex(u, u))
-    u2 = by_shape[(2, 0)][0]
-    v2 = next(w for w in by_shape[(0, 1)] if w.terminus == u2.terminus)
-    pairs.append(GeneratorIndex(u2, v2))
-    pairs.append(GeneratorIndex(v2, u2))
-    part = grading_filter(pairs)
-    assert len(part) == len(pairs)
-    assert part.classes[(0, 0)] == (pairs[0],)
-    assert part.classes[(2, -1)] == (pairs[1],)
-    assert part.classes[(-2, 1)] == (pairs[2],)
-    assert part.zero_class == (pairs[0],)
-    assert pairs[1].grading == (2, -1)

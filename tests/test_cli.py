@@ -204,6 +204,39 @@ def test_witness_set_s_negative_p_bound_exits_2(fs2_file, capsys):
     assert "--p-bound" in captured.err and "negative" in captured.err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["count", "{fs2}", "--shape"], "--shape"),
+    (["count", "{fs2}", "--sha"], "--shape"),  # argparse's prefix matching
+    (["enumerate", "{fs2}", "--shape"], "--shape"),
+    (["extend", "{fs2}", "--cells", "0", "--direction", "1", "--letter", "0",
+      "--shape"], "--shape"),
+    (["product", "{fs2}", "--cells1", "00", "--cells2", "00", "--shape2", "0,0",
+      "--shape1"], "--shape1"),
+    (["product", "{fs2}", "--cells1", "00", "--cells2", "00", "--shape1", "0,0",
+      "--shape2"], "--shape2"),
+    (["bratteli", "{fs2}", "--upto"], "--upto"),
+    (["verify", "{fs2}", "--h1-oracle-bound"], "--h1-oracle-bound"),
+    (["verify", "{fs2}", "--h3-p-bound"], "--h3-p-bound"),
+    (["verify", "{fs2}", "--h3-shape-bound"], "--h3-shape-bound"),
+    (["witness", "set-s", "{fs2}", "--p-bound"], "--p-bound"),
+    (["witness", "set-s", "{fs2}", "--p-bound", "1,1", "--shape-bound"],
+     "--shape-bound"),
+    (["witness", "nonperiodic", "{fs2}", "--p-bound"], "--p-bound"),
+    (["witness", "connect", "{fs2}", "--from", "00", "--to", "00", "--min-shape"],
+     "--min-shape"),
+    (["witness", "q-support", "{fs2}", "--p-bound", "1,1", "--total"], "--total"),
+])
+@pytest.mark.parametrize("attach", [False, True])
+def test_negative_shape_value_names_flag(fs2_file, argv, flag, attach, capsys):
+    """``--flag -1,2`` and ``--flag=-1,2`` both reach the negative-component check."""
+    argv = [a.format(fs2=fs2_file) for a in argv]
+    argv = argv[:-1] + [f"{flag}=-1,2"] if attach else argv + ["-1,2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} '-1,2' has a negative component\n"
+
+
 def test_enumerate(gm_file, capsys):
     assert main(["enumerate", gm_file, "--shape", "2", "--origin", "1"]) == 0
     out = capsys.readouterr().out.splitlines()

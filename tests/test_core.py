@@ -13,6 +13,7 @@ from rankshift import (
     letter_word,
     restrict,
     shape_lattice,
+    translates_agree,
     validate_word,
 )
 from rankshift.core import (
@@ -20,6 +21,7 @@ from rankshift.core import (
     box_cells,
     box_offsets,
     box_range,
+    box_size,
     meet,
     strides,
     sub,
@@ -157,7 +159,7 @@ def test_validate_agrees_with_naive_scan(gm2, data):
 @settings(max_examples=100, deadline=None)
 def test_box_offsets_match_stride_sums(data):
     """box_offsets lists the stride sums of the sub-box cells, in row-major order."""
-    rank = data.draw(st.integers(1, 3))
+    rank = data.draw(st.integers(0, 3))
     shape = tuple(data.draw(st.integers(0, 3)) for _ in range(rank))
     # lo and hi are drawn independently, so hi < lo (an empty sub-box) occurs
     lo = tuple(data.draw(st.integers(0, m)) for m in shape)
@@ -242,6 +244,61 @@ def test_periodic_symmetric(fs2):
     for w in itertools.islice(words_of_shape(fs2, (2, 2)), 40):
         for p in [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (-1, 2)]:
             assert is_periodic(w, p) == is_periodic(w, tuple(-c for c in p))
+
+
+def _reference_agree(w1, w2, p):
+    """Per-cell overlap check through cell -> letter maps; no row-major positions."""
+    g2 = dict(zip(box_cells(w2.shape), w2.letters))
+    return all(g2.get(tuple(a - b for a, b in zip(x, p)), letter) == letter
+               for x, letter in zip(box_cells(w1.shape), w1.letters))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_translates_agree_matches_per_cell_reference(data):
+    """Row slices give the per-cell answer: random letters, agreeing pairs,
+    and agreeing pairs broken at one overlap cell (often the very last)."""
+    rank = data.draw(st.integers(0, 3))
+    l1 = tuple(data.draw(st.integers(0, 3)) for _ in range(rank))
+    l2 = tuple(data.draw(st.integers(0, 3)) for _ in range(rank))
+    # components up to two past either box, so some overlaps are empty
+    p = tuple(data.draw(st.integers(-b - 2, a + 2)) for a, b in zip(l1, l2))
+    letters = st.integers(0, 2)
+    w1 = Word(l1, tuple(data.draw(st.lists(letters, min_size=box_size(l1),
+                                           max_size=box_size(l1)))))
+    g2 = dict(zip(box_cells(l2), data.draw(st.lists(
+        letters, min_size=box_size(l2), max_size=box_size(l2)))))
+    overlap = [x for x in box_cells(l1)
+               if tuple(a - b for a, b in zip(x, p)) in g2]
+    mode = data.draw(st.sampled_from(["random", "agree", "break"]))
+    if mode != "random":
+        for x in overlap:
+            g2[tuple(a - b for a, b in zip(x, p))] = w1.at(x)
+        if mode == "break" and overlap:
+            k = data.draw(st.just(-1) | st.integers(0, len(overlap) - 1))
+            y = tuple(a - b for a, b in zip(overlap[k], p))
+            g2[y] = (g2[y] + 1) % 3
+    w2 = Word(l2, tuple(g2.values()))
+    expected = _reference_agree(w1, w2, p)
+    assert translates_agree(w1, w2, p) == expected
+    if mode == "agree" or not overlap:
+        assert expected
+    elif mode == "break":
+        assert not expected
+    if any(p):
+        assert is_periodic(w1, p) == is_periodic(w1, tuple(-c for c in p))
+
+
+def test_translates_agree_rejects_rank_mismatch():
+    w = Word((1, 1), (0, 1, 1, 0))
+    with pytest.raises(ValueError):
+        translates_agree(w, w, (1,))
+    with pytest.raises(ValueError):
+        translates_agree(w, w, (1, 0, 0))
+    with pytest.raises(ValueError):
+        translates_agree(w, Word((1,), (0, 1)), (1, 0))
+    with pytest.raises(ValueError):
+        translates_agree(w, Word((1, 1, 1), (0,) * 8), (1, 0))
 
 
 def test_translate_reps_cover_classes():
