@@ -75,9 +75,6 @@ class BratteliDiagram:
     def dims(self, m: Shape) -> tuple[int, ...]:
         return self.nodes[vec(m)]
 
-    def total(self, m: Shape) -> int:
-        return sum(self.dims(m))
-
     def levels(self) -> list[Shape]:
         return sorted(self.nodes, key=shape_key)
 

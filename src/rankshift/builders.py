@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .core import (
     Alphabet,
@@ -74,27 +74,21 @@ def tensor(systems: Sequence[TileSystem]) -> TileSystem:
 
 
 def redecorate_by_shape(ts: TileSystem, dmap: DecorationMap,
-                        shape_of: Union[Mapping, Callable[[str], Shape]],
+                        shape_of: Mapping[str, Shape],
                         ) -> tuple[DecorationMap, tuple[DecoratedWord, ...]]:
     """The decoration set of all decorated words (d, w) with shape(w) = l(d).
 
-    ``shape_of`` assigns a shape to each decoration name (mapping or
-    callable).  The new delta sends each decorated word to its terminus.
-    Returns the new DecorationMap together with the underlying decorated
-    words, aligned by index; the new names are ``"<d>:<cells>"`` with cells
-    joined row-major.
+    ``shape_of`` maps each decoration name to a shape.  The new delta sends
+    each decorated word to its terminus.  Returns the new DecorationMap
+    together with the underlying decorated words, aligned by index; the new
+    names are ``"<d>:<cells>"`` with cells joined row-major.
     """
-    if callable(shape_of) and not isinstance(shape_of, Mapping):
-        lookup = shape_of
-    else:
-        lookup = lambda name: shape_of[name]
-
     sep = "" if all(len(a) == 1 for a in ts.alphabet.letters) else ","
     names = []
     delta = []
     words = []
     for d, d_name in enumerate(dmap.names):
-        target = vec(lookup(d_name))
+        target = vec(shape_of[d_name])
         origin = dmap.delta[d]
         for w in words_of_shape(ts, target, origin=origin):
             cells = sep.join(ts.alphabet.name(a) for a in w.letters)

@@ -259,8 +259,8 @@ def _cmd_enumerate(args) -> int:
     _check_floor(args.limit, 0, "--limit")
     ts, dmap = load_system(args.system, transpose=args.transpose)
     shape = _parse_shape(args.shape, ts.rank, "--shape")
-    origin = ts.alphabet.resolve(args.origin) if args.origin else None
-    terminus = ts.alphabet.resolve(args.terminus) if args.terminus else None
+    origin = ts.alphabet.resolve(args.origin) if args.origin is not None else None
+    terminus = ts.alphabet.resolve(args.terminus) if args.terminus is not None else None
     count = 0
     if args.decorated:
         source = decorated_words_of_shape(ts, dmap, shape, origin, terminus)
@@ -308,7 +308,7 @@ def _load_gated(args) -> tuple[TileSystem, DecorationMap]:
 def _cmd_witness_nonperiodic(args) -> int:
     ts, _ = _load_gated(args)
     p_bound = _parse_shape(args.p_bound, ts.rank, "--p-bound")
-    origin = ts.alphabet.resolve(args.origin) if args.origin else 0
+    origin = ts.alphabet.resolve(args.origin) if args.origin is not None else 0
     bound = _parse_shape(args.shape_bound, ts.rank, "--shape-bound")
     w = witnesses.nonperiodic_all(ts, p_bound, origin, bound)
     print(_format_word(ts, w))
@@ -403,7 +403,7 @@ def _cmd_redecorate(args) -> int:
     if missing:
         raise SystemFileError(f"--map missing decorations: {missing}")
     new_map, words = builders.redecorate_by_shape(ts, dmap, assignments)
-    if args.output:
+    if args.output is not None:
         save_system(ts, args.output, new_map)
         print(f"wrote {len(new_map)} decorations to {args.output}")
     for name, a, dw in zip(new_map.names, new_map.delta, words):

@@ -395,8 +395,8 @@ class Word:
             raise ValueError(f"cell {tuple(cell)} outside box [0, {self.shape}]")
         return self.letters[box_offsets(self.shape, cell, cell)[0]]
 
-    def render(self, alphabet: Alphabet, cell_sep: str = ",") -> str:
-        return cell_sep.join(alphabet.name(a) for a in self.letters)
+    def render(self, alphabet: Alphabet) -> str:
+        return ",".join(alphabet.name(a) for a in self.letters)
 
 
 def letter_word(rank: int, a: int) -> Word:

@@ -112,6 +112,11 @@ def _word_json(ts: TileSystem, w: Word) -> dict:
             "cells": [ts.alphabet.name(a) for a in w.letters]}
 
 
+def _names(ts: TileSystem, mask: int) -> list[str]:
+    """The names of the letters in a mask, in declaration order."""
+    return [ts.alphabet.name(a) for a in range(ts.n_letters) if mask >> a & 1]
+
+
 # ---------------------------------------------------------------------------
 # (H0), (H1)
 # ---------------------------------------------------------------------------
@@ -222,50 +227,16 @@ def check_h1_oracle(ts: TileSystem, shape_bound: Shape) -> CheckResult:
 # (H2)
 # ---------------------------------------------------------------------------
 
-def _strong_components(succ: list[list[int]]) -> list[list[int]]:
-    """Strongly connected components, deterministic (Kosaraju, index order)."""
-    n = len(succ)
-    pred: list[list[int]] = [[] for _ in range(n)]
-    for a, outs in enumerate(succ):
-        for b in outs:
-            pred[b].append(a)
-    order: list[int] = []
-    seen = [False] * n
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [(start, iter(succ[start]))]
-        seen[start] = True
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    stack.append((nxt, iter(succ[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(node)
-                stack.pop()
-    comp = [-1] * n
-    components: list[list[int]] = []
-    for start in reversed(order):
-        if comp[start] != -1:
-            continue
-        members = []
-        stack2 = [start]
-        comp[start] = len(components)
-        while stack2:
-            node = stack2.pop()
-            members.append(node)
-            for nxt in pred[node]:
-                if comp[nxt] == -1:
-                    comp[nxt] = len(components)
-                    stack2.append(nxt)
-        components.append(sorted(members))
-    components.sort(key=lambda ms: ms[0])
-    return components
+def _reach(steps: list[int], a: int) -> int:
+    """Mask of the letters reached from a by paths of length >= 0."""
+    seen = todo = 1 << a
+    while todo:
+        b = todo.bit_length() - 1
+        todo ^= 1 << b
+        new = steps[b] & ~seen
+        seen |= new
+        todo |= new
+    return seen
 
 
 def check_h2(ts: TileSystem) -> CheckResult:
@@ -274,16 +245,28 @@ def check_h2(ts: TileSystem) -> CheckResult:
     The graph has a vertex per letter and an edge a -> b whenever some
     direction allows the step.  Pass means every ordered pair of letters is
     joined by a path of positive length; a fail reports the partition into
-    strongly connected components.
+    strongly connected components, ordered by their first letters.  The
+    component of a letter is the mask of letters it reaches AND the mask of
+    letters reaching it, over the union of the directions' letter masks.
     """
     n = ts.n_letters
-    succ = [sorted({b for j in range(1, ts.rank + 1) for b in ts.successors(j, a)})
-            for a in range(n)]
-    components = _strong_components(succ)
+    succ = [0] * n
+    pred = [0] * n
+    for j in range(1, ts.rank + 1):
+        for a in range(n):
+            succ[a] |= ts.successor_mask(j, a)
+            pred[a] |= ts.predecessor_mask(j, a)
+    components = []
+    unassigned = (1 << n) - 1
+    while unassigned:
+        a = (unassigned & -unassigned).bit_length() - 1
+        component = _reach(succ, a) & _reach(pred, a)
+        components.append(component)
+        unassigned &= ~component
     if len(components) == 1 and (n > 1 or succ[0]):
         return CheckResult("H2", Status.PASS)
-    witness = {"components": [[ts.alphabet.name(a) for a in c] for c in components]}
-    return CheckResult("H2", Status.FAIL, witness)
+    return CheckResult("H2", Status.FAIL,
+                       {"components": [_names(ts, c) for c in components]})
 
 
 # ---------------------------------------------------------------------------
@@ -296,22 +279,23 @@ class FiberFamily:
 
     For a word w whose shape has component zero in direction j, its fiber is
     the set of letters that extensions of w one unit in direction j can place
-    at e_j.  ``sets_by_origin[c]`` lists, in discovery order, every fiber set
+    at e_j, held as an int mask (bit a set for letter a).
+    ``sets_by_origin[c]`` lists, in discovery order, every fiber mask
     realised by words with origin c; ``provenance`` remembers for each
-    (origin, fiber) the staircase that produced it so witnesses can be
+    (origin, fiber mask) the staircase that produced it so witnesses can be
     rebuilt as actual words.
     """
 
     direction: int
-    sets_by_origin: dict[int, list[frozenset[int]]]
-    provenance: dict[tuple[int, frozenset[int]], tuple]
+    sets_by_origin: dict[int, list[int]]
+    provenance: dict[tuple[int, int], tuple]
 
-    def all_sets(self) -> Iterator[tuple[int, frozenset[int]]]:
+    def all_sets(self) -> Iterator[tuple[int, int]]:
         for c in sorted(self.sets_by_origin):
             for s in self.sets_by_origin[c]:
                 yield c, s
 
-    def witness_path(self, origin: int, fiber: frozenset[int]) -> list[tuple[int, int]]:
+    def witness_path(self, origin: int, fiber: int) -> list[tuple[int, int]]:
         """The (direction, letter) staircase generating a recorded fiber."""
         steps = []
         key = (origin, fiber)
@@ -326,98 +310,69 @@ class FiberFamily:
         return {
             "direction": self.direction,
             "fibers": {
-                ts.alphabet.name(c): [sorted(ts.alphabet.name(a) for a in s)
-                                      for s in sets_]
+                ts.alphabet.name(c): [sorted(_names(ts, s)) for s in sets_]
                 for c, sets_ in sorted(self.sets_by_origin.items())
             },
         }
-
-
-def _seed_fiber(ts: TileSystem, j: int, c: int) -> frozenset[int]:
-    return frozenset(ts.successors(j, c))
-
-
-def _transfer(ts: TileSystem, j: int, k: int, c_new: int,
-              fiber: frozenset[int]) -> frozenset[int]:
-    """Fiber of v w from the fiber of w, where v is the unit step c_new -> c."""
-    out = []
-    for a in ts.successors(j, c_new):
-        for b in fiber:
-            if ts.transition(k, a, b):
-                out.append(a)
-                break
-    return frozenset(out)
 
 
 def check_h3_star(ts: TileSystem, j: int, max_sets: int = 100_000
                   ) -> tuple[CheckResult, FiberFamily]:
     """Decide (H3*) in direction j by the fiber-set fixed point.
 
-    Seeds with the fiber of every single letter, then closes under the
-    transfer rule along unit steps in every other direction.  Pass iff every
-    discovered fiber has at least two letters; a fail reports the first small
-    fiber together with the word generating it.  Termination is guaranteed
-    (finitely many subsets), but ``max_sets`` caps runaway growth on large
-    alphabets and a cap hit is reported as its own status.
+    Seeds with the fiber of every single letter, its direction-j successor
+    mask, then closes under the transfer rule along unit steps in every
+    other direction: the step c_new -> c in direction k followed by a word
+    with fiber F gives the direction-j successors a of c_new whose
+    direction-k successor mask meets F.  Pass iff every discovered fiber has
+    at least two letters; a fail reports the first small fiber together
+    with the word generating it.  Termination is guaranteed (finitely many
+    subsets), but ``max_sets`` caps runaway growth on large alphabets and a
+    cap hit is reported as its own status.  Both checks run as each new
+    fiber is recorded.
     """
     if not 1 <= j <= ts.rank:
         raise ValueError(f"direction {j} out of range 1..{ts.rank}")
     if max_sets < 1:
         raise ValueError(f"max_sets must be at least 1, not {max_sets}")
     params = {"direction": j, "max_sets": max_sets}
-    sets_by_origin: dict[int, list[frozenset[int]]] = {c: [] for c in range(ts.n_letters)}
-    provenance: dict[tuple[int, frozenset[int]], tuple] = {}
-    family = FiberFamily(j, sets_by_origin, provenance)
-    queue: list[tuple[int, frozenset[int]]] = []
-    total = 0
-
-    def small_fiber_result(c, fiber):
-        steps = family.witness_path(c, fiber)
-        word = word_from_path(ts, c, steps)
-        witness = {
-            "origin": ts.alphabet.name(c),
-            "fiber": sorted(ts.alphabet.name(a) for a in fiber),
-            "word": _word_json(ts, word),
-        }
-        return CheckResult(f"H3* (j={j})", Status.FAIL, witness, params)
+    family = FiberFamily(j, {c: [] for c in range(ts.n_letters)}, {})
+    provenance = family.provenance
+    queue: list[tuple[int, int]] = []
 
     def insert(c, fiber, step, parent):
-        nonlocal total
-        if fiber in sets_by_origin[c]:
+        """Record a new (origin, fiber); the result that ends the run, if any."""
+        if (c, fiber) in provenance:
             return None
-        sets_by_origin[c].append(fiber)
+        family.sets_by_origin[c].append(fiber)
         provenance[(c, fiber)] = (step, parent)
         queue.append((c, fiber))
-        total += 1
-        return (c, fiber)
-
-    def cap_hit():
-        return (CheckResult(f"H3* (j={j})", Status.CAP_HIT,
-                            {"sets_discovered": total}, params), family)
+        if not fiber & (fiber - 1):
+            word = word_from_path(ts, c, family.witness_path(c, fiber))
+            witness = {"origin": ts.alphabet.name(c),
+                       "fiber": sorted(_names(ts, fiber)),
+                       "word": _word_json(ts, word)}
+            return CheckResult(f"H3* (j={j})", Status.FAIL, witness, params)
+        if len(provenance) > max_sets:
+            return CheckResult(f"H3* (j={j})", Status.CAP_HIT,
+                               {"sets_discovered": len(provenance)}, params)
+        return None
 
     for c in range(ts.n_letters):
-        key = insert(c, _seed_fiber(ts, j, c), None, None)
-        if key and len(key[1]) < 2:
-            return small_fiber_result(*key), family
-        if total > max_sets:
-            return cap_hit()
-
-    head = 0
-    while head < len(queue):
-        c, fiber = queue[head]
-        head += 1
+        end = insert(c, ts.successor_mask(j, c), None, None)
+        if end is not None:
+            return end, family
+    # the queue grows while it is walked: breadth-first over new fibers
+    for c, fiber in queue:
         for k in range(1, ts.rank + 1):
             if k == j:
                 continue
             for c_new in ts.predecessors(k, c):
-                t = _transfer(ts, j, k, c_new, fiber)
-                key = insert(c_new, t, (k, c), (c, fiber))
-                if key is None:
-                    continue
-                if len(t) < 2:
-                    return small_fiber_result(c_new, t), family
-                if total > max_sets:
-                    return cap_hit()
+                t = sum(1 << a for a in ts.successors(j, c_new)
+                        if ts.successor_mask(k, a) & fiber)
+                end = insert(c_new, t, (k, c), (c, fiber))
+                if end is not None:
+                    return end, family
     return CheckResult(f"H3* (j={j})", Status.PASS, params=params), family
 
 

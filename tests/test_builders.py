@@ -107,7 +107,7 @@ def test_redecorate_gm_example(gm):
 
 def test_redecorate_fs2_size(fs2):
     dmap = DecorationMap.identity(fs2.alphabet)
-    new_map, words = redecorate_by_shape(fs2, dmap, lambda name: (1, 0))
+    new_map, words = redecorate_by_shape(fs2, dmap, dict.fromkeys(dmap.names, (1, 0)))
     assert len(new_map) == 8
     assert len(words) == 8
     d = dim_vector(fs2, dmap, (1, 0))

@@ -427,6 +427,23 @@ def test_unwritable_output_exits_2(tmp_path, gm_file, command, capsys):
     assert missing in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, message", [
+    (["enumerate", "{gm}", "--shape", "2", "--origin", ""], "unknown letter ''"),
+    (["enumerate", "{gm}", "--shape", "2", "--terminus", ""], "unknown letter ''"),
+    (["witness", "nonperiodic", "{fs2}", "--p-bound", "1,1", "--origin", ""],
+     "unknown letter ''"),
+    (["redecorate", "{gm}", "--map", "0=1;1=0", "-o", ""], "error: : "),
+    (["tensor", "{gm}", "{gm}", "-o", ""], "error: : "),
+])
+def test_empty_flag_value_is_not_absent(gm_file, fs2_file, command, message, capsys):
+    """An empty letter or output path is rejected, not read as a missing flag."""
+    argv = [a.format(gm=gm_file, fs2=fs2_file) for a in command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_save_system_reports_path(tmp_path, gm):
     missing = tmp_path / "no-such-dir" / "out.json"
     with pytest.raises(SystemFileError, match="no-such-dir"):

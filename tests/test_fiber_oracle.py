@@ -29,11 +29,12 @@ from rankshift.verify import (
 
 
 def brute_fiber(ts, j, w):
-    """All letters that one-layer direction-j extensions of w place at e_j."""
+    """Mask of the letters that one-layer direction-j extensions of w place at e_j."""
     total = add(w.shape, unit(ts.rank, j))
     placed = [(zero(ts.rank), w)]
-    return frozenset(Word(total, letters).at(unit(ts.rank, j))
-                     for letters in iter_grid_completions(ts, total, placed))
+    letters = {Word(total, cells).at(unit(ts.rank, j))
+               for cells in iter_grid_completions(ts, total, placed)}
+    return sum(1 << a for a in letters)
 
 
 def fiber_transfer_round(ts, family):
@@ -43,7 +44,7 @@ def fiber_transfer_round(ts, family):
     lacks, sorted; an empty list certifies that the family is a fixed point.
     The fiber of the step c_new -> c in direction k followed by a word with
     fiber F holds the direction-j successors a of c_new that step to some
-    b in F in direction k.
+    b in F in direction k.  Fibers are masks: bit a is set for letter a.
     """
     j = family.direction
     known = set(family.all_sets())
@@ -56,18 +57,19 @@ def fiber_transfer_round(ts, family):
             for c_new in letters:
                 if not ts.transition(k, c_new, c):
                     continue
-                pair = (c_new, frozenset(
-                    a for a in letters if ts.transition(j, c_new, a)
-                    and any(ts.transition(k, a, b) for b in fiber)))
+                pair = (c_new, sum(
+                    1 << a for a in letters if ts.transition(j, c_new, a)
+                    and any(ts.transition(k, a, b)
+                            for b in letters if fiber >> b & 1)))
                 if pair not in known:
                     new.add(pair)
-    return sorted(new, key=lambda p: (p[0], sorted(p[1])))
+    return sorted(new, key=lambda p: (p[0], [a for a in letters if p[1] >> a & 1]))
 
 
 def test_transfer_round_reports_a_family_that_is_not_closed(fs2):
     result, family = check_h3_star(fs2, 1)
     assert result.status is Status.PASS and fiber_transfer_round(fs2, family) == []
-    wrong = FiberFamily(1, {**family.sets_by_origin, 0: [frozenset({0})]}, {})
+    wrong = FiberFamily(1, {**family.sets_by_origin, 0: [1 << 0]}, {})
     assert (0, family.sets_by_origin[0][0]) in fiber_transfer_round(fs2, wrong)
 
 

@@ -226,6 +226,52 @@ def test_h2_mixed_directions_connect():
     assert check_h2(ts).status is Status.PASS
 
 
+def reference_h2(ts):
+    """(H2) result JSON from ``ts.transition`` alone.
+
+    Each letter's reach (letters at the end of a path of positive length) is
+    found by plain breadth-first search; the components are the classes of
+    mutual reachability, each in declaration order, listed by first letter.
+    """
+    letters = range(ts.n_letters)
+    directions = range(1, ts.rank + 1)
+
+    def reached(a):
+        seen, todo = set(), [a]
+        while todo:
+            b = todo.pop(0)
+            for c in letters:
+                if c not in seen and any(ts.transition(j, b, c) for j in directions):
+                    seen.add(c)
+                    todo.append(c)
+        return seen
+
+    reach = [reached(a) for a in letters]
+    if all(len(r) == ts.n_letters for r in reach):
+        return {"condition": "H2", "status": "pass", "params": {}}
+    components = []
+    for a in letters:
+        if not any(a in c for c in components):
+            components.append([b for b in letters
+                               if b == a or (b in reach[a] and a in reach[b])])
+    names = [[ts.alphabet.name(b) for b in c] for c in components]
+    return {"condition": "H2", "status": "fail", "params": {},
+            "witness": {"components": names}}
+
+
+def test_h2_matches_reachability_reference():
+    rng = random.Random(2026)
+    n_components = []
+    for _ in range(600):
+        ts = random_system(rng, rng.randint(1, 13), rng.randint(1, 3),
+                           rng.choice([0.05, 0.1, 0.2, 0.3, 0.5]))
+        result = check_h2(ts).to_json()
+        assert result == reference_h2(ts)
+        n_components.append(len(result.get("witness", {}).get("components", [])))
+    # passes, one-component fails and fails with several components all occur
+    assert {0, 1, 2, 3} <= set(n_components) and max(n_components) >= 10
+
+
 # --- (H3*) -------------------------------------------------------------------
 
 def test_h3_star_fs2_passes_both_directions(fs2):
@@ -233,7 +279,7 @@ def test_h3_star_fs2_passes_both_directions(fs2):
         result, family = check_h3_star(fs2, j)
         assert result.status is Status.PASS
         for _, fiber in family.all_sets():
-            assert len(fiber) == 2
+            assert fiber.bit_count() == 2
         assert fiber_transfer_round(fs2, family) == []
 
 
