@@ -11,11 +11,12 @@ Independently of any of that, this module also provides brute-force grid
 enumeration (:func:`iter_grid_completions`, :func:`words_of_shape`), which
 never uses the forced-fill path and therefore serves as its oracle.
 :func:`iter_grid_completions` is the package's only grid search.  The (H1)
-oracle enumerates each total shape with it once and counts the words by their
-restrictions; the projection support constrains it by placing one family
-member as a word on the window, one search per member, rather than tracking
-patterns inside the search.  Placed words are propagated backwards before the
-search starts, so a fixed terminus prunes from the first cell.
+oracle enumerates each shape up to its bound with it once and decides each
+split from counts of the words and of their restrictions; the projection
+support constrains it by placing one family member as a word on the window,
+one search per member, rather than tracking patterns inside the search.
+Placed words are propagated backwards before the search starts, so a fixed
+terminus prunes from the first cell.
 """
 
 from __future__ import annotations

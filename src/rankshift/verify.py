@@ -23,7 +23,9 @@ witnesses within bounds.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from .core import (
@@ -112,6 +114,17 @@ def _word_json(ts: TileSystem, w: Word) -> dict:
             "cells": [ts.alphabet.name(a) for a in w.letters]}
 
 
+def _bound(ts: TileSystem, bound: Shape, what: str) -> Shape:
+    """The bound as a tuple; :class:`ValueError` if its rank is not that of
+    ts or a component is negative."""
+    bound = vec(bound)
+    if len(bound) != ts.rank:
+        raise ValueError(f"{what} {bound} has wrong rank; system rank is {ts.rank}")
+    if any(c < 0 for c in bound):
+        raise ValueError(f"{what} {bound} has a negative component")
+    return bound
+
+
 def _names(ts: TileSystem, mask: int) -> list[str]:
     """The names of the letters in a mask, in declaration order."""
     return [ts.alphabet.name(a) for a in range(ts.n_letters) if mask >> a & 1]
@@ -174,49 +187,59 @@ def check_h1_oracle(ts: TileSystem, shape_bound: Shape) -> CheckResult:
     For every shape total <= shape_bound and every split total = m + n, the
     restriction w -> (w|[0,m], w|[m,total]) must be a bijection from the
     words of shape total onto the composable pairs (u, v) of shapes m and n.
-    Each total is enumerated once by exhaustive grid search and its words are
-    counted by their restrictions; the first pair in canonical order with no
-    extension, or with two, is the witness.  Splits where u or v has shape 0
-    are trivial (the extension is the other word) and are skipped, so a bound
-    of grade below 2 checks nothing and raises :class:`ValueError`.  An
-    independent oracle for :func:`check_h1_local`; never calls the forced fill.
+    Each shape is enumerated once by exhaustive grid search, m and n before
+    their total.  A split passes when its words have distinct restrictions
+    and number sum_c #(u ending at c) * #(v starting at c), the count of
+    composable pairs; only a failing split walks its pairs in canonical
+    order, and the first with no extension, or with two, is the witness.
+    Splits where u or v has shape 0 are trivial (the extension is the other
+    word) and are skipped, so a bound of grade below 2 checks nothing and
+    raises :class:`ValueError`, as does a bad rank or a negative component.
+    An independent oracle for :func:`check_h1_local`; never calls the forced fill.
     """
-    shape_bound = vec(shape_bound)
-    if len(shape_bound) != ts.rank:
-        raise ValueError("shape bound has wrong rank")
+    shape_bound = _bound(ts, shape_bound, "shape bound")
     if sum(shape_bound) < 2:
         raise ValueError(f"shape bound {shape_bound} has no split into two "
                          f"nonzero shapes; its grade must be at least 2")
     params = {"shape_bound": list(shape_bound)}
+    # per shape: its grids, as strings with one code point per letter (far less
+    # memory than tuples), and how many of them start and end at each letter
+    grids_of, starts, ends = {}, {}, {}
+
+    def word_json(shape, text):
+        return _word_json(ts, Word(shape, tuple(map(ord, text))))
+
     for total in shapes_upto(shape_bound):
-        splits = [m for m in box_cells(total) if 0 < sum(m) < sum(total)]
-        if not splits:
-            continue
-        grids = list(iter_grid_completions(ts, total))
-        for m in splits:
+        grids = ["".join(map(chr, w)) for w in iter_grid_completions(ts, total)]
+        grids_of[total] = grids
+        starts[total] = Counter(w[0] for w in grids)
+        ends[total] = Counter(w[-1] for w in grids)
+        for m in box_cells(total):
+            if not 0 < sum(m) < sum(total):
+                continue
             n = sub(total, m)
-            pair_cells = (box_offsets(total, zero(ts.rank), m)
-                          + box_offsets(total, m, total))
-            # pairs are keyed on strings, one code point per letter: they take
-            # far less memory than tuples, which CPython keeps on free lists
-            extensions: dict[str, list[tuple[int, ...]]] = {}
-            for w in grids:
-                pair = "".join(map(chr, map(w.__getitem__, pair_cells)))
-                extensions.setdefault(pair, []).append(w)
-            by_origin: dict[int, list[tuple[int, ...]]] = {}
-            for v in iter_grid_completions(ts, n):
+            pair_of = itemgetter(*box_offsets(total, zero(ts.rank), m),
+                                 *box_offsets(total, m, total))
+            keys = list(map("".join, map(pair_of, grids)))
+            composable = sum(k * starts[n][c] for c, k in ends[m].items())
+            if len(set(keys)) == len(grids) == composable:
+                continue
+            extensions: dict[str, list[str]] = {}
+            for key, w in zip(keys, grids):
+                extensions.setdefault(key, []).append(w)
+            by_origin: dict[str, list[str]] = {}
+            for v in grids_of[n]:
                 by_origin.setdefault(v[0], []).append(v)
-            for u in iter_grid_completions(ts, m):
+            for u in grids_of[m]:
                 for v in by_origin.get(u[-1], ()):
-                    found = extensions.get("".join(map(chr, u + v)), [])
+                    found = extensions.get(u + v, [])
                     if len(found) != 1:
                         witness = {
-                            "u": _word_json(ts, Word(m, u)),
-                            "v": _word_json(ts, Word(n, v)),
+                            "u": word_json(m, u), "v": word_json(n, v),
                             "split": list(m), "total": list(total),
                             "completions": len(found) if len(found) < 2 else ">=2"}
                         if found:
-                            witness["examples"] = [_word_json(ts, Word(total, w))
+                            witness["examples"] = [word_json(total, w)
                                                    for w in found[:2]]
                         return CheckResult("H1 (oracle)", Status.FAIL,
                                            witness, params)
@@ -421,10 +444,11 @@ def check_h3_bounded(ts: TileSystem, p_bound: Shape, shape_bound: Shape
     Bounded-pass lists one witness per p; a fail means some p has no witness
     within shape_bound, which is inconclusive for (H3) globally and is
     reported as such.  An all-zero p_bound admits no p and raises
-    :class:`ValueError`.
+    :class:`ValueError`, as does a bad rank or a negative component in either
+    bound.
     """
-    p_bound = vec(p_bound)
-    shape_bound = vec(shape_bound)
+    p_bound = _bound(ts, p_bound, "p bound")
+    shape_bound = _bound(ts, shape_bound, "shape bound")
     if not any(p_bound):
         raise ValueError(f"p bound {p_bound} admits no translate p != 0")
     params = {"p_bound": list(p_bound), "shape_bound": list(shape_bound)}
@@ -442,7 +466,8 @@ def check_h3_bounded(ts: TileSystem, p_bound: Shape, shape_bound: Shape
 def h3_bounded_witnesses(ts: TileSystem, p_bound: Shape, shape_bound: Shape
                          ) -> dict[Translate, Word]:
     """Witness words per canonical p, raising if any p has none in bounds."""
-    found, missing = _h3_search(ts, vec(p_bound), vec(shape_bound))
+    found, missing = _h3_search(ts, _bound(ts, p_bound, "p bound"),
+                                _bound(ts, shape_bound, "shape bound"))
     if missing:
         raise WitnessSearchError(
             f"no non-periodic witness within shape bound {tuple(shape_bound)} "
@@ -463,15 +488,14 @@ def verify_report(ts: TileSystem,
 
     The (H3*) and bounded (H3) machinery is only meaningful when the local
     product conditions hold, so those checks are marked skipped when
-    (H1a)-(H1c) fail.  Defaults: oracle bound (2,...,2), p bound (2,...,2),
-    shape bound p bound + (1,...,1).
+    (H1a)-(H1c) fail.  Defaults, for a bound left as None: oracle bound
+    (2,...,2), p bound (2,...,2), shape bound p bound + (1,...,1).  Any other
+    bound, () too, goes to its check, which raises if it is invalid.
     """
     r = ts.rank
-    h1_oracle_bound = vec(h1_oracle_bound) if h1_oracle_bound else (2,) * r
-    h3_p_bound = vec(h3_p_bound) if h3_p_bound else (2,) * r
-    if h3_shape_bound:
-        h3_shape_bound = vec(h3_shape_bound)
-    else:
+    h1_oracle_bound = (2,) * r if h1_oracle_bound is None else h1_oracle_bound
+    h3_p_bound = (2,) * r if h3_p_bound is None else vec(h3_p_bound)
+    if h3_shape_bound is None:
         h3_shape_bound = tuple(b + 1 for b in h3_p_bound)
 
     checks = [check_h0(ts)]

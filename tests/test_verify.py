@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from rankshift import Alphabet, TileSystem, validate_word
+from rankshift import Alphabet, TileSystem, validate_word, verify
 from rankshift.builders import from_rank1, random_system
 from rankshift.completion import iter_grid_completions, words_of_shape
 from rankshift.core import (
@@ -25,6 +25,7 @@ from rankshift.verify import (
     check_h3_star,
     verify_report,
 )
+from rankshift.witnesses import nonperiodic_all
 from test_fiber_oracle import fiber_transfer_round
 
 
@@ -177,6 +178,19 @@ def test_h1_oracle_matches_per_pair_search():
     # mostly failing systems, with both kinds of witness
     assert kinds.count(None) < len(kinds) // 4
     assert kinds.count(0) >= 20 and kinds.count(">=2") >= 20
+
+
+def test_h1_oracle_searches_each_shape_once(monkeypatch, fs3):
+    searched = []
+
+    def counting(ts, shape, fixed=()):
+        searched.append(tuple(shape))
+        return iter_grid_completions(ts, shape, fixed)
+
+    monkeypatch.setattr(verify, "iter_grid_completions", counting)
+    assert check_h1_oracle(fs3, (2, 2, 2)).status is Status.PASS
+    assert searched == shapes_upto((2, 2, 2))
+    assert len(searched) == 27
 
 
 def test_h1_oracle_agreement_randomized():
@@ -351,6 +365,37 @@ def test_vacuous_bounds_raise(gm, fs2):
     assert check_h1_oracle(gm, (2,)).status is Status.PASS
     with pytest.raises(ValueError, match="no translate"):
         check_h3_bounded(fs2, (0, 0), (2, 2))
+
+
+def test_h1_oracle_rejects_negative_bound(fs2):
+    # (-1, 3) has grade 2, but no shape lies below it: a pass would be vacuous
+    with pytest.raises(ValueError, match=r"\(-1, 3\) has a negative component"):
+        check_h1_oracle(fs2, (-1, 3))
+
+
+def test_h3_bounded_rejects_bad_bounds(fs2):
+    # a bound of the wrong rank is an error, not a bounded-pass
+    with pytest.raises(ValueError, match=r"p bound \(1,\) has wrong rank"):
+        check_h3_bounded(fs2, (1,), (2,))
+    with pytest.raises(ValueError, match=r"shape bound \(2, 2, 2\) has wrong rank"):
+        check_h3_bounded(fs2, (1, 1), (2, 2, 2))
+    with pytest.raises(ValueError, match=r"p bound \(-1, 2\) has a negative"):
+        check_h3_bounded(fs2, (-1, 2), (3, 3))
+    with pytest.raises(ValueError, match=r"shape bound \(3, -1\) has a negative"):
+        check_h3_bounded(fs2, (1, 1), (3, -1))
+    # the bound error, not an IndexError on an empty list of per-p witnesses
+    with pytest.raises(ValueError, match=r"p bound \(-1, 2\) has a negative"):
+        nonperiodic_all(fs2, (-1, 2), 0)
+
+
+def test_report_empty_bounds_are_not_defaults(gm):
+    # () is a bound like any other: it reaches its check and is rejected there
+    with pytest.raises(ValueError, match=r"shape bound \(\) has wrong rank"):
+        verify_report(gm, h1_oracle_bound=())
+    with pytest.raises(ValueError, match=r"p bound \(\) has wrong rank"):
+        verify_report(gm, h3_p_bound=())
+    with pytest.raises(ValueError, match=r"shape bound \(\) has wrong rank"):
+        verify_report(gm, h3_shape_bound=())
 
 
 # --- aggregate report ----------------------------------------------------------
