@@ -38,7 +38,7 @@ def tensor(systems: Sequence[TileSystem]) -> TileSystem:
     direction j acts on slot j only: M_j is the Kronecker product with the
     factor matrix in slot j and identities elsewhere.  Factor letter names
     are concatenated directly when all are single characters, otherwise
-    joined with commas.
+    joined with dots (a comma would split a name where words list cells).
     """
     if not systems:
         raise ValueError("tensor of zero systems")
@@ -50,7 +50,7 @@ def tensor(systems: Sequence[TileSystem]) -> TileSystem:
 
     factor_letters = [s.alphabet.letters for s in systems]
     plain = all(len(name) == 1 for letters in factor_letters for name in letters)
-    sep = "" if plain else ","
+    sep = "" if plain else "."
     combos = list(itertools.product(*factor_letters))
     names = [sep.join(combo) for combo in combos]
     if len(set(names)) != len(names):

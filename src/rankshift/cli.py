@@ -87,6 +87,10 @@ def parse_system(data, transpose: bool = False, origin: str = "<data>"
     _require(isinstance(letters, list) and letters
              and all(isinstance(a, str) for a in letters),
              f"{origin}: 'alphabet' must be a nonempty list of strings")
+    for i, a in enumerate(letters):
+        _require(a and not any(c == "," or c.isspace() for c in a),
+                 f"{origin}: alphabet[{i}] is {a!r}, letter names must be "
+                 f"nonempty with no ',' or whitespace")
     _require(len(set(letters)) == len(letters),
              f"{origin}: 'alphabet' has duplicate letters")
     alphabet = Alphabet(letters)

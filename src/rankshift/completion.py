@@ -179,11 +179,13 @@ def iter_grid_completions(ts: TileSystem, shape: Shape,
     sub-box [k, k + shape(u)], which must lie in [0, shape].  Grids are
     produced in lexicographic order of their full row-major tuple; cells are
     assigned one by one with every constraint towards already-assigned
-    neighbours enforced, so the search is exact.  When words are placed, one
-    reverse sweep first narrows each cell x to letters with an allowed
-    successor at every x + e_k.  It drops only letters that are in no grid,
-    so the grids and their order stay; it is skipped without placements,
-    where it would cost time and, on an essential system, drop nothing.
+    neighbours enforced, so the search is exact.  A cell tries its letters
+    least first, split from its mask once per call and distinct mask.  When
+    words are placed, one reverse sweep first narrows each cell x to letters
+    with an allowed successor at every x + e_k.  It drops only letters that
+    are in no grid, so the grids and their order stay; it is skipped without
+    placements, where it would cost time and, on an essential system, drop
+    nothing.
     """
     shape = vec(shape)
     if any(c < 0 for c in shape):
@@ -208,34 +210,38 @@ def iter_grid_completions(ts: TileSystem, shape: Shape,
             for p, masks in plan[i]:
                 allowed[p] &= sum(1 << a for a, m in enumerate(masks) if m & allowed[i])
     assign = [0] * n_cells
-
-    def candidates(i: int) -> list[int]:
-        """Letters allowed at cell i, largest first (so pop() takes the least)."""
+    # per cell: an iterator over its allowed letters, least first; the letter
+    # list of each distinct mask is built once, in a table local to this call
+    its: list[Iterator[int]] = [iter(())] * n_cells
+    table: dict[int, list[int]] = {}
+    # iterative DFS over cells in row-major order: step into the next cell,
+    # then take the next letter of the deepest cell that still has one
+    i, last = -1, n_cells - 1
+    while True:
+        i += 1
         mask = allowed[i]
         for p, masks in plan[i]:
             mask &= masks[assign[p]]
-        out = []
-        while mask:
-            b = mask.bit_length() - 1
-            out.append(b)
-            mask ^= 1 << b
-        return out
-
-    # iterative DFS over cells in row-major order
-    i = 0
-    stack = [candidates(0)]
-    while stack:
-        options = stack[-1]
-        if not options:
-            stack.pop()
-            i -= 1
-            continue
-        assign[i] = options.pop()
-        if i == n_cells - 1:
+        opts = table.get(mask)
+        if opts is None:
+            opts, rest = [], mask
+            while rest:
+                low = rest & -rest
+                opts.append(low.bit_length() - 1)
+                rest ^= low
+            table[mask] = opts
+        its[i] = iter(opts)
+        while True:
+            a = next(its[i], None)
+            if a is None:
+                i -= 1
+                if i < 0:
+                    return
+                continue
+            assign[i] = a
+            if i < last:
+                break
             yield tuple(assign)
-            continue
-        i += 1
-        stack.append(candidates(i))
 
 
 def words_of_shape(ts: TileSystem, shape: Shape,

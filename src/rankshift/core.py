@@ -396,7 +396,7 @@ class Word:
         return self.letters[box_offsets(self.shape, cell, cell)[0]]
 
     def render(self, alphabet: Alphabet) -> str:
-        return ",".join(alphabet.name(a) for a in self.letters)
+        return ",".join(map(alphabet.letters.__getitem__, self.letters))
 
 
 def letter_word(rank: int, a: int) -> Word:

@@ -54,10 +54,11 @@ def test_tensor_rejects_higher_rank(gm2):
         tensor([gm2])
 
 
-def test_tensor_multichar_names_use_commas():
+def test_tensor_multichar_names_use_dots():
+    # a comma would split a letter name where words list their cells
     ts = from_rank1(["aa", "b"], [[1, 1], [1, 1]])
     out = tensor([ts, ts])
-    assert out.alphabet.letters == ("aa,aa", "aa,b", "b,aa", "b,b")
+    assert out.alphabet.letters == ("aa.aa", "aa.b", "b.aa", "b.b")
 
 
 def test_tensor_preserves_h0_h1_h2(gm, full2, identity2):

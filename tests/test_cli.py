@@ -96,6 +96,33 @@ def test_count_on_loosely_typed_file_exits_2(tmp_path, capsys):
     assert captured.out == "" and "'rank'" in captured.err
 
 
+@pytest.mark.parametrize("name", ["", "a,b", "a b", "a\tb", "b\n"])
+def test_letter_names_that_break_the_word_format_exit_2(tmp_path, name, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"rank": 1, "alphabet": ["0", name],
+                                "matrices": [[[1, 1], [1, 1]]]}))
+    assert main(["count", str(path), "--shape", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "alphabet[1]" in captured.err
+
+
+def test_tensor_multichar_words_roundtrip(tmp_path, capsys):
+    """A word that enumerate prints for a tensor of multi-character names is
+    read back whole by extend --cells."""
+    factor, product_file = tmp_path / "f.json", str(tmp_path / "t.json")
+    factor.write_text(json.dumps({"rank": 1, "alphabet": ["aa", "b"],
+                                  "matrices": [[[1, 1], [1, 1]]]}))
+    assert main(["tensor", str(factor), str(factor), "-o", product_file]) == 0
+    capsys.readouterr()
+    assert main(["enumerate", product_file, "--shape", "1,0", "--limit", "1"]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line == "shape=1,0 cells=aa.aa,aa.aa"
+    cells = line.split("cells=")[1]
+    assert main(["extend", product_file, "--shape", "1,0", "--cells", cells,
+                 "--direction", "2", "--letter", "aa.b"]) == 0
+    assert capsys.readouterr().out == "shape=1,1 cells=aa.aa,aa.b,aa.aa,aa.b\n"
+
+
 def test_load_rejects_unknown_decoration_letter():
     data = {"rank": 1, "alphabet": ["0", "1"],
             "matrices": [[[1, 1], [1, 0]]],
@@ -403,6 +430,12 @@ GOLDEN = [
      "6c3b6d1cfe28e5daa1997fced0cf97b3699ac9049738c19445dc3cff78f8d14e"),
     ("bratteli gm2.json --upto 3,3 --format json", 0,
      "76047f8c43983571e82dd43d6a0dbbcf09eac700ea84ee8abf7e5be38d998971"),
+    ("enumerate gm2.json --shape 4,4", 0,
+     "86a48f6e66c2d032c5c1c35714a251a248215ddbeec152c7362c052588c1980c"),
+    ("enumerate fs2.json --shape 2,3 --origin 01", 0,
+     "383d2401ed63e3fa8d98e37bc5dedd7e6efaa49ae5f5df8c87208e8a55223ade"),
+    ("enumerate gm2.json --shape 2,2 --decorated", 0,
+     "2192b7066a62dfe964b307bacf7869e50b1f06c89c2869db841f132ec7dda500"),
 ]
 
 

@@ -282,6 +282,35 @@ def test_placed_search_matches_brute_force():
     assert nonempty >= 100
 
 
+def test_unplaced_search_matches_brute_force():
+    """Searches with nothing placed list exactly the brute-force grids, in the
+    same order: shape 0 (one cell), shapes with zero components, letters with
+    no successor, and searches that die after the first cell."""
+    rng = random.Random(1010)
+    seen = {"one cell": 0, "zero component": 0, "no successor": 0, "no grid": 0}
+    for _ in range(300):
+        rank = rng.randint(1, 3)
+        ts = random_system(rng, rng.randint(1, 4), rank, rng.choice([0.2, 0.5, 0.8]))
+        while True:
+            shape = tuple(rng.choice([0, 0, 1, 2, 3]) for _ in range(rank))
+            if ts.n_letters ** box_size(shape) <= 4096:
+                break
+        got = list(iter_grid_completions(ts, shape))
+        assert got == _brute_grids(ts, shape, []), (ts.matrices, shape)
+        seen["one cell"] += box_size(shape) == 1
+        seen["zero component"] += 0 in shape and any(shape)
+        seen["no successor"] += any(not ts.successor_mask(j, a)
+                                    for j in range(1, rank + 1)
+                                    for a in range(ts.n_letters))
+        seen["no grid"] += not got
+    assert min(seen.values()) >= 10, seen
+    # the first cell has no letter: two words disagree on it
+    ts = random_system(rng, 3, 2)
+    clash = [(zero(2), letter_word(2, 0)), (zero(2), letter_word(2, 1))]
+    for shape in [(0, 0), (1, 2)]:
+        assert list(iter_grid_completions(ts, shape, clash)) == []
+
+
 def _random_word_from(ts, rng, origin):
     w = letter_word(ts.rank, origin)
     for _ in range(rng.randrange(0, 4)):
