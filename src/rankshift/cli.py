@@ -125,6 +125,10 @@ def parse_system(data, transpose: bool = False, origin: str = "<data>"
         _require(isinstance(names, list) and names
                  and all(isinstance(d, str) for d in names),
                  f"{origin}: decorations.names must be a nonempty string list")
+        for i, d in enumerate(names):
+            _require(d and not any(c.isspace() for c in d),
+                     f"{origin}: decorations.names[{i}] is {d!r}, decoration "
+                     f"names must be nonempty with no whitespace")
         _require(len(set(names)) == len(names),
                  f"{origin}: decorations.names has duplicate names")
         _require(isinstance(delta_names, list) and len(delta_names) == len(names),

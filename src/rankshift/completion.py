@@ -1,11 +1,11 @@
-"""Forced completion of words: unit extension, staircase words, products.
+"""Forced completion of words: staircase extension, staircase words, products.
 
 Under the local conditions (H1a)-(H1c) -- checked by
 :func:`rankshift.verify.check_h1_local` -- a word extends uniquely one unit
-layer at a time: the new far corner is chosen freely among allowed successors
-and every other new cell is forced by a commuting-square constraint.  That
-single mechanism yields staircase-determined words, the unique two-word
-product, and fast enumeration of extensions.
+layer at a time: the new far corner is chosen among allowed successors and
+every other new cell is forced by a commuting-square constraint.  The one
+kernel, :func:`extend_along`, fills a whole staircase of such layers in a
+single box; unit extension, staircase words and the product all call it.
 
 Independently of any of that, this module also provides brute-force grid
 enumeration (:func:`iter_grid_completions`, :func:`words_of_shape`), which
@@ -21,7 +21,7 @@ terminus prunes from the first cell.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     CompletionError,
@@ -40,60 +40,75 @@ from .core import (
     dominates,
     letter_word,
     strides,
-    unit,
     vec,
     zero,
 )
 
 __all__ = [
-    "extend_unit", "word_from_path", "product", "list_extensions",
+    "extend_along", "extend_unit", "word_from_path", "product", "list_extensions",
     "iter_grid_completions", "words_of_shape",
     "decorated_words_of_shape", "staircase_steps",
 ]
 
 
-def extend_unit(ts: TileSystem, w: Word, j: int, a: int) -> Word:
-    """The unique word of shape m + e_j extending w with terminus a.
+def extend_along(ts: TileSystem, w: Word, target: Shape,
+                 steps: Iterable[tuple[int, int]]) -> Word:
+    """The unique word of shape target extending w along a staircase.
 
-    Requires M_j(a, t(w)) = 1.  The new layer is filled from the far corner
-    backwards; each cell is forced by its already-filled neighbours.  If some
-    cell admits no letter, or more than one, the system violates the local
-    product conditions and a :class:`CompletionError` reports the offending
-    square.
+    Step (j, a) of ``steps`` requires M_j(a, t) = 1 for the current terminus
+    t and adds one unit layer in direction j with terminus a.  The box of
+    shape target is allocated once; each layer is filled in place from its far
+    corner back, every cell forced by its filled neighbours, and a cell with
+    no letter or more than one raises :class:`CompletionError` (the system
+    violates (H1)).  Steps are read lazily, one per filled layer, and must
+    end exactly at target.
     """
-    if not 1 <= j <= ts.rank:
-        raise ValueError(f"direction {j} out of range 1..{ts.rank}")
-    if not ts.transition(j, w.terminus, a):
-        raise TransitionError(
-            f"M_{j}({ts.alphabet.name(a)}, {ts.alphabet.name(w.terminus)}) = 0: "
-            f"cannot extend in direction {j}")
-
-    new_shape = add(w.shape, unit(ts.rank, j))
-    new_st = strides(new_shape)
-    letters = [-1] * box_size(new_shape)
-
-    # copy the old box
-    for i, b in zip(box_offsets(new_shape, zero(ts.rank), w.shape), w.letters):
+    target = vec(target)
+    if len(target) != ts.rank or not dominates(target, w.shape):
+        raise ValueError(f"target {target} does not dominate shape {w.shape}")
+    st = strides(target)
+    letters = [-1] * box_size(target)
+    for i, b in zip(box_offsets(target, zero(ts.rank), w.shape), w.letters):
         letters[i] = b
+    shape, t = list(w.shape), w.terminus
+    for j, a in steps:
+        if not 1 <= j <= ts.rank:
+            raise ValueError(f"direction {j} out of range 1..{ts.rank}")
+        if not ts.transition(j, t, a):
+            raise TransitionError(
+                f"M_{j}({ts.alphabet.name(a)}, {ts.alphabet.name(t)}) = 0: "
+                f"cannot extend in direction {j}")
+        if shape[j - 1] == target[j - 1]:
+            raise ValueError(f"a step in direction {j} leaves the target {target}")
+        shape[j - 1] += 1
+        hi = tuple(shape)
+        # fill the new layer (cells with x_j = hi_j) from the far corner back
+        lo = tuple(c if k == j - 1 else 0 for k, c in enumerate(hi))
+        layer = zip(box_range(lo, hi), box_offsets(target, lo, hi))
+        for x, i in reversed(list(layer)):
+            mask = ts.successor_mask(j, letters[i - st[j - 1]])
+            if x == hi:
+                mask &= 1 << a
+            for k in range(1, ts.rank + 1):
+                if k != j and x[k - 1] < hi[k - 1]:
+                    mask &= ts.predecessor_mask(k, letters[i + st[k - 1]])
+            if mask == 0 or mask & (mask - 1):
+                cands = [b for b in range(ts.n_letters) if mask >> b & 1]
+                raise CompletionError(
+                    f"cell {x}: {len(cands)} consistent letters while extending in "
+                    f"direction {j}; the system violates (H1)", cell=x, candidates=cands)
+            letters[i] = mask.bit_length() - 1
+        t = a
+    if tuple(shape) != target:
+        raise ValueError(f"the steps end at {tuple(shape)}, not at the target {target}")
+    return Word(target, tuple(letters))
 
-    # fill the new layer (cells with x_j = m_j + 1) from the far corner back
-    layer_lo = tuple(c if k == j - 1 else 0 for k, c in enumerate(new_shape))
-    layer = zip(box_range(layer_lo, new_shape),
-                box_offsets(new_shape, layer_lo, new_shape))
-    for x, i in reversed(list(layer)):
-        mask = ts.successor_mask(j, letters[i - new_st[j - 1]])
-        if x == new_shape:
-            mask &= 1 << a
-        for k in range(1, ts.rank + 1):
-            if k != j and x[k - 1] < new_shape[k - 1]:
-                mask &= ts.predecessor_mask(k, letters[i + new_st[k - 1]])
-        if mask == 0 or mask & (mask - 1):
-            cands = [b for b in range(ts.n_letters) if mask >> b & 1]
-            raise CompletionError(
-                f"cell {x}: {len(cands)} consistent letters while extending in "
-                f"direction {j}; the system violates (H1)", cell=x, candidates=cands)
-        letters[i] = mask.bit_length() - 1
-    return Word(new_shape, tuple(letters))
+
+def extend_unit(ts: TileSystem, w: Word, j: int, a: int) -> Word:
+    """The word of shape m + e_j extending w with terminus a: one step of
+    :func:`extend_along`."""
+    target = tuple(c + (k == j - 1) for k, c in enumerate(w.shape))
+    return extend_along(ts, w, target, [(j, a)])
 
 
 def word_from_path(ts: TileSystem, a0: int, steps: Sequence[tuple[int, int]]) -> Word:
@@ -105,6 +120,7 @@ def word_from_path(ts: TileSystem, a0: int, steps: Sequence[tuple[int, int]]) ->
     step is reported on failure.
     """
     prev = a0
+    target = list(zero(ts.rank))
     for i, (j, a) in enumerate(steps):
         if not 1 <= j <= ts.rank:
             raise ValueError(f"step {i}: direction {j} out of range 1..{ts.rank}")
@@ -112,10 +128,8 @@ def word_from_path(ts: TileSystem, a0: int, steps: Sequence[tuple[int, int]]) ->
             raise TransitionError(
                 f"step {i}: M_{j}({ts.alphabet.name(a)}, {ts.alphabet.name(prev)}) = 0")
         prev = a
-    w = letter_word(ts.rank, a0)
-    for j, a in steps:
-        w = extend_unit(ts, w, j, a)
-    return w
+        target[j - 1] += 1
+    return extend_along(ts, letter_word(ts.rank, a0), target, steps)
 
 
 def staircase_steps(w: Word) -> list[tuple[int, int]]:
@@ -137,8 +151,8 @@ def product(ts: TileSystem, u: WordLike, v: Word) -> WordLike:
     """The unique word w with w|[0,m] = u and w|[m,m+n] = v.
 
     Requires t(u) = o(v).  A decorated u carries its decoration to the
-    product.  Implemented by extending u along the staircase of v, one forced
-    unit layer per step.
+    product.  Implemented by :func:`extend_along` over the staircase of v:
+    one box of shape m + n, one forced layer per step.
     """
     if isinstance(u, DecoratedWord):
         return DecoratedWord(u.decoration, product(ts, u.word, v))
@@ -146,10 +160,7 @@ def product(ts: TileSystem, u: WordLike, v: Word) -> WordLike:
         raise TransitionError(
             f"t(u) = {ts.alphabet.name(u.terminus)} != "
             f"o(v) = {ts.alphabet.name(v.origin)}: product undefined")
-    w = u
-    for j, a in staircase_steps(v):
-        w = extend_unit(ts, w, j, a)
-    return w
+    return extend_along(ts, u, add(u.shape, v.shape), staircase_steps(v))
 
 
 def list_extensions(ts: TileSystem, u: WordLike, n: Shape

@@ -11,7 +11,7 @@ graded with declaration-order tie-breaks, so outputs are deterministic.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .core import (
     DecorationMap,
@@ -35,7 +35,7 @@ from .core import (
     zero,
 )
 from .completion import (
-    extend_unit,
+    extend_along,
     iter_grid_completions,
     product,
     word_from_path,
@@ -94,24 +94,25 @@ def connect(ts: TileSystem, a: int, b: int, n_min: Shape) -> Word:
 def grow_to_shape(ts: TileSystem, w: Word, target: Shape) -> Word:
     """Extend w to exact shape target >= shape(w), greedily.
 
-    Each unit extension uses the lexicographically first allowed letter,
-    direction 1 first.  Under (H0)-(H2) every letter has a successor in
-    every direction, so the greedy walk cannot get stuck.
+    Each unit step takes the least allowed letter, direction 1 first, and one
+    :func:`~rankshift.completion.extend_along` call fills the staircase.  Under
+    (H0)-(H2) every letter has a successor in every direction, so the greedy
+    walk cannot get stuck.
     """
     target = vec(target)
-    if not dominates(target, w.shape):
-        raise ValueError(f"target {target} does not dominate shape {w.shape}")
-    while w.shape != target:
+
+    def greedy(c: int) -> Iterator[tuple[int, int]]:
         for j in range(1, ts.rank + 1):
-            if w.shape[j - 1] < target[j - 1]:
-                succ = ts.successors(j, w.terminus)
+            for _ in range(target[j - 1] - w.shape[j - 1]):
+                succ = ts.successors(j, c)
                 if not succ:
                     raise WitnessSearchError(
-                        f"letter {ts.alphabet.name(w.terminus)} has no successor "
+                        f"letter {ts.alphabet.name(c)} has no successor "
                         f"in direction {j}; the system fails (H2)")
-                w = extend_unit(ts, w, j, succ[0])
-                break
-    return w
+                c = succ[0]
+                yield j, c
+
+    return extend_along(ts, w, target, greedy(w.terminus))
 
 
 def _shapes_by_grade(rank: int, max_grade: int) -> Iterator[Shape]:
@@ -144,26 +145,30 @@ def nonperiodic_all(ts: TileSystem, m: Shape, a: int,
     """A word from letter a that is non-p-periodic for every p != 0, |p| <= m.
 
     Per-p witnesses are found by bounded search (default bound m + 2 in every
-    direction) and concatenated with connecting spacers; a word containing a
-    non-p-periodic sub-box is itself non-p-periodic, so every requirement
-    survives the concatenation.  m = 0 has nothing to defeat and returns the
-    single-letter word.
+    direction) and joined by spacers into a core p_0 s_0 ... p_k, which a
+    connector from a precedes; a word containing a non-p-periodic sub-box is
+    itself non-p-periodic.  m = 0 has nothing to defeat: the letter word.
     """
+    return _nonperiodic_words(ts, m, shape_bound, [a])[a]
+
+
+def _nonperiodic_words(ts: TileSystem, m: Shape, shape_bound: Shape | None,
+                       letters: Iterable[int]) -> dict[int, Word]:
+    """:func:`nonperiodic_all` for each letter, from one core p_0 s_0 ... p_k."""
     m = vec(m)
     if len(m) != ts.rank:
         raise ValueError("translate bound has wrong rank")
     if is_zero(m):
-        return letter_word(ts.rank, a)
+        return {a: letter_word(ts.rank, a) for a in letters}
     if shape_bound is None:
         shape_bound = tuple(c + 2 for c in m)
     parts = list(h3_bounded_witnesses(ts, m, shape_bound).values())
-    w = connect(ts, a, parts[0].origin, zero(ts.rank))
-    for i, part in enumerate(parts):
-        w = product(ts, w, part)
-        if i + 1 < len(parts):
-            spacer = connect(ts, part.terminus, parts[i + 1].origin, zero(ts.rank))
-            w = product(ts, w, spacer)
-    return w
+    core = parts[0]
+    for part in parts[1:]:
+        spacer = connect(ts, core.terminus, part.origin, zero(ts.rank))
+        core = product(ts, product(ts, core, spacer), part)
+    return {a: product(ts, connect(ts, a, core.origin, zero(ts.rank)), core)
+            for a in letters}
 
 
 def separate_translates(ts: TileSystem, p: Translate, w1: Word, w2: Word
@@ -211,15 +216,15 @@ def separating_family(ts: TileSystem, m: Shape,
 
     Returns (l, family) where family[a] is a word of shape l with origin a,
     and for all letters a, b and every p != 0 with |p| <= m the words w_a and
-    tau_p(w_b) disagree somewhere on their overlap.  Starts from words that
-    defeat every small period, then repairs violating (a, b, p) triples with
-    :func:`separate_translates`; established disagreements persist under
-    extension, so one pass over the triples suffices.  The result is
-    re-verified before returning.
+    tau_p(w_b) disagree somewhere on their overlap.  Starts from the
+    :func:`nonperiodic_all` words, one connector each before one shared core,
+    then repairs violating (a, b, p) triples with :func:`separate_translates`;
+    established disagreements persist under extension, so one pass over the
+    triples suffices.  The result is re-verified before returning.
     """
     m = vec(m)
     n = ts.n_letters
-    family = {a: nonperiodic_all(ts, m, a, shape_bound) for a in range(n)}
+    family = _nonperiodic_words(ts, m, shape_bound, range(n))
     l = zero(ts.rank)
     for w in family.values():
         l = join(l, w.shape)

@@ -106,6 +106,35 @@ def test_letter_names_that_break_the_word_format_exit_2(tmp_path, name, capsys):
     assert captured.out == "" and "alphabet[1]" in captured.err
 
 
+@pytest.mark.parametrize("name", ["", "d 0", "d\t0", " ", "d\n"])
+def test_decoration_names_that_break_the_word_format_exit_2(tmp_path, name, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"rank": 1, "alphabet": ["0", "1"],
+                                "matrices": [[[1, 1], [1, 0]]],
+                                "decorations": {"names": ["d0", name],
+                                                "delta": ["0", "1"]}}))
+    assert main(["enumerate", str(path), "--shape", "1", "--decorated"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "decorations.names[1]" in captured.err
+
+
+def test_redecorated_multichar_names_roundtrip(tmp_path, capsys):
+    """Names that redecorate writes for multi-character letters hold commas
+    (``00:00,10``); the file they are written to loads again."""
+    gm2_path = os.path.join(SAMPLES, "gm2.json")
+    out_path = str(tmp_path / "re.json")
+    argv = ["redecorate", gm2_path, "--map", "00=1,0;01=0,0;10=0,1;11=0,0",
+            "-o", out_path]
+    assert main(argv) == 0
+    capsys.readouterr()
+    ts, dmap = load_system(out_path)
+    assert "00:00,10" in dmap.names and len(dmap) == 6
+    assert main(["enumerate", out_path, "--shape", "0,0", "--decorated"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "decoration=00:00,10 shape=0,0 cells=10" in lines
+    assert lines[-1] == f"count:{len(dmap)}"
+
+
 def test_tensor_multichar_words_roundtrip(tmp_path, capsys):
     """A word that enumerate prints for a tensor of multi-character names is
     read back whole by extend --cells."""
@@ -436,6 +465,12 @@ GOLDEN = [
      "383d2401ed63e3fa8d98e37bc5dedd7e6efaa49ae5f5df8c87208e8a55223ade"),
     ("enumerate gm2.json --shape 2,2 --decorated", 0,
      "2192b7066a62dfe964b307bacf7869e50b1f06c89c2869db841f132ec7dda500"),
+    ("witness set-s fs2.json --p-bound 2,2", 0,
+     "4b90a0995b3f9d04cf81e768af4adbb0a6583ef8e89c96ae62157d14153b7010"),
+    ("witness set-s gm2.json --p-bound 2,2", 0,
+     "4b90a0995b3f9d04cf81e768af4adbb0a6583ef8e89c96ae62157d14153b7010"),
+    ("witness nonperiodic gm2.json --p-bound 2,2", 0,
+     "8eca4d5be12e42430cdf2dbad84449916b4b1b6c118f1526b22c0fd7ba9b8c99"),
 ]
 
 

@@ -4,22 +4,41 @@ import random
 import pytest
 
 from rankshift import (
+    SubshiftError,
     TransitionError,
+    WitnessSearchError,
     letter_word,
     restrict,
     validate_word,
 )
 from rankshift.completion import (
     decorated_words_of_shape,
+    extend_along,
     extend_unit,
     iter_grid_completions,
     list_extensions,
     product,
+    staircase_steps,
     word_from_path,
     words_of_shape,
 )
 from rankshift.builders import random_system
-from rankshift.core import DecorationMap, Word, box_size, zero
+from rankshift.core import (
+    Alphabet,
+    CompletionError,
+    DecorationMap,
+    TileSystem,
+    Word,
+    add,
+    box_offsets,
+    box_range,
+    box_size,
+    dominates,
+    strides,
+    unit,
+    zero,
+)
+from rankshift.witnesses import grow_to_shape
 
 
 def test_extend_unit_rank1(gm):
@@ -326,3 +345,181 @@ def _random_composable_pair(ts, rng):
     u = _random_word_from(ts, rng, rng.randrange(ts.n_letters))
     v = _random_word_from(ts, rng, u.terminus)
     return u, v
+
+
+# ---------------------------------------------------------------------------
+# forced fill along a staircase: extend_along against grid search and against
+# the former unit-at-a-time path, which built and copied a word per step
+# ---------------------------------------------------------------------------
+
+def _unit_extend(ts, w, j, a):
+    """The former extend_unit: a new box per unit layer."""
+    if not 1 <= j <= ts.rank:
+        raise ValueError(f"direction {j} out of range 1..{ts.rank}")
+    if not ts.transition(j, w.terminus, a):
+        raise TransitionError(
+            f"M_{j}({ts.alphabet.name(a)}, {ts.alphabet.name(w.terminus)}) = 0: "
+            f"cannot extend in direction {j}")
+    new_shape = add(w.shape, unit(ts.rank, j))
+    new_st = strides(new_shape)
+    letters = [-1] * box_size(new_shape)
+    for i, b in zip(box_offsets(new_shape, zero(ts.rank), w.shape), w.letters):
+        letters[i] = b
+    layer_lo = tuple(c if k == j - 1 else 0 for k, c in enumerate(new_shape))
+    layer = zip(box_range(layer_lo, new_shape),
+                box_offsets(new_shape, layer_lo, new_shape))
+    for x, i in reversed(list(layer)):
+        mask = ts.successor_mask(j, letters[i - new_st[j - 1]])
+        if x == new_shape:
+            mask &= 1 << a
+        for k in range(1, ts.rank + 1):
+            if k != j and x[k - 1] < new_shape[k - 1]:
+                mask &= ts.predecessor_mask(k, letters[i + new_st[k - 1]])
+        if mask == 0 or mask & (mask - 1):
+            cands = [b for b in range(ts.n_letters) if mask >> b & 1]
+            raise CompletionError(
+                f"cell {x}: {len(cands)} consistent letters while extending in "
+                f"direction {j}; the system violates (H1)", cell=x, candidates=cands)
+        letters[i] = mask.bit_length() - 1
+    return Word(new_shape, tuple(letters))
+
+
+def _unit_word_from_path(ts, a0, steps):
+    prev = a0
+    for i, (j, a) in enumerate(steps):
+        if not 1 <= j <= ts.rank:
+            raise ValueError(f"step {i}: direction {j} out of range 1..{ts.rank}")
+        if not ts.transition(j, prev, a):
+            raise TransitionError(
+                f"step {i}: M_{j}({ts.alphabet.name(a)}, {ts.alphabet.name(prev)}) = 0")
+        prev = a
+    w = letter_word(ts.rank, a0)
+    for j, a in steps:
+        w = _unit_extend(ts, w, j, a)
+    return w
+
+
+def _unit_product(ts, u, v):
+    if u.terminus != v.origin:
+        raise TransitionError(
+            f"t(u) = {ts.alphabet.name(u.terminus)} != "
+            f"o(v) = {ts.alphabet.name(v.origin)}: product undefined")
+    w = u
+    for j, a in staircase_steps(v):
+        w = _unit_extend(ts, w, j, a)
+    return w
+
+
+def _unit_grow_to_shape(ts, w, target):
+    if not dominates(target, w.shape):
+        raise ValueError(f"target {target} does not dominate shape {w.shape}")
+    while w.shape != target:
+        for j in range(1, ts.rank + 1):
+            if w.shape[j - 1] < target[j - 1]:
+                succ = ts.successors(j, w.terminus)
+                if not succ:
+                    raise WitnessSearchError(
+                        f"letter {ts.alphabet.name(w.terminus)} has no successor "
+                        f"in direction {j}; the system fails (H2)")
+                w = _unit_extend(ts, w, j, succ[0])
+                break
+    return w
+
+
+def _outcome(fn, *args):
+    """The word fn returns, or the type, message, cell and candidates it raises."""
+    try:
+        return fn(*args)
+    except (SubshiftError, ValueError) as exc:
+        return (type(exc), str(exc), getattr(exc, "cell", None),
+                getattr(exc, "candidates", None))
+
+
+def _some_word(ts, rng, shape, origin=None):
+    words = list(itertools.islice(words_of_shape(ts, shape, origin=origin), 20))
+    return rng.choice(words) if words else None
+
+
+def test_product_matches_grid_oracle(corpus):
+    """u v is the one grid on [0, shape(u) + shape(v)] that shows u at 0 and v
+    at shape(u)."""
+    shapes = {1: [(0,), (1,), (2,)],
+              2: [(0, 1), (1, 0), (1, 1), (2, 1)],
+              3: [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 0)]}
+    for name, ts in corpus:
+        origin = zero(ts.rank)
+        for su, sv in itertools.product(shapes[ts.rank], repeat=2):
+            for u in itertools.islice(words_of_shape(ts, su), 3):
+                for v in itertools.islice(words_of_shape(ts, sv, origin=u.terminus), 3):
+                    placed = [(origin, u), (su, v)]
+                    grids = list(itertools.islice(
+                        iter_grid_completions(ts, add(su, sv), placed), 2))
+                    assert grids == [product(ts, u, v).letters], (name, u, v)
+
+
+def test_forced_fill_matches_unit_at_a_time():
+    """product, word_from_path and grow_to_shape give the word, or the error
+    (type, message, cell, candidates), that unit-at-a-time filling gives;
+    most random systems fail (H1), so most draws end in an error."""
+    rng = random.Random(1111)
+    seen = {"word": 0, "no letter": 0, "two letters": 0, "TransitionError": 0,
+            "WitnessSearchError": 0, "ValueError": 0}
+    for _ in range(3000):
+        rank = rng.randint(1, 3)
+        ts = random_system(rng, rng.randint(1, 4), rank, rng.choice([0.3, 0.5, 0.8]))
+        n = ts.n_letters
+        small = tuple(rng.randint(0, 2 if rank < 3 else 1) for _ in range(rank))
+        u = _some_word(ts, rng, small)
+        cases = []
+        if u is not None:
+            # a mismatched origin now and then checks the endpoint error
+            v = _some_word(ts, rng, tuple(rng.randint(0, 2) for _ in range(rank)),
+                           origin=u.terminus if rng.random() < 0.9 else None)
+            if v is not None:
+                cases.append((product, _unit_product, (ts, u, v)))
+            target = tuple(c + rng.randint(0, 2) for c in u.shape)
+            cases.append((grow_to_shape, _unit_grow_to_shape, (ts, u, target)))
+        steps = [(rng.randint(1, rank + (rng.random() < 0.05)), rng.randrange(n))
+                 for _ in range(rng.randint(0, 5))]
+        cases.append((word_from_path, _unit_word_from_path,
+                      (ts, rng.randrange(n), steps)))
+        for fn, reference, args in cases:
+            got = _outcome(fn, *args)
+            assert got == _outcome(reference, *args), (fn.__name__, ts.matrices, args)
+            if isinstance(got, Word):
+                seen["word"] += 1
+            elif got[0] is CompletionError:
+                seen["two letters" if got[3] else "no letter"] += 1
+            else:
+                seen[got[0].__name__] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_early_layer_error_comes_before_a_later_dead_step():
+    """Steps are read lazily: the first layer's ambiguous fill is reported, not
+    the second step's missing successor, which an eager walk would meet first."""
+    # 0 -> 1, 2 in direction 1, and 1 has no successor there; in direction 2,
+    # 0 -> 0 and 1, 2 -> 1, so cell (1, 0) below the corner 1 can be 1 or 2
+    ts = TileSystem(Alphabet(["0", "1", "2"]), [
+        [[0, 0, 0], [1, 0, 0], [1, 0, 0]],
+        [[1, 0, 0], [0, 1, 1], [0, 0, 0]],
+    ])
+    w = Word((0, 1), (0, 0))
+    for grow in (grow_to_shape, _unit_grow_to_shape):
+        with pytest.raises(CompletionError) as err:
+            grow(ts, w, (2, 1))
+        assert err.value.cell == (1, 0) and err.value.candidates == (1, 2)
+    with pytest.raises(WitnessSearchError, match="no successor"):
+        grow_to_shape(ts, Word((0, 0), (0,)), (2, 0))
+
+
+def test_extend_along_checks_the_target(fs2):
+    w = next(words_of_shape(fs2, (1, 0)))
+    steps = [(1, 0), (2, 1)]
+    assert extend_along(fs2, w, (2, 1), steps) == product(
+        fs2, w, word_from_path(fs2, w.terminus, steps))
+    assert extend_along(fs2, w, (1, 0), []) == w
+    for target, bad in [((2, 2), steps), ((2, 0), steps), ((0, 1), []),
+                        ((1, 0, 0), [])]:
+        with pytest.raises(ValueError, match="target"):
+            extend_along(fs2, w, target, bad)

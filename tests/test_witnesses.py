@@ -1,4 +1,6 @@
 import itertools
+import os
+import random
 
 import pytest
 
@@ -8,16 +10,23 @@ from rankshift import (
     connect,
     distinct_pair,
     letter_word,
+    load_system,
     nonperiodic_all,
     projection_support,
     restrict,
     separate_translates,
     separating_family,
+    tensor,
 )
+from rankshift.builders import random_system
 from rankshift.core import (
+    Alphabet,
+    TileSystem,
     add,
     dominates,
     is_periodic,
+    is_zero,
+    join,
     neg,
     sub,
     translate_reps,
@@ -26,8 +35,11 @@ from rankshift.core import (
     validate_word,
     zero,
 )
-from rankshift.completion import list_extensions, words_of_shape
+from rankshift.completion import list_extensions, product, words_of_shape
+from rankshift.verify import check_h0, check_h1_local, check_h2, h3_bounded_witnesses
 from rankshift.witnesses import grow_to_shape
+
+SAMPLES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "samples")
 
 
 def test_connect_trivial(gm):
@@ -269,3 +281,93 @@ def test_no_word_carries_two_family_windows(fs2):
             in_u = restrict(w, base_u, add(base_u, l)) in members
             in_v = restrict(w, base_v, add(base_v, l)) in members
             assert not (in_u and in_v), (p, w)
+
+
+# ---------------------------------------------------------------------------
+# one aperiodic core per family against the former per-letter chain
+# ---------------------------------------------------------------------------
+
+def _chain_nonperiodic_all(ts, m, a, shape_bound=None):
+    """The former nonperiodic_all: connect(a) p_0 s_0 p_1 ... p_k as a
+    left-nested chain of products, rebuilt for every letter."""
+    if is_zero(m):
+        return letter_word(ts.rank, a)
+    if shape_bound is None:
+        shape_bound = tuple(c + 2 for c in m)
+    parts = list(h3_bounded_witnesses(ts, m, shape_bound).values())
+    w = connect(ts, a, parts[0].origin, zero(ts.rank))
+    for i, part in enumerate(parts):
+        w = product(ts, w, part)
+        if i + 1 < len(parts):
+            spacer = connect(ts, part.terminus, parts[i + 1].origin, zero(ts.rank))
+            w = product(ts, w, spacer)
+    return w
+
+
+def _chain_separating_family(ts, m):
+    """The former separating_family, started from the per-letter chains."""
+    n = ts.n_letters
+    family = {a: _chain_nonperiodic_all(ts, m, a) for a in range(n)}
+    l = zero(ts.rank)
+    for w in family.values():
+        l = join(l, w.shape)
+    family = {a: grow_to_shape(ts, w, l) for a, w in family.items()}
+    translates = [p for q in translate_reps(m) for p in (q, neg(q))]
+    for a in range(n):
+        for b in range(n):
+            if a == b:
+                continue
+            for p in translates:
+                if not translates_agree(family[a], family[b], p):
+                    continue
+                family[b], family[a] = separate_translates(ts, p, family[b], family[a])
+                l = family[a].shape
+                family = {c: grow_to_shape(ts, w, l) for c, w in family.items()}
+    return l, family
+
+
+def _circulant(n, gens):
+    """Z_n, letter a stepping to a + s for each s in S_j (rows = target)."""
+    return TileSystem(Alphabet([str(a) for a in range(n)]),
+                      [[[1 if (b - a) % n in s else 0 for a in range(n)]
+                        for b in range(n)] for s in gens])
+
+
+def _family_inputs():
+    systems = [(name, load_system(os.path.join(SAMPLES, f"{name}.json"))[0])
+               for name in ("gm", "full2", "gm2", "fs2")]
+    rng = random.Random(2024)
+    while len(systems) < 28:
+        ts = tensor([random_system(rng, rng.randint(2, 3), 1) for _ in range(2)])
+        if all(c.ok for c in (check_h0(ts), check_h1_local(ts), check_h2(ts))):
+            systems.append((f"tensor{len(systems)}", ts))
+    # pairwise sums s1 + s2 distinct: the circulant passes (H1)
+    for n, gens in [(5, ((0, 1), (0, 2))), (6, ((0, 1), (0, 2))),
+                    (7, ((0, 1), (0, 3))), (8, ((1, 2), (0, 3))),
+                    (9, ((0, 1), (0, 3)))]:
+        ts = _circulant(n, gens)
+        assert all(c.ok for c in (check_h0(ts), check_h1_local(ts), check_h2(ts)))
+        systems.append((f"circ{n}", ts))
+    return systems
+
+
+def test_separating_family_matches_per_letter_chain():
+    """One shared core gives the family and the nonperiodic words that one
+    chain per letter gave, or the same search error."""
+    outcomes = {"family": 0, "error": 0}
+    for name, ts in _family_inputs():
+        for c in (1, 2):
+            m = (c,) * ts.rank
+            try:
+                want = _chain_separating_family(ts, m)
+            except WitnessSearchError as exc:
+                with pytest.raises(WitnessSearchError) as err:
+                    separating_family(ts, m)
+                assert str(err.value) == str(exc), (name, m)
+                outcomes["error"] += 1
+                continue
+            assert separating_family(ts, m) == want, (name, m)
+            for a in {0, ts.n_letters // 2, ts.n_letters - 1}:
+                assert nonperiodic_all(ts, m, a) == _chain_nonperiodic_all(ts, m, a)
+            outcomes["family"] += 1
+    assert outcomes["family"] >= 40 and outcomes["error"] >= 5, outcomes
