@@ -25,7 +25,6 @@ from .core import (
     TileSystem,
     add,
     dominates,
-    mat_vec,
     shape_key,
     shapes_upto,
     sub,
@@ -40,8 +39,8 @@ __all__ = ["dim_vector", "BratteliDiagram", "bratteli"]
 def dim_vector(ts: TileSystem, dmap: DecorationMap, m: Shape) -> tuple[int, ...]:
     """Counts of decorated words of shape m, indexed by terminus letter.
 
-    Matrix recursion along one fixed path (M_1 m_1 times, then M_2, ..., M_r
-    last); other monotone paths agree only when the matrices commute.
+    Predecessor-sum recursion along one fixed path (M_1 m_1 times, then
+    M_2, ..., M_r last); other monotone paths agree only when the M_j commute.
     """
     m = vec(m)
     if len(m) != ts.rank:
@@ -54,8 +53,14 @@ def dim_vector(ts: TileSystem, dmap: DecorationMap, m: Shape) -> tuple[int, ...]
     d = tuple(d)
     for j in range(1, ts.rank + 1):
         for _ in range(m[j - 1]):
-            d = mat_vec(ts.matrices[j - 1], d)
+            d = _step(ts, j, d)
     return d
+
+
+def _step(ts: TileSystem, j: int, d: tuple[int, ...]) -> tuple[int, ...]:
+    """M_j d, summed over the predecessor lists: n q work, not n^2."""
+    return tuple(sum(map(d.__getitem__, ts.predecessors(j, b)))
+                 for b in range(ts.n_letters))
 
 
 @dataclass(frozen=True)
@@ -145,8 +150,8 @@ class BratteliDiagram:
 def bratteli(ts: TileSystem, dmap: DecorationMap, upto: Shape) -> BratteliDiagram:
     """The full graded diagram on [0, upto].
 
-    Level m > 0 is M_j times level m - e_j, j the last direction with m_j > 0:
-    the product `dim_vector` takes, so levels equal it for any matrices.
+    Level m > 0 is `dim_vector`'s step, M_j by predecessor sums, applied to
+    level m - e_j for the last j with m_j > 0, so levels equal it for any M_j.
     """
     upto = vec(upto)
     if len(upto) != ts.rank:
@@ -156,6 +161,6 @@ def bratteli(ts: TileSystem, dmap: DecorationMap, upto: Shape) -> BratteliDiagra
     nodes = {zero(ts.rank): dim_vector(ts, dmap, zero(ts.rank))}
     for m in shapes_upto(upto)[1:]:  # grade first: m - e_j comes before m
         j = max(i for i, c in enumerate(m, 1) if c)
-        nodes[m] = mat_vec(ts.matrices[j - 1], nodes[sub(m, unit(ts.rank, j))])
+        nodes[m] = _step(ts, j, nodes[sub(m, unit(ts.rank, j))])
     return BratteliDiagram(ts, dmap, upto, nodes)
 

@@ -22,6 +22,7 @@ input error.  All output is byte-deterministic for fixed input and flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -406,6 +407,8 @@ def _cmd_redecorate(args) -> int:
         name, _, shape_text = item.partition("=")
         if name not in dmap.names:
             raise SystemFileError(f"--map names unknown decoration {name!r}")
+        if name in assignments:
+            raise SystemFileError(f"--map[{name}] is given more than once")
         assignments[name] = _parse_shape(shape_text, ts.rank, f"--map[{name}]")
     missing = [d for d in dmap.names if d not in assignments]
     if missing:
@@ -423,6 +426,7 @@ def _cmd_redecorate(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache  # one parser per process: parsing does not change it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rankshift",

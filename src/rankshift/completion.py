@@ -68,8 +68,9 @@ def extend_along(ts: TileSystem, w: Word, target: Shape,
         raise ValueError(f"target {target} does not dominate shape {w.shape}")
     st = strides(target)
     letters = [-1] * box_size(target)
-    for i, b in zip(box_offsets(target, zero(ts.rank), w.shape), w.letters):
-        letters[i] = b
+    width = w.shape[-1] + 1
+    for k, i in enumerate(box_offsets(target, zero(ts.rank), (*w.shape[:-1], 0))):
+        letters[i:i + width] = w.letters[k * width:(k + 1) * width]
     shape, t = list(w.shape), w.terminus
     for j, a in steps:
         if not 1 <= j <= ts.rank:

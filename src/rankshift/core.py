@@ -339,11 +339,6 @@ class TileSystem:
                 f"letters={list(self.alphabet.letters)!r})")
 
 
-def mat_vec(mat: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...]:
-    """The integer matrix-vector product mat v."""
-    return tuple(sum(row[a] * v[a] for a in range(len(v))) for row in mat)
-
-
 def _mask(indices: Iterable[int]) -> int:
     m = 0
     for i in indices:

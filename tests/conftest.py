@@ -1,6 +1,7 @@
 import pytest
 
 from rankshift import (
+    Alphabet,
     DecorationMap,
     TileSystem,
     full_shift,
@@ -63,3 +64,10 @@ def corpus(gm, full2, gm2, fs2, fs3):
 
 def identity_decorations(ts: TileSystem) -> DecorationMap:
     return DecorationMap.identity(ts.alphabet)
+
+
+def circulant(n: int, gens) -> TileSystem:
+    """The Cayley system on Z_n: a -> b in direction j iff b - a is in gens[j-1]."""
+    mats = [[[1 if (b - a) % n in set(s) else 0 for a in range(n)]
+             for b in range(n)] for s in gens]
+    return TileSystem(Alphabet([str(a) for a in range(n)]), mats)

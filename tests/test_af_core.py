@@ -6,7 +6,9 @@ import pytest
 from rankshift import DecorationMap, bratteli, dim_vector
 from rankshift.builders import random_system
 from rankshift.completion import decorated_words_of_shape
-from rankshift.core import add, box_cells, unit
+from rankshift.core import add, box_cells, shapes_upto, sub, unit, zero
+from rankshift.verify import Status, check_h1_local
+from conftest import circulant
 
 
 def _enumerated_dims(ts, dmap, m):
@@ -78,6 +80,58 @@ def test_bratteli_levels_match_dim_vector():
         non_commuting += any(_matmul(a, b) != _matmul(b, a)
                              for a, b in itertools.combinations(ts.matrices, 2))
     assert non_commuting >= 10
+
+
+def _mat_vec(mat, v):
+    return tuple(sum(row[a] * v[a] for a in range(len(v))) for row in mat)
+
+
+def _dense_counts(ts, dmap, upto):
+    """Every level of [0, upto] by dense matrix-vector products: dim_vector's
+    path for each shape, and bratteli's one step from m - e_j (j the last
+    direction with m_j > 0)."""
+    d0 = [0] * ts.n_letters
+    for a in dmap.delta:
+        d0[a] += 1
+    by_path, nodes = {}, {zero(ts.rank): tuple(d0)}
+    for m in shapes_upto(upto):
+        d = tuple(d0)
+        for j in range(1, ts.rank + 1):
+            for _ in range(m[j - 1]):
+                d = _mat_vec(ts.matrices[j - 1], d)
+        by_path[m] = d
+        if any(m):
+            j = max(i for i, c in enumerate(m, 1) if c)
+            nodes[m] = _mat_vec(ts.matrices[j - 1], nodes[sub(m, unit(ts.rank, j))])
+    return by_path, nodes
+
+
+def test_counts_match_dense_recursion():
+    rng = random.Random(0xD1A)
+    for _ in range(600):
+        rank = rng.randint(1, 3)
+        ts = random_system(rng, rng.randint(1, 6), rank,
+                           density=rng.choice([0.2, 0.5, 0.8]))
+        delta = [rng.randrange(ts.n_letters) for _ in range(rng.randint(1, 8))]
+        dmap = DecorationMap(tuple(f"d{i}" for i in range(len(delta))), tuple(delta))
+        upto = tuple(rng.randint(0, 3) for _ in range(rank))
+        by_path, nodes = _dense_counts(ts, dmap, upto)
+        assert bratteli(ts, dmap, upto).nodes == nodes, (ts.matrices, upto)
+        for m, d in by_path.items():
+            assert dim_vector(ts, dmap, m) == d, (ts.matrices, m)
+
+
+def test_counts_at_paper_scale():
+    """A circulant on Z_420 with 16 predecessors per letter in each direction:
+    the alphabet size and column weight q^2 of the paper's A~2 system for q = 4.
+    S_1 + S_2 = {0, ..., 255} has distinct sums, so (H1) holds, and every
+    level m has 16^(m_1 + m_2) words per terminus letter."""
+    ts = circulant(420, [range(16), range(0, 256, 16)])
+    assert check_h1_local(ts).status is Status.PASS
+    diagram = bratteli(ts, DecorationMap.identity(ts.alphabet), (2, 2))
+    assert len(diagram.nodes) == 9
+    for m, dims in diagram.nodes.items():
+        assert dims == (16 ** sum(m),) * 420, m
 
 
 def _matmul(a, b):

@@ -422,6 +422,14 @@ def test_redecorate_requires_full_map(gm_file, capsys):
     assert main(["redecorate", gm_file, "--map", "0=1"]) == 2
 
 
+def test_redecorate_rejects_a_repeated_decoration(gm2_file, capsys):
+    argv = ["redecorate", gm2_file, "--map", "00=1,1;01=0,0;10=0,0;11=0,0;00=0,0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--map[00]" in captured.err
+
+
 def test_output_is_deterministic(gm2_file, capsys):
     main(["verify", gm2_file, "--json"])
     first = capsys.readouterr().out
@@ -628,6 +636,58 @@ def test_python_m_rankshift_runs_cli_without_warning():
     assert proc.returncode == 0
     assert proc.stdout.decode().strip() == "total:8"
     assert proc.stderr == b""
+
+
+def _run_in_process(argv):
+    """(exit code, stdout, stderr) of one main(argv) call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors and --help
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_one_parser_serves_many_commands(tmp_path, monkeypatch):
+    """main reuses one parser per process: every command gives the same exit
+    code, stdout and stderr on a second round, and in a fresh process."""
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal width
+    gm, gm2, fs2 = (os.path.join(SAMPLES, f) for f in ("gm.json", "gm2.json", "fs2.json"))
+    out = str(tmp_path / "out.json")
+    commands = [
+        ["verify", fs2],
+        ["verify", gm2],
+        ["count", gm2, "--shape", "1,1", "--per-letter"],
+        ["enumerate", gm, "--shape", "2", "--origin", "1"],
+        ["extend", gm, "--shape", "1", "--cells", "0,1", "--direction", "1",
+         "--letter", "0"],
+        ["product", gm, "--shape1", "1", "--cells1", "1,0", "--shape2", "1",
+         "--cells2", "0,1"],
+        ["witness", "nonperiodic", fs2, "--p-bound", "1,1", "--origin", "00"],
+        ["witness", "connect", gm, "--from", "1", "--to", "1", "--min-shape", "2"],
+        ["witness", "distinct-pair", fs2],
+        ["witness", "set-s", fs2, "--p-bound", "1,1"],
+        ["witness", "q-support", fs2, "--p-bound", "1,1"],
+        ["bratteli", gm, "--upto", "2", "--format", "dot"],
+        ["tensor", gm, gm, "-o", out],
+        ["redecorate", gm, "--map", "0=1;1=0", "-o", out],
+        ["count", gm],
+        ["count", os.path.join(SAMPLES, "missing.json"), "--shape", "1"],
+        ["--help"],
+    ]
+    first, second = ([_run_in_process(argv) for argv in commands] for _ in range(2))
+    assert first == second
+    assert [code for code, _, _ in first] == [0, 1] + [0] * 12 + [2, 2, 0]
+    assert "required: --shape" in first[-3][2]
+    assert "No such file" in first[-2][2]
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for argv, got in zip(commands, first):
+        proc = subprocess.run([sys.executable, "-m", "rankshift", *argv],
+                              capture_output=True, env=env, timeout=60)
+        assert got == (proc.returncode, proc.stdout.decode(), proc.stderr.decode()), argv
 
 
 def _shape_text(top=3):

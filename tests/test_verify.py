@@ -26,6 +26,7 @@ from rankshift.verify import (
     verify_report,
 )
 from rankshift.witnesses import nonperiodic_all
+from conftest import circulant
 from test_fiber_oracle import fiber_transfer_round
 
 
@@ -80,6 +81,89 @@ def test_h1c_checked_on_rank3():
     full = [[1]]
     ts = TileSystem(Alphabet(["a"]), [full, full, full])
     assert check_h1_local(ts).status is Status.PASS
+
+
+def _mat_vec(mat, v):
+    return tuple(sum(row[a] * v[a] for a in range(len(v))) for row in mat)
+
+
+def _dense_h1_local(ts):
+    """check_h1_local(ts).to_json() by dense matrix products, in its scan order."""
+    n = ts.n_letters
+    names = ts.alphabet.letters
+    mats = ts.matrices
+    cols = [tuple(zip(*m)) for m in mats]
+
+    def fail(witness):
+        return {"condition": "H1a-c", "status": "fail", "params": {},
+                "witness": witness}
+
+    for i in range(1, ts.rank + 1):
+        for j in range(i + 1, ts.rank + 1):
+            pij = [_mat_vec(cols[j - 1], row) for row in mats[i - 1]]
+            pji = [_mat_vec(cols[i - 1], row) for row in mats[j - 1]]
+            for b in range(n):
+                for a in range(n):
+                    if pij[b][a] != pji[b][a]:
+                        return fail({"kind": "H1a", "i": i, "j": j,
+                                     "b": names[b], "a": names[a],
+                                     "values": [pij[b][a], pji[b][a]]})
+                    if pij[b][a] > 1:
+                        return fail({"kind": "H1b", "i": i, "j": j,
+                                     "b": names[b], "a": names[a],
+                                     "value": pij[b][a]})
+            for k in range(j + 1, ts.rank + 1):
+                pijk = [_mat_vec(cols[k - 1], row) for row in pij]
+                for b in range(n):
+                    for a in range(n):
+                        if pijk[b][a] > 1:
+                            return fail({"kind": "H1c", "i": i, "j": j, "k": k,
+                                         "b": names[b], "a": names[a],
+                                         "value": pijk[b][a]})
+    return {"condition": "H1a-c", "status": "pass", "params": {}}
+
+
+def test_h1_local_matches_dense_products():
+    """Same status and witness as dense M_i M_j and M_i M_j M_k products.
+
+    Random draws almost never get past (H1a)/(H1b) to (H1c), so rank-3
+    circulants, whose matrices commute, cover it; about three in ten have one
+    entry flipped.
+    """
+    rng = random.Random(0x5A1)
+    kinds = []
+    for _ in range(1200):
+        ts = random_system(rng, rng.randint(1, 6), rng.randint(1, 3),
+                           density=rng.choice([0.1, 0.2, 0.3, 0.5, 0.7]))
+        got = check_h1_local(ts).to_json()
+        assert got == _dense_h1_local(ts), ts.matrices
+        kinds.append(got.get("witness", {}).get("kind"))
+    for _ in range(900):
+        n = rng.randint(3, 12)
+        gens = [rng.sample(range(n), rng.randint(1, 3)) for _ in range(3)]
+        ts = circulant(n, gens)
+        if rng.random() < 0.3:
+            mats = [[list(row) for row in m] for m in ts.matrices]
+            j, b, a = rng.randrange(3), rng.randrange(n), rng.randrange(n)
+            mats[j][b][a] ^= 1
+            ts = TileSystem(ts.alphabet, mats)
+        got = check_h1_local(ts).to_json()
+        assert got == _dense_h1_local(ts), (n, gens)
+        kinds.append(got.get("witness", {}).get("kind"))
+    for kind in (None, "H1a", "H1b", "H1c"):
+        assert kinds.count(kind) >= 50, (kind, kinds.count(kind))
+
+
+def test_h1_local_reports_h1a_before_h1b_at_one_entry():
+    # (M_1 M_2)(0, 0) = 2 and (M_2 M_1)(0, 0) = 1: both (H1a) and (H1b) fail
+    # at the first entry, and (H1a) is the one reported
+    m1 = [[1, 1], [1, 1]]
+    m2 = [[1, 0], [1, 0]]
+    ts = TileSystem(Alphabet("01"), [m1, m2])
+    expected = {"kind": "H1a", "i": 1, "j": 2, "b": "0", "a": "0",
+                "values": [2, 1]}
+    assert check_h1_local(ts).witness == expected
+    assert _dense_h1_local(ts)["witness"] == expected
 
 
 # --- (H1) oracle -------------------------------------------------------------
