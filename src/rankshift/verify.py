@@ -145,9 +145,10 @@ def check_h1_local(ts: TileSystem) -> CheckResult:
     """The local product conditions (H1a), (H1b), (H1c).
 
     Row b of M_i M_j counts the paths a -> c -> b (a direction-j step, then
-    a direction-i step) over the predecessor lists: n q^2 work per pair for q
-    predecessors per letter, not n^3.  The first violation in scan order is
-    reported with the offending matrix entry and its value.
+    a direction-i step) over the predecessor lists: n q^2 work per pair and
+    n q^3 per (H1c) triple for q predecessors per letter, not n^3.  The
+    first violation in scan order is reported with the offending matrix
+    entry and its value.
     """
     n = ts.n_letters
     names = ts.alphabet.letters
