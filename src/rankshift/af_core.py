@@ -27,7 +27,6 @@ from .core import (
     dominates,
     shape_key,
     shapes_upto,
-    sub,
     unit,
     vec,
     zero,
@@ -58,9 +57,13 @@ def dim_vector(ts: TileSystem, dmap: DecorationMap, m: Shape) -> tuple[int, ...]
 
 
 def _step(ts: TileSystem, j: int, d: tuple[int, ...]) -> tuple[int, ...]:
-    """M_j d, summed over the predecessor lists: n q work, not n^2."""
-    return tuple(sum(map(d.__getitem__, ts.predecessors(j, b)))
-                 for b in range(ts.n_letters))
+    """M_j d, summed over the predecessor lists: n q work, not n^2.
+
+    Entry b is the sum of d(a) over the direction-j predecessors a of b.
+    """
+    get = d.__getitem__
+    return tuple([sum(map(get, ts.predecessors(j, b)))
+                  for b in range(ts.n_letters)])
 
 
 @dataclass(frozen=True)
@@ -152,6 +155,7 @@ def bratteli(ts: TileSystem, dmap: DecorationMap, upto: Shape) -> BratteliDiagra
 
     Level m > 0 is `dim_vector`'s step, M_j by predecessor sums, applied to
     level m - e_j for the last j with m_j > 0, so levels equal it for any M_j.
+    Levels are computed, and ``nodes`` is filled, in `shapes_upto` order.
     """
     upto = vec(upto)
     if len(upto) != ts.rank:
@@ -161,6 +165,6 @@ def bratteli(ts: TileSystem, dmap: DecorationMap, upto: Shape) -> BratteliDiagra
     nodes = {zero(ts.rank): dim_vector(ts, dmap, zero(ts.rank))}
     for m in shapes_upto(upto)[1:]:  # grade first: m - e_j comes before m
         j = max(i for i, c in enumerate(m, 1) if c)
-        nodes[m] = _step(ts, j, nodes[sub(m, unit(ts.rank, j))])
+        nodes[m] = _step(ts, j, nodes[(*m[:j - 1], m[j - 1] - 1, *m[j:])])
     return BratteliDiagram(ts, dmap, upto, nodes)
 

@@ -275,11 +275,12 @@ def _cmd_enumerate(args) -> int:
         source = decorated_words_of_shape(ts, dmap, shape, origin, terminus)
     else:
         source = words_of_shape(ts, shape, origin=origin, terminus=terminus)
+    write = sys.stdout.write  # one call per line; print makes two
     for w in source:
         if args.limit is not None and count >= args.limit:
             print(f"... truncated at --limit {args.limit}")
             break
-        print(_format_word(ts, w, dmap))
+        write(_format_word(ts, w, dmap) + "\n")
         count += 1
     print(f"count:{count}")
     return 0
@@ -371,17 +372,25 @@ def _cmd_bratteli(args) -> int:
     ts, dmap = load_system(args.system, transpose=args.transpose)
     upto = _parse_shape(args.upto, ts.rank, "--upto")
     diagram = af_core.bratteli(ts, dmap, upto)
+    chain = diagram.diagonal() if args.chain else []
     if args.format == "json":
-        print(json.dumps(diagram.to_json(), indent=2, sort_keys=True))
+        doc = diagram.to_json()
+        if args.chain:
+            names = ts.alphabet.letters
+            doc["chain"] = [{"shape": list(m), "dims": dict(zip(names, d))}
+                            for m, d in chain]
+        print(json.dumps(doc, indent=2, sort_keys=True))
     elif args.format == "dot":
-        print(diagram.to_dot())
+        # chain lines are comments inside the graph, before its closing brace
+        comments = "".join(f"  // chain {_format_shape(m)}: ({_format_shape(d)})\n"
+                           for m, d in chain)
+        print(diagram.to_dot().removesuffix("}") + comments + "}")
     else:
         for m in diagram.levels():
             dims = diagram.nodes[m]
             print(f"level {_format_shape(m)}: dims ({_format_shape(dims)}) "
                   f"total {sum(dims)}")
-    if args.chain:
-        for m, dims in diagram.diagonal():
+        for m, dims in chain:
             print(f"chain {_format_shape(m)}: ({_format_shape(dims)})")
     return 0
 

@@ -192,7 +192,9 @@ def iter_grid_completions(ts: TileSystem, shape: Shape,
     produced in lexicographic order of their full row-major tuple; cells are
     assigned one by one with every constraint towards already-assigned
     neighbours enforced, so the search is exact.  A cell tries its letters
-    least first, split from its mask once per call and distinct mask.  When
+    least first, split from its mask once per call and distinct mask; a
+    forced cell, whose mask has one bit, takes that letter with no list or
+    iterator, and backtracking passes over it.  When
     words are placed, one reverse sweep first narrows each cell x to letters
     with an allowed successor at every x + e_k.  It drops only letters that
     are in no grid, so the grids and their order stay; it is skipped without
@@ -223,8 +225,10 @@ def iter_grid_completions(ts: TileSystem, shape: Shape,
                 allowed[p] &= sum(1 << a for a, m in enumerate(masks) if m & allowed[i])
     assign = [0] * n_cells
     # per cell: an iterator over its allowed letters, least first; the letter
-    # list of each distinct mask is built once, in a table local to this call
-    its: list[Iterator[int]] = [iter(())] * n_cells
+    # list of each distinct mask is built once, in a table local to this call.
+    # A forced cell (one letter) gets the shared empty iterator instead.
+    done: Iterator[int] = iter(())
+    its: list[Iterator[int]] = [done] * n_cells
     table: dict[int, list[int]] = {}
     # iterative DFS over cells in row-major order: step into the next cell,
     # then take the next letter of the deepest cell that still has one
@@ -234,15 +238,22 @@ def iter_grid_completions(ts: TileSystem, shape: Shape,
         mask = allowed[i]
         for p, masks in plan[i]:
             mask &= masks[assign[p]]
-        opts = table.get(mask)
-        if opts is None:
-            opts, rest = [], mask
-            while rest:
-                low = rest & -rest
-                opts.append(low.bit_length() - 1)
-                rest ^= low
-            table[mask] = opts
-        its[i] = iter(opts)
+        if mask and not mask & (mask - 1):
+            assign[i] = mask.bit_length() - 1
+            its[i] = done
+            if i < last:
+                continue
+            yield tuple(assign)
+        else:
+            opts = table.get(mask)
+            if opts is None:
+                opts, rest = [], mask
+                while rest:
+                    low = rest & -rest
+                    opts.append(low.bit_length() - 1)
+                    rest ^= low
+                table[mask] = opts
+            its[i] = iter(opts)
         while True:
             a = next(its[i], None)
             if a is None:

@@ -391,7 +391,8 @@ class Word:
         return self.letters[box_offsets(self.shape, cell, cell)[0]]
 
     def render(self, alphabet: Alphabet) -> str:
-        return ",".join(map(alphabet.letters.__getitem__, self.letters))
+        names = alphabet.letters
+        return ",".join([names[a] for a in self.letters])
 
 
 def letter_word(rank: int, a: int) -> Word:

@@ -116,7 +116,10 @@ def test_counts_match_dense_recursion():
         dmap = DecorationMap(tuple(f"d{i}" for i in range(len(delta))), tuple(delta))
         upto = tuple(rng.randint(0, 3) for _ in range(rank))
         by_path, nodes = _dense_counts(ts, dmap, upto)
-        assert bratteli(ts, dmap, upto).nodes == nodes, (ts.matrices, upto)
+        diagram = bratteli(ts, dmap, upto)
+        assert diagram.nodes == nodes, (ts.matrices, upto)
+        # library callers see the levels in canonical order
+        assert list(diagram.nodes) == shapes_upto(upto)
         for m, d in by_path.items():
             assert dim_vector(ts, dmap, m) == d, (ts.matrices, m)
 

@@ -400,6 +400,37 @@ def test_bratteli_chain(fs2_file, capsys):
     assert "chain 2,2: (16,16,16,16)" in out
 
 
+def test_bratteli_chain_keeps_json_and_dot_whole(gm2_file, capsys):
+    argv = ["bratteli", gm2_file, "--upto", "2,1"]
+    assert main(argv + ["--format", "json"]) == 0
+    plain = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--format", "json", "--chain"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc.pop("chain") == [
+        {"shape": [0, 0], "dims": {"00": 1, "01": 1, "10": 1, "11": 1}},
+        {"shape": [1, 1], "dims": {"00": 4, "01": 2, "10": 2, "11": 1}}]
+    assert doc == plain
+    assert main(argv + ["--format", "dot"]) == 0
+    dot = capsys.readouterr().out
+    assert main(argv + ["--format", "dot", "--chain"]) == 0
+    chained = capsys.readouterr().out
+    assert chained.endswith("}\n") and chained.count("}") == 1
+    assert chained == dot[:-2] + ("  // chain 0,0: (1,1,1,1)\n"
+                                  "  // chain 1,1: (4,2,2,1)\n}\n")
+
+
+def test_bratteli_rank3_text_digest(tmp_path, capsys):
+    fs3 = str(tmp_path / "fs3.json")
+    full2 = os.path.join(SAMPLES, "full2.json")
+    assert main(["tensor", full2, full2, full2, "-o", fs3]) == 0
+    capsys.readouterr()
+    assert main(["bratteli", fs3, "--upto", "2,2,2"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 27
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "39f9c1bd7a7082f56c1ed586211852762e4f312aa53a5a4a5a912683412a3d1e"
+
+
 def test_tensor_subcommand(tmp_path, gm_file, gm2, capsys):
     out_path = str(tmp_path / "out.json")
     assert main(["tensor", gm_file, gm_file, "-o", out_path]) == 0
@@ -467,6 +498,14 @@ GOLDEN = [
      "6c3b6d1cfe28e5daa1997fced0cf97b3699ac9049738c19445dc3cff78f8d14e"),
     ("bratteli gm2.json --upto 3,3 --format json", 0,
      "76047f8c43983571e82dd43d6a0dbbcf09eac700ea84ee8abf7e5be38d998971"),
+    ("bratteli gm2.json --upto 3,3", 0,
+     "a35880a949ee6d09bf48f253dbecb0828f828b78da6c35a2997a7da47dcd1c6b"),
+    ("bratteli gm2.json --upto 3,3 --chain", 0,
+     "fc4137d4e6cf081d99388bf07d3a37162b85bb2de9eee14c986d987cbea8492b"),
+    ("bratteli gm2.json --upto 2,2 --format dot", 0,
+     "ce5df3390d0d9f6afe5fefcb4c5bae325251ebb1c17abd4a9dee875451e11151"),
+    ("enumerate gm2.json --shape 3,3 --limit 5", 0,
+     "21868003616b219fda1d0ee091764a83829a8e6ee70ebf28f14885ad425f6796"),
     ("enumerate gm2.json --shape 4,4", 0,
      "86a48f6e66c2d032c5c1c35714a251a248215ddbeec152c7362c052588c1980c"),
     ("enumerate fs2.json --shape 2,3 --origin 01", 0,

@@ -30,6 +30,7 @@ from rankshift.core import (
     TileSystem,
     Word,
     add,
+    box_cells,
     box_offsets,
     box_range,
     box_size,
@@ -328,6 +329,111 @@ def test_unplaced_search_matches_brute_force():
     clash = [(zero(2), letter_word(2, 0)), (zero(2), letter_word(2, 1))]
     for shape in [(0, 0), (1, 2)]:
         assert list(iter_grid_completions(ts, shape, clash)) == []
+
+
+def _reference_grid_completions(ts, shape, fixed=()):
+    """The grid searcher before forced cells skipped the letter iterator:
+    every cell, forced or not, gets a letter list and an iterator."""
+    st = strides(shape)
+    succ = [[ts.successor_mask(j, a) for a in range(ts.n_letters)]
+            for j in range(1, len(shape) + 1)]
+    plan = [tuple((i - st[k], succ[k]) for k in range(len(shape)) if cell[k] > 0)
+            for i, cell in enumerate(box_cells(shape))]
+    n_cells = len(plan)
+    allowed = [(1 << ts.n_letters) - 1] * n_cells
+    for k, u in fixed:
+        for i, a in zip(box_offsets(shape, k, add(k, u.shape)), u.letters):
+            allowed[i] &= 1 << a
+    if fixed:
+        for i in reversed(range(n_cells)):
+            for p, masks in plan[i]:
+                allowed[p] &= sum(1 << a for a, m in enumerate(masks) if m & allowed[i])
+    assign = [0] * n_cells
+    its = [iter(())] * n_cells
+    table = {}
+    i, last = -1, n_cells - 1
+    while True:
+        i += 1
+        mask = allowed[i]
+        for p, masks in plan[i]:
+            mask &= masks[assign[p]]
+        opts = table.get(mask)
+        if opts is None:
+            opts, rest = [], mask
+            while rest:
+                low = rest & -rest
+                opts.append(low.bit_length() - 1)
+                rest ^= low
+            table[mask] = opts
+        its[i] = iter(opts)
+        while True:
+            a = next(its[i], None)
+            if a is None:
+                i -= 1
+                if i < 0:
+                    return
+                continue
+            assign[i] = a
+            if i < last:
+                break
+            yield tuple(assign)
+
+
+def _ends(rank, shape, origin, terminus):
+    fixed = []
+    if origin is not None:
+        fixed.append((zero(rank), letter_word(rank, origin)))
+    if terminus is not None:
+        fixed.append((shape, letter_word(rank, terminus)))
+    return fixed
+
+
+@pytest.mark.parametrize("name,bound", [("gm2", (5, 5)), ("fs2", (5, 5)),
+                                        ("fs3", (2, 2, 2))])
+def test_grid_search_matches_reference(name, bound, request):
+    """Same grids in the same order as the searcher without the forced-cell
+    step, at every shape up to the bound, with and without placed ends."""
+    ts = request.getfixturevalue(name)
+    rng = random.Random(1313)
+    for shape in box_cells(bound):
+        a, b = rng.randrange(ts.n_letters), rng.randrange(ts.n_letters)
+        for origin, terminus in [(None, None), (a, None), (None, b), (a, b)]:
+            fixed = _ends(ts.rank, shape, origin, terminus)
+            assert list(iter_grid_completions(ts, shape, fixed)) == \
+                list(_reference_grid_completions(ts, shape, fixed)), \
+                (name, shape, origin, terminus)
+
+
+def test_sparse_grid_search_matches_reference():
+    """Sparse random systems, where most cells are forced or dead, with a
+    placed terminus and a placed sub-box word at random."""
+    rng = random.Random(2020)
+    nonempty = 0
+    for _ in range(400):
+        rank = rng.randint(1, 3)
+        ts = random_system(rng, rng.randint(3, 8), rank, 0.2)
+        shape = tuple(rng.randint(0, 5 if rank < 3 else 2) for _ in range(rank))
+        fixed = []
+        if rng.random() < 0.5:
+            fixed.append((shape, letter_word(rank, rng.randrange(ts.n_letters))))
+        if rng.random() < 0.5:
+            corner = tuple(rng.randint(0, m) for m in shape)
+            sub = tuple(rng.randint(0, min(1, m - c)) for c, m in zip(corner, shape))
+            words = list(itertools.islice(iter_grid_completions(ts, sub), 20))
+            if words:
+                fixed.append((corner, Word(sub, rng.choice(words))))
+        got = list(iter_grid_completions(ts, shape, fixed))
+        assert got == list(_reference_grid_completions(ts, shape, fixed)), \
+            (ts.matrices, shape, fixed)
+        nonempty += bool(got)
+    assert nonempty >= 150
+
+
+def test_grid_search_is_lazy(jj):
+    """The first grid of a search with 2^402 grids comes at once."""
+    grids = iter_grid_completions(jj, (1, 200))
+    assert next(grids) == (0,) * 402
+    assert next(grids) == (0,) * 401 + (1,)
 
 
 def _random_word_from(ts, rng, origin):

@@ -9,10 +9,12 @@ from rankshift import (
     InvalidWordError,
     TileSystem,
     Word,
+    full_shift,
     is_periodic,
     letter_word,
     restrict,
     shape_lattice,
+    tensor,
     translates_agree,
     validate_word,
 )
@@ -28,6 +30,7 @@ from rankshift.core import (
     translate_reps,
     word_violations,
 )
+from rankshift.builders import from_rank1
 from rankshift.completion import words_of_shape
 
 
@@ -169,6 +172,22 @@ def test_box_offsets_match_stride_sums(data):
     assert box_offsets(shape, lo, hi) == reference
     assert box_offsets(shape, (0,) * rank, shape) == list(range(len(list(box_cells(shape)))))
     assert box_offsets((2, 2), (1, 2), (1, 1)) == []
+
+
+def test_render_matches_joined_names():
+    """One-cell words, multi-character names and tensor names with dots
+    render as the names joined with commas."""
+    dotted = tensor([from_rank1(["aa", "b"], [[1, 1], [1, 0]]), full_shift(2)])
+    assert dotted.alphabet.letters[0] == "aa.0"
+    cases = [
+        (Alphabet(["a", "bc"]), Word((0,), (1,)), "bc"),
+        (Alphabet(["a", "bc"]), Word((0, 0), (0,)), "a"),
+        (Alphabet(["x1", "long-name", "z"]), Word((2,), (1, 0, 2)), "long-name,x1,z"),
+        (dotted.alphabet, Word((1, 1), (0, 1, 2, 3)), "aa.0,aa.1,b.0,b.1"),
+    ]
+    for alphabet, w, text in cases:
+        assert w.render(alphabet) == text
+        assert w.render(alphabet) == ",".join(map(alphabet.letters.__getitem__, w.letters))
 
 
 def test_restrict_identity(fs2):
