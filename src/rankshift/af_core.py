@@ -24,6 +24,7 @@ from .core import (
     Shape,
     TileSystem,
     add,
+    check_shape,
     dominates,
     shape_key,
     shapes_upto,
@@ -41,11 +42,7 @@ def dim_vector(ts: TileSystem, dmap: DecorationMap, m: Shape) -> tuple[int, ...]
     Predecessor-sum recursion along one fixed path (M_1 m_1 times, then
     M_2, ..., M_r last); other monotone paths agree only when the M_j commute.
     """
-    m = vec(m)
-    if len(m) != ts.rank:
-        raise ValueError(f"shape {m} has wrong rank")
-    if any(c < 0 for c in m):
-        raise ValueError(f"shape {m} has a negative component")
+    m = check_shape(ts, m, "shape")
     d = [0] * ts.n_letters
     for a in dmap.delta:
         d[a] += 1
@@ -64,6 +61,11 @@ def _step(ts: TileSystem, j: int, d: tuple[int, ...]) -> tuple[int, ...]:
     get = d.__getitem__
     return tuple([sum(map(get, ts.predecessors(j, b)))
                   for b in range(ts.n_letters)])
+
+
+def _dot_quote(text: str) -> str:
+    """text as a quoted DOT string: backslash and double quote escaped."""
+    return '"%s"' % text.replace("\\", "\\\\").replace('"', '\\"')
 
 
 @dataclass(frozen=True)
@@ -127,14 +129,15 @@ class BratteliDiagram:
         lines = ["digraph bratteli {", "  rankdir=BT;"]
 
         def node_id(m, a):
-            return '"%s|%s"' % (",".join(map(str, m)), names[a])
+            return _dot_quote("%s|%s" % (",".join(map(str, m)), names[a]))
 
         for m in self.levels():
             dims = self.nodes[m]
             lines.append("  // level (%s): dims (%s) total %d" % (
                 ",".join(map(str, m)), ",".join(map(str, dims)), sum(dims)))
             for a, d in enumerate(dims):
-                lines.append("  %s [label=\"%s:%d\"];" % (node_id(m, a), names[a], d))
+                lines.append("  %s [label=%s];" % (
+                    node_id(m, a), _dot_quote("%s:%d" % (names[a], d))))
         for m in self.levels():
             for j in range(1, self.system.rank + 1):
                 target = add(m, unit(self.system.rank, j))
@@ -157,11 +160,7 @@ def bratteli(ts: TileSystem, dmap: DecorationMap, upto: Shape) -> BratteliDiagra
     level m - e_j for the last j with m_j > 0, so levels equal it for any M_j.
     Levels are computed, and ``nodes`` is filled, in `shapes_upto` order.
     """
-    upto = vec(upto)
-    if len(upto) != ts.rank:
-        raise ValueError(f"bound {upto} has wrong rank")
-    if any(c < 0 for c in upto):
-        raise ValueError(f"bound {upto} has a negative component")
+    upto = check_shape(ts, upto, "bound")
     nodes = {zero(ts.rank): dim_vector(ts, dmap, zero(ts.rank))}
     for m in shapes_upto(upto)[1:]:  # grade first: m - e_j comes before m
         j = max(i for i, c in enumerate(m, 1) if c)

@@ -335,9 +335,8 @@ def _cmd_witness_connect(args) -> int:
 
 
 def _cmd_witness_distinct_pair(args) -> int:
-    _check_floor(args.max_grade, 1, "--max-grade")
     ts, _ = _load_gated(args)
-    u, v = witnesses.distinct_pair(ts, max_grade=args.max_grade)
+    u, v = witnesses.distinct_pair(ts)
     print(_format_word(ts, u))
     print(_format_word(ts, v))
     return 0
@@ -457,7 +456,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="largest |p| searched for non-periodic witnesses "
                         "(default 2,...,2)")
     p.add_argument("--h3-shape-bound", metavar="S",
-                   help="largest word shape searched per p "
+                   help="each p is decided at shape |p|, so this bound only "
+                        "decides which p are searched: those with |p| <= S "
                         "(default p bound + 1)")
     p.add_argument("--h3-star-cap", type=int, default=100_000,
                    help="max fiber sets before the (H3*) run reports cap-hit "
@@ -501,6 +501,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_product)
 
     p = sub.add_parser("witness", help="constructive witnesses")
+    shape_bound_help = ("per-p witness search bound; each p is decided at shape "
+                        "|p|, so it only decides which p are searched: those "
+                        "with |p| <= S (default p bound + 2)")
     wsub = p.add_subparsers(dest="witness_kind", required=True)
 
     w = wsub.add_parser("nonperiodic",
@@ -509,8 +512,7 @@ def _build_parser() -> argparse.ArgumentParser:
     w.add_argument("--p-bound", required=True, metavar="M")
     w.add_argument("--origin", metavar="A",
                    help="origin letter (default: first letter)")
-    w.add_argument("--shape-bound", metavar="S",
-                   help="per-p witness search bound (default p bound + 2)")
+    w.add_argument("--shape-bound", metavar="S", help=shape_bound_help)
     w.set_defaults(func=_cmd_witness_nonperiodic)
 
     w = wsub.add_parser("connect", help="a word with given ends and minimum shape")
@@ -523,24 +525,19 @@ def _build_parser() -> argparse.ArgumentParser:
     w = wsub.add_parser("distinct-pair",
                         help="two words of equal shape and origin")
     common(w)
-    w.add_argument("--max-grade", type=int, default=4,
-                   help="largest total shape size searched "
-                        "(default %(default)s)")
     w.set_defaults(func=_cmd_witness_distinct_pair)
 
     w = wsub.add_parser("set-s", help="a translate-separated word family")
     common(w)
     w.add_argument("--p-bound", required=True, metavar="M")
-    w.add_argument("--shape-bound", metavar="S",
-                   help="per-p witness search bound (default p bound + 2)")
+    w.add_argument("--shape-bound", metavar="S", help=shape_bound_help)
     w.set_defaults(func=_cmd_witness_set_s)
 
     w = wsub.add_parser("q-support",
                         help="the projection support over a separating family")
     common(w)
     w.add_argument("--p-bound", required=True, metavar="M")
-    w.add_argument("--shape-bound", metavar="S",
-                   help="per-p witness search bound (default p bound + 2)")
+    w.add_argument("--shape-bound", metavar="S", help=shape_bound_help)
     w.add_argument("--total", metavar="S",
                    help="ambient shape (default m + l); larger values "
                         "realise refinements")

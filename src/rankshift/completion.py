@@ -37,6 +37,7 @@ from .core import (
     box_offsets,
     box_range,
     box_size,
+    check_shape,
     dominates,
     letter_word,
     strides,
@@ -63,8 +64,8 @@ def extend_along(ts: TileSystem, w: Word, target: Shape,
     violates (H1)).  Steps are read lazily, one per filled layer, and must
     end exactly at target.
     """
-    target = vec(target)
-    if len(target) != ts.rank or not dominates(target, w.shape):
+    target = check_shape(ts, target, "target")
+    if not dominates(target, w.shape):
         raise ValueError(f"target {target} does not dominate shape {w.shape}")
     st = strides(target)
     letters = [-1] * box_size(target)
@@ -171,9 +172,6 @@ def list_extensions(ts: TileSystem, u: WordLike, n: Shape
     Results come in the canonical order: lexicographic over the row-major
     letters of w.
     """
-    n = vec(n)
-    if len(n) != ts.rank:
-        raise ValueError(f"shape {n} has wrong rank")
     return [(w, product(ts, u, w))
             for w in words_of_shape(ts, n, origin=u.terminus)]
 
@@ -201,9 +199,7 @@ def iter_grid_completions(ts: TileSystem, shape: Shape,
     placements, where it would cost time and, on an essential system, drop
     nothing.
     """
-    shape = vec(shape)
-    if any(c < 0 for c in shape):
-        raise ValueError(f"shape {shape} has a negative component")
+    shape = check_shape(ts, shape, "shape")
     st = strides(shape)
     succ = [[ts.successor_mask(j, a) for a in range(ts.n_letters)]
             for j in range(1, len(shape) + 1)]
@@ -272,15 +268,17 @@ def words_of_shape(ts: TileSystem, shape: Shape,
                    terminus: int | None = None) -> Iterator[Word]:
     """All words of the given shape, lexicographic in row-major letters.
 
-    Optional origin/terminus filters place one-letter words at 0 and at shape.
+    Optional origin/terminus filters, letter names or indices, place
+    one-letter words at 0 and at shape; a letter not in the alphabet raises
+    :class:`~rankshift.core.UnknownLetterError`.
     """
     shape = vec(shape)
-    rank = len(shape)
+    rank = ts.rank
     fixed = []
     if origin is not None:
-        fixed.append((zero(rank), letter_word(rank, origin)))
+        fixed.append((zero(rank), letter_word(rank, ts.alphabet.resolve(origin))))
     if terminus is not None:
-        fixed.append((shape, letter_word(rank, terminus)))
+        fixed.append((shape, letter_word(rank, ts.alphabet.resolve(terminus))))
     for letters in iter_grid_completions(ts, shape, fixed):
         yield Word(shape, letters)
 

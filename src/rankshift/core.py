@@ -339,6 +339,17 @@ class TileSystem:
                 f"letters={list(self.alphabet.letters)!r})")
 
 
+def check_shape(ts: TileSystem, shape: Iterable[int], what: str) -> Shape:
+    """The shape or bound given as ``what``, as a tuple; :class:`ValueError`
+    if its rank is not that of ts or a component is negative."""
+    shape = vec(shape)
+    if len(shape) != ts.rank:
+        raise ValueError(f"{what} {shape} has wrong rank; system rank is {ts.rank}")
+    if any(c < 0 for c in shape):
+        raise ValueError(f"{what} {shape} has a negative component")
+    return shape
+
+
 def _mask(indices: Iterable[int]) -> int:
     m = 0
     for i in indices:
@@ -504,14 +515,14 @@ def validate_word(ts: TileSystem, cells, shape: Shape | None = None) -> Word:
             shape, flat = zero(ts.rank), [cells]
         else:
             shape, flat = _parse_nested(cells)
+            if len(shape) != ts.rank:
+                raise ValueError(f"grid rank {len(shape)} != system rank {ts.rank}")
     else:
-        shape = vec(shape)
+        shape = check_shape(ts, shape, "shape")
         flat = list(cells)
         if len(flat) != box_size(shape):
             raise ValueError(
                 f"{len(flat)} cells do not fill a box of shape {shape}")
-    if len(shape) != ts.rank:
-        raise ValueError(f"grid rank {len(shape)} != system rank {ts.rank}")
     letters = tuple(ts.alphabet.resolve(c) for c in flat)
     violations = word_violations(ts, shape, letters)
     if violations:

@@ -37,6 +37,7 @@ from .core import (
     absv,
     box_cells,
     box_offsets,
+    check_shape,
     dominates,
     is_periodic,
     shapes_upto,
@@ -111,17 +112,6 @@ class VerificationReport:
 def _word_json(ts: TileSystem, w: Word) -> dict:
     return {"shape": list(w.shape),
             "cells": [ts.alphabet.name(a) for a in w.letters]}
-
-
-def _bound(ts: TileSystem, bound: Shape, what: str) -> Shape:
-    """The bound as a tuple; :class:`ValueError` if its rank is not that of
-    ts or a component is negative."""
-    bound = vec(bound)
-    if len(bound) != ts.rank:
-        raise ValueError(f"{what} {bound} has wrong rank; system rank is {ts.rank}")
-    if any(c < 0 for c in bound):
-        raise ValueError(f"{what} {bound} has a negative component")
-    return bound
 
 
 def _names(ts: TileSystem, mask: int) -> list[str]:
@@ -202,7 +192,7 @@ def check_h1_oracle(ts: TileSystem, shape_bound: Shape) -> CheckResult:
     raises :class:`ValueError`, as does a bad rank or a negative component.
     An independent oracle for :func:`check_h1_local`; never calls the forced fill.
     """
-    shape_bound = _bound(ts, shape_bound, "shape bound")
+    shape_bound = check_shape(ts, shape_bound, "shape bound")
     if sum(shape_bound) < 2:
         raise ValueError(f"shape bound {shape_bound} has no split into two "
                          f"nonzero shapes; its grade must be at least 2")
@@ -412,18 +402,20 @@ def nonperiodic_witness(ts: TileSystem, p: Translate, shape_bound: Shape
                         ) -> Optional[Word]:
     """First word (canonical order) within the bound that is not p-periodic.
 
-    Only shapes l with |p| <= l <= shape_bound can carry a witness: smaller
-    boxes have empty overlap with their p-translate.
+    One grid search, at shape |p|, decides it.  Only shapes l >= |p| can carry
+    a witness, as smaller boxes have empty overlap with their p-translate.  A
+    word of shape l that differs at x and x + p restricts, on the box spanned
+    by those two cells, to a word of shape |p| that differs at two of its
+    corners; and |p| is the first shape in canonical order dominating |p|.
+    So the first witness of any shape up to the bound is the first of shape
+    |p|, and there is none when shape_bound does not dominate |p|.
     """
     lo = absv(p)
     if not dominates(shape_bound, lo):
         return None
-    for l in shapes_upto(shape_bound):
-        if not dominates(l, lo):
-            continue
-        for w in words_of_shape(ts, l):
-            if not is_periodic(w, p):
-                return w
+    for w in words_of_shape(ts, lo):
+        if not is_periodic(w, p):
+            return w
     return None
 
 
@@ -448,12 +440,14 @@ def check_h3_bounded(ts: TileSystem, p_bound: Shape, shape_bound: Shape
     p ranges over representatives modulo p <-> -p (periodicity is symmetric).
     Bounded-pass lists one witness per p; a fail means some p has no witness
     within shape_bound, which is inconclusive for (H3) globally and is
-    reported as such.  An all-zero p_bound admits no p and raises
-    :class:`ValueError`, as does a bad rank or a negative component in either
-    bound.
+    reported as such.  Each p is decided by one search at shape |p| (see
+    :func:`nonperiodic_witness`), so shape_bound only decides which p are
+    searched: a p with |p| not below it is reported without a witness.  An
+    all-zero p_bound admits no p and raises :class:`ValueError`, as does a
+    bad rank or a negative component in either bound.
     """
-    p_bound = _bound(ts, p_bound, "p bound")
-    shape_bound = _bound(ts, shape_bound, "shape bound")
+    p_bound = check_shape(ts, p_bound, "p bound")
+    shape_bound = check_shape(ts, shape_bound, "shape bound")
     if not any(p_bound):
         raise ValueError(f"p bound {p_bound} admits no translate p != 0")
     params = {"p_bound": list(p_bound), "shape_bound": list(shape_bound)}
@@ -471,8 +465,8 @@ def check_h3_bounded(ts: TileSystem, p_bound: Shape, shape_bound: Shape
 def h3_bounded_witnesses(ts: TileSystem, p_bound: Shape, shape_bound: Shape
                          ) -> dict[Translate, Word]:
     """Witness words per canonical p, raising if any p has none in bounds."""
-    found, missing = _h3_search(ts, _bound(ts, p_bound, "p bound"),
-                                _bound(ts, shape_bound, "shape bound"))
+    found, missing = _h3_search(ts, check_shape(ts, p_bound, "p bound"),
+                                check_shape(ts, shape_bound, "shape bound"))
     if missing:
         raise WitnessSearchError(
             f"no non-periodic witness within shape bound {tuple(shape_bound)} "

@@ -22,7 +22,7 @@ from .core import (
     WitnessSearchError,
     Word,
     add,
-    compositions,
+    check_shape,
     dominates,
     is_zero,
     join,
@@ -31,16 +31,11 @@ from .core import (
     restrict,
     translate_reps,
     translates_agree,
+    unit,
     vec,
     zero,
 )
-from .completion import (
-    extend_along,
-    iter_grid_completions,
-    product,
-    word_from_path,
-    words_of_shape,
-)
+from .completion import extend_along, iter_grid_completions, product, word_from_path
 from .verify import h3_bounded_witnesses
 
 __all__ = [
@@ -56,9 +51,7 @@ def connect(ts: TileSystem, a: int, b: int, n_min: Shape) -> Word:
     finds a shortest qualifying staircase; ties break by direction then
     letter order.  Unreachable letters mean the system fails (H2).
     """
-    n_min = vec(n_min)
-    if len(n_min) != ts.rank:
-        raise ValueError("minimum shape has wrong rank")
+    n_min = check_shape(ts, n_min, "minimum shape")
     start = (a, zero(ts.rank))
     goal = (b, n_min)
     if start == goal:
@@ -115,29 +108,26 @@ def grow_to_shape(ts: TileSystem, w: Word, target: Shape) -> Word:
     return extend_along(ts, w, target, greedy(w.terminus))
 
 
-def _shapes_by_grade(rank: int, max_grade: int) -> Iterator[Shape]:
-    for grade in range(1, max_grade + 1):
-        yield from compositions(grade, rank)
-
-
-def distinct_pair(ts: TileSystem, max_grade: int = 4) -> tuple[Word, Word]:
+def distinct_pair(ts: TileSystem) -> tuple[Word, Word]:
     """Two different words of equal shape and equal origin.
 
-    Graded search: shapes by total size (direction 1 major), origins in
-    declaration order, words in canonical order; the first two hits win.
-    Exhausting the bound is reported as evidence against (H3): it means
-    every word is determined by its origin and shape.
+    Unit shapes decide it, with no grid search.  Directions are taken in
+    order, then letters in declaration order: the first letter c with two
+    direction-j successors b < b' gives the words (c, b) and (c, b') of shape
+    e_j, the first pair in canonical (grade-first) order.  If no letter has
+    two successors in any one direction, each cell of a word is forced by
+    the cell before it, so every word is determined by its origin and shape;
+    that is reported as evidence against (H3).
     """
-    for shape in _shapes_by_grade(ts.rank, max_grade):
+    for j in range(1, ts.rank + 1):
+        e_j = unit(ts.rank, j)
         for c in range(ts.n_letters):
-            found = []
-            for w in words_of_shape(ts, shape, origin=c):
-                found.append(w)
-                if len(found) == 2:
-                    return found[0], found[1]
+            succ = ts.successors(j, c)
+            if len(succ) > 1:
+                return Word(e_j, (c, succ[0])), Word(e_j, (c, succ[1]))
     raise WitnessSearchError(
-        f"no two distinct words of equal shape and origin up to total size "
-        f"{max_grade}; evidence against (H3)")
+        "no two distinct words of equal shape and origin: no letter has two "
+        "successors in any one direction; evidence against (H3)")
 
 
 def nonperiodic_all(ts: TileSystem, m: Shape, a: int,
@@ -155,9 +145,7 @@ def nonperiodic_all(ts: TileSystem, m: Shape, a: int,
 def _nonperiodic_words(ts: TileSystem, m: Shape, shape_bound: Shape | None,
                        letters: Iterable[int]) -> dict[int, Word]:
     """:func:`nonperiodic_all` for each letter, from one core p_0 s_0 ... p_k."""
-    m = vec(m)
-    if len(m) != ts.rank:
-        raise ValueError("translate bound has wrong rank")
+    m = check_shape(ts, m, "p bound")
     if is_zero(m):
         return {a: letter_word(ts.rank, a) for a in letters}
     if shape_bound is None:
@@ -179,7 +167,9 @@ def separate_translates(ts: TileSystem, p: Translate, w1: Word, w2: Word
     behind a spacer s chosen so that the spliced box lands at
     p + shape(w1) + shape(s) >= 0 inside w2'; whichever of u, v differs from
     what w2' shows there forces the disagreement, which then survives any
-    further padding.  The overlap of the two extensions is never empty.
+    further padding.  The overlap of the two extensions is never empty.  The
+    pair has a unit shape e_j (see :func:`distinct_pair`): if any two words
+    of one shape and origin differ, two of shape e_j already do.
     """
     p = vec(p)
     if w1.shape != w2.shape:
@@ -271,12 +261,10 @@ def projection_support(ts: TileSystem, dmap: DecorationMap, m: Shape,
     disjoint, and their union is returned in the canonical (lexicographic
     row-major) order.
     """
-    m = vec(m)
-    l = vec(l)
+    m = check_shape(ts, m, "p bound")
+    l = check_shape(ts, l, "common shape")
     window_hi = add(m, l)
-    if total is None:
-        total = window_hi
-    total = vec(total)
+    total = check_shape(ts, window_hi if total is None else total, "total shape")
     if not dominates(total, window_hi):
         raise ValueError(f"total shape {total} must dominate m + l = {window_hi}")
     members = dict.fromkeys(family.values())

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -393,6 +394,22 @@ def test_bratteli_text_and_dot(gm_file, capsys):
     assert "digraph" in dot and '"1|0"' in dot
 
 
+def test_bratteli_dot_escapes_letter_names(tmp_path, capsys):
+    """A letter name holding '"' or '\\' is escaped in node ids and labels."""
+    path = tmp_path / "quoted.json"
+    path.write_text(json.dumps({"rank": 1, "alphabet": ['a"b', "c\\d"],
+                                "matrices": [[[1, 1], [1, 0]]]}))
+    assert main(["bratteli", str(path), "--upto", "1", "--format", "dot"]) == 0
+    dot = capsys.readouterr().out
+    assert '  "0|a\\"b" [label="a\\"b:1"];\n' in dot
+    assert '  "0|c\\\\d" [label="c\\\\d:1"];\n' in dot
+    assert '  "0|a\\"b" -> "1|c\\\\d" [label="1"];\n' in dot
+    # outside its quoted strings, no line holds a quote or a backslash
+    for line in dot.splitlines():
+        bare = re.sub(r'"(?:[^"\\]|\\.)*"', "", line)
+        assert '"' not in bare and "\\" not in bare, line
+
+
 def test_bratteli_chain(fs2_file, capsys):
     assert main(["bratteli", fs2_file, "--upto", "2,2", "--chain"]) == 0
     out = capsys.readouterr().out
@@ -567,7 +584,7 @@ def test_save_system_reports_path(tmp_path, gm):
 
 @pytest.mark.parametrize("argv, flag", [
     (["verify", "{gm}", "--h3-star-cap", "0"], "--h3-star-cap"),
-    (["witness", "distinct-pair", "{fs2}", "--max-grade", "0"], "--max-grade"),
+    (["verify", "{gm}", "--h3-p-bound", "0"], "--h3-p-bound"),
     (["enumerate", "{gm}", "--shape", "2", "--limit", "-1"], "--limit"),
     # bounds that would pass vacuously: no split of grade >= 2, no p != 0
     (["verify", "{fs2}", "--h1-oracle-bound", "1,0"], "--h1-oracle-bound"),
@@ -787,7 +804,7 @@ _ARGV = st.one_of(
           _option("--origin", _LETTER), _option("--shape-bound", _shape_text())),
     _argv(["witness", "connect"], _SAMPLE, _flag("--from", _LETTER),
           _flag("--to", _LETTER), _flag("--min-shape", _shape_text())),
-    _argv(["witness", "distinct-pair"], _SAMPLE, _option("--max-grade", _INT)),
+    _argv(["witness", "distinct-pair"], _SAMPLE),
     # set-s and q-support grow fast in the p bound, so theirs stays at 2
     _argv(["witness", "set-s"], _SAMPLE, _flag("--p-bound", _shape_text(2)),
           _option("--shape-bound", _shape_text())),

@@ -28,6 +28,7 @@ from rankshift.core import (
     CompletionError,
     DecorationMap,
     TileSystem,
+    UnknownLetterError,
     Word,
     add,
     box_cells,
@@ -242,6 +243,19 @@ def test_decorated_words_of_shape_origin(name, request):
                         ts, dmap, shape, origin=a, terminus=t)) == \
                         [dw for dw in every
                          if dw.word.origin == a and dw.word.terminus == t]
+
+
+def test_origin_and_terminus_must_be_letters(gm2):
+    """An origin or terminus outside the alphabet raises; it does not yield
+    nothing.  Names resolve like indices."""
+    dmap = DecorationMap.identity(gm2.alphabet)
+    for bad in ({"origin": 99}, {"terminus": 4}, {"origin": -1}, {"terminus": "zz"}):
+        with pytest.raises(UnknownLetterError):
+            list(words_of_shape(gm2, (1, 1), **bad))
+        with pytest.raises(UnknownLetterError):
+            list(decorated_words_of_shape(gm2, dmap, (1, 1), **bad))
+    assert list(words_of_shape(gm2, (1, 1), origin="10", terminus="01")) == \
+        list(words_of_shape(gm2, (1, 1), origin=2, terminus=1))
 
 
 def test_iter_grid_completions_limit(fs2):

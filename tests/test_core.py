@@ -20,6 +20,7 @@ from rankshift import (
 )
 from rankshift.core import (
     absv,
+    check_shape,
     box_cells,
     box_offsets,
     box_range,
@@ -31,7 +32,9 @@ from rankshift.core import (
     word_violations,
 )
 from rankshift.builders import from_rank1
-from rankshift.completion import words_of_shape
+from rankshift.af_core import bratteli, dim_vector
+from rankshift.completion import extend_along, list_extensions, words_of_shape
+from rankshift.witnesses import connect, nonperiodic_all, projection_support
 
 
 def test_shape_lattice_examples():
@@ -340,3 +343,42 @@ def test_decoration_map_attach_enforces_origin(gm):
 def test_word_violations_empty_for_valid(gm2):
     for w in itertools.islice(words_of_shape(gm2, (2, 1)), 10):
         assert word_violations(gm2, w.shape, w.letters) == []
+
+
+def test_check_shape(gm2):
+    assert check_shape(gm2, [1, 2], "shape") == (1, 2)
+    with pytest.raises(ValueError, match=r"^bound \(1,\) has wrong rank; system rank is 2$"):
+        check_shape(gm2, (1,), "bound")
+    with pytest.raises(ValueError, match=r"^bound \(1, -1\) has a negative component$"):
+        check_shape(gm2, (1, -1), "bound")
+
+
+_SHAPE_ARGUMENTS = {
+    "words_of_shape": lambda ts, s: list(words_of_shape(ts, s)),
+    "extend_along": lambda ts, s: extend_along(ts, letter_word(2, 0), s, []),
+    "validate_word": lambda ts, s: validate_word(ts, ["00"] * 2, shape=s),
+    "list_extensions": lambda ts, s: list_extensions(ts, letter_word(2, 0), s),
+    "connect": lambda ts, s: connect(ts, 0, 3, s),
+    "nonperiodic_all": lambda ts, s: nonperiodic_all(ts, s, 0),
+    "projection_support m": lambda ts, s: projection_support(
+        ts, DecorationMap.identity(ts.alphabet), s, (0, 0), {}),
+    "projection_support l": lambda ts, s: projection_support(
+        ts, DecorationMap.identity(ts.alphabet), (0, 0), s, {}),
+    "projection_support total": lambda ts, s: projection_support(
+        ts, DecorationMap.identity(ts.alphabet), (0, 0), (0, 0), {}, s),
+    "dim_vector": lambda ts, s: dim_vector(ts, DecorationMap.identity(ts.alphabet), s),
+    "bratteli": lambda ts, s: bratteli(ts, DecorationMap.identity(ts.alphabet), s),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SHAPE_ARGUMENTS))
+@pytest.mark.parametrize("shape, message", [
+    pytest.param((1,), "has wrong rank; system rank is 2", id="rank-1"),
+    pytest.param((1, 1, 1), "has wrong rank; system rank is 2", id="rank-3"),
+    pytest.param((-2, 1), "has a negative component", id="negative"),
+])
+def test_shape_arguments_are_checked(gm2, name, shape, message):
+    """A shape or bound of the wrong rank, or with a negative component,
+    raises the one ValueError, not a wrong-rank answer or an IndexError."""
+    with pytest.raises(ValueError, match=message):
+        _SHAPE_ARGUMENTS[name](gm2, shape)

@@ -7,7 +7,9 @@ from rankshift import Alphabet, TileSystem, validate_word, verify
 from rankshift.builders import from_rank1, random_system
 from rankshift.completion import iter_grid_completions, words_of_shape
 from rankshift.core import (
+    absv,
     box_cells,
+    dominates,
     is_periodic,
     is_zero,
     shapes_upto,
@@ -23,6 +25,7 @@ from rankshift.verify import (
     check_h2,
     check_h3_bounded,
     check_h3_star,
+    nonperiodic_witness,
     verify_report,
 )
 from rankshift.witnesses import nonperiodic_all
@@ -434,6 +437,47 @@ def test_h3_bounded_single_letter_fails(single):
     result = check_h3_bounded(single, (1,), (3,))
     assert result.status is Status.FAIL
     assert result.witness["no_witness_for"] == [[1]]
+
+
+def _walked_nonperiodic_witness(ts, p, shape_bound):
+    """The former search: every shape l with |p| <= l <= shape_bound, in
+    canonical order, and the first word of the first that has one."""
+    lo = absv(p)
+    if not dominates(shape_bound, lo):
+        return None
+    for l in shapes_upto(shape_bound):
+        if not dominates(l, lo):
+            continue
+        for w in words_of_shape(ts, l):
+            if not is_periodic(w, p):
+                return w
+    return None
+
+
+def test_nonperiodic_witness_matches_the_shape_walk():
+    """One search at shape |p| finds what the walk over every shape up to the
+    bound found, on random systems of rank 1-3: a witness, no witness at any
+    shape, or none because the bound does not dominate |p|."""
+    rng = random.Random(1414)
+    seen = {"witness": 0, "no witness": 0, "bound below |p|": 0}
+    for _ in range(1000):
+        rank = rng.randint(1, 3)
+        ts = random_system(rng, rng.randint(1, 4), rank, rng.choice([0.3, 0.5, 0.8]))
+        top = (3, 2, 1)[rank - 1]
+        for p in rng.sample(translate_reps((top,) * rank), 3):
+            bound = tuple(max(0, min(c + rng.randint(-1, 1), top))
+                          for c in absv(p))
+            got = nonperiodic_witness(ts, p, bound)
+            assert got == _walked_nonperiodic_witness(ts, p, bound), (
+                ts.matrices, p, bound)
+            if not dominates(bound, absv(p)):
+                seen["bound below |p|"] += 1
+            elif got is None:
+                seen["no witness"] += 1
+            else:
+                assert got.shape == absv(p)
+                seen["witness"] += 1
+    assert min(seen.values()) >= 50, seen
 
 
 def test_h3_bounded_fs2(fs2):

@@ -23,6 +23,7 @@ from rankshift.core import (
     Alphabet,
     TileSystem,
     add,
+    compositions,
     dominates,
     is_periodic,
     is_zero,
@@ -101,13 +102,42 @@ def test_distinct_pair_single_letter_exhausts(single):
 
 def test_distinct_pair_exhausts_on_forced_systems():
     """Commuting permutations force every word, so no distinct pair exists
-    at any shape: the graded search must exhaust its bound."""
+    at any shape: no letter has two successors in one direction."""
     from rankshift import Alphabet, TileSystem
     p1 = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
     p2 = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
     ts = TileSystem(Alphabet("012"), [p1, p2])
     with pytest.raises(WitnessSearchError):
-        distinct_pair(ts, max_grade=5)
+        distinct_pair(ts)
+
+
+def _graded_distinct_pair(ts, max_grade):
+    """The former search: shapes by grade up to max_grade, origins in
+    declaration order, the first two words of one shape and origin."""
+    for grade in range(1, max_grade + 1):
+        for shape in compositions(grade, ts.rank):
+            for c in range(ts.n_letters):
+                found = list(itertools.islice(words_of_shape(ts, shape, origin=c), 2))
+                if len(found) == 2:
+                    return tuple(found)
+    return None
+
+
+def test_distinct_pair_matches_the_graded_search():
+    """Unit shapes decide the pair: the graded search up to any grade finds
+    the same two words, or none, on random systems of rank 1-3."""
+    rng = random.Random(1515)
+    seen = {"pair": 0, "no pair": 0}
+    for _ in range(1500):
+        rank = rng.randint(1, 3)
+        ts = random_system(rng, rng.randint(1, 4), rank, rng.choice([0.15, 0.3, 0.5]))
+        try:
+            got = distinct_pair(ts)
+        except WitnessSearchError:
+            got = None
+        assert got == _graded_distinct_pair(ts, rng.randint(1, 4)), ts.matrices
+        seen["no pair" if got is None else "pair"] += 1
+    assert min(seen.values()) >= 200, seen
 
 
 def test_nonperiodic_all_zero_bound(fs2):
