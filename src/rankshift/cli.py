@@ -456,9 +456,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="largest |p| searched for non-periodic witnesses "
                         "(default 2,...,2)")
     p.add_argument("--h3-shape-bound", metavar="S",
-                   help="each p is decided at shape |p|, so this bound only "
-                        "decides which p are searched: those with |p| <= S "
-                        "(default p bound + 1)")
+                   help="each p is decided at shape |p|, so S must dominate "
+                        "the p bound (default p bound + 1)")
     p.add_argument("--h3-star-cap", type=int, default=100_000,
                    help="max fiber sets before the (H3*) run reports cap-hit "
                         "(default %(default)s)")
@@ -502,8 +501,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="constructive witnesses")
     shape_bound_help = ("per-p witness search bound; each p is decided at shape "
-                        "|p|, so it only decides which p are searched: those "
-                        "with |p| <= S (default p bound + 2)")
+                        "|p|, so S must dominate the p bound (default p bound + 2)")
     wsub = p.add_subparsers(dest="witness_kind", required=True)
 
     w = wsub.add_parser("nonperiodic",

@@ -35,7 +35,6 @@ from .core import (
     add,
     box_cells,
     box_offsets,
-    box_range,
     box_size,
     check_shape,
     dominates,
@@ -57,45 +56,57 @@ def extend_along(ts: TileSystem, w: Word, target: Shape,
     """The unique word of shape target extending w along a staircase.
 
     Step (j, a) of ``steps`` requires M_j(a, t) = 1 for the current terminus
-    t and adds one unit layer in direction j with terminus a.  The box of
-    shape target is allocated once; each layer is filled in place from its far
-    corner back, every cell forced by its filled neighbours, and a cell with
-    no letter or more than one raises :class:`CompletionError` (the system
-    violates (H1)).  Steps are read lazily, one per filled layer, and must
-    end exactly at target.
+    t and adds one unit layer in direction j with terminus a.  Steps are read
+    lazily, one per layer, and must end exactly at target.  The box
+    [0, target + 1] is allocated once; each layer is filled in place from its
+    far corner back, every cell forced by its filled neighbours, and a cell
+    with no letter or more than one raises :class:`CompletionError` (the
+    system violates (H1)).  A cell not filled holds the letter n, whose
+    predecessor mask allows every letter, so each neighbour x + e_k is one
+    test.  A layer in direction j is the cross-section x_j = 0 of the filled
+    box, shifted; it is rebuilt only when another direction has grown.
     """
     target = check_shape(ts, target, "target")
     if not dominates(target, w.shape):
         raise ValueError(f"target {target} does not dominate shape {w.shape}")
-    st = strides(target)
-    letters = [-1] * box_size(target)
+    rank, n = ts.rank, ts.n_letters
+    box = tuple(c + 1 for c in target)
+    st = strides(box)
+    letters = [n] * box_size(box)
     width = w.shape[-1] + 1
-    for k, i in enumerate(box_offsets(target, zero(ts.rank), (*w.shape[:-1], 0))):
+    for k, i in enumerate(box_offsets(box, zero(rank), (*w.shape[:-1], 0))):
         letters[i:i + width] = w.letters[k * width:(k + 1) * width]
-    shape, t = list(w.shape), w.terminus
+    full = (1 << n) - 1
+    succ = [ts.successor_masks(j) for j in range(1, rank + 1)]
+    pred = [(*ts.predecessor_masks(k), full) for k in range(1, rank + 1)]
+    shape, t, last = list(w.shape), w.terminus, 0
     for j, a in steps:
-        if not 1 <= j <= ts.rank:
-            raise ValueError(f"direction {j} out of range 1..{ts.rank}")
+        if not 1 <= j <= rank:
+            raise ValueError(f"direction {j} out of range 1..{rank}")
         if not ts.transition(j, t, a):
             raise TransitionError(
                 f"M_{j}({ts.alphabet.name(a)}, {ts.alphabet.name(t)}) = 0: "
                 f"cannot extend in direction {j}")
         if shape[j - 1] == target[j - 1]:
             raise ValueError(f"a step in direction {j} leaves the target {target}")
+        if j != last:
+            last, sj, succ_j = j, st[j - 1], succ[j - 1]
+            # far corner first: the section's offsets in reverse row-major order
+            section = box_offsets(box, zero(rank), [0 if k == j - 1 else c
+                                                    for k, c in enumerate(shape)])
+            section.reverse()
+            others = [(pred[k], st[k]) for k in range(rank) if k != j - 1]
         shape[j - 1] += 1
-        hi = tuple(shape)
-        # fill the new layer (cells with x_j = hi_j) from the far corner back
-        lo = tuple(c if k == j - 1 else 0 for k, c in enumerate(hi))
-        layer = zip(box_range(lo, hi), box_offsets(target, lo, hi))
-        for x, i in reversed(list(layer)):
-            mask = ts.successor_mask(j, letters[i - st[j - 1]])
-            if x == hi:
-                mask &= 1 << a
-            for k in range(1, ts.rank + 1):
-                if k != j and x[k - 1] < hi[k - 1]:
-                    mask &= ts.predecessor_mask(k, letters[i + st[k - 1]])
+        base, want = shape[j - 1] * sj, 1 << a
+        for o in section:
+            i = base + o
+            mask = succ_j[letters[i - sj]] & want
+            want = full
+            for pred_k, sk in others:
+                mask &= pred_k[letters[i + sk]]
             if mask == 0 or mask & (mask - 1):
-                cands = [b for b in range(ts.n_letters) if mask >> b & 1]
+                x = tuple(i // s % (c + 1) for s, c in zip(st, box))
+                cands = [b for b in range(n) if mask >> b & 1]
                 raise CompletionError(
                     f"cell {x}: {len(cands)} consistent letters while extending in "
                     f"direction {j}; the system violates (H1)", cell=x, candidates=cands)
@@ -103,7 +114,11 @@ def extend_along(ts: TileSystem, w: Word, target: Shape,
         t = a
     if tuple(shape) != target:
         raise ValueError(f"the steps end at {tuple(shape)}, not at the target {target}")
-    return Word(target, tuple(letters))
+    width = target[-1] + 1
+    out: list[int] = []
+    for i in box_offsets(box, zero(rank), (*target[:-1], 0)):
+        out += letters[i:i + width]
+    return Word(target, tuple(out))
 
 
 def extend_unit(ts: TileSystem, w: Word, j: int, a: int) -> Word:
@@ -138,14 +153,17 @@ def staircase_steps(w: Word) -> list[tuple[int, int]]:
     """The canonical staircase of w: direction 1 first, then 2, and so on.
 
     Returns (direction, letter) pairs suitable for :func:`word_from_path`
-    starting from o(w).
+    starting from o(w).  Direction j's steps are the cells
+    m_1 e_1 + ... + m_(j-1) e_(j-1) + c e_j, c = 1..m_j.
     """
     steps = []
-    pos = list(zero(w.rank))
+    lo = list(zero(w.rank))
     for j in range(1, w.rank + 1):
-        for _ in range(w.shape[j - 1]):
-            pos[j - 1] += 1
-            steps.append((j, w.at(pos)))
+        hi = lo[:]
+        hi[j - 1] = w.shape[j - 1]
+        lo[j - 1] = 1
+        steps += [(j, w.letters[i]) for i in box_offsets(w.shape, lo, hi)]
+        lo = hi
     return steps
 
 

@@ -143,14 +143,6 @@ def shape_key(s: Shape):
     return (sum(s), tuple(reversed(s)))
 
 
-def box_range(lo: Shape, hi: Shape) -> Iterator[tuple[int, ...]]:
-    """Cells of the box [lo, hi] in row-major order (last coordinate fastest)."""
-    _same_rank(lo, hi)
-    if not dominates(hi, lo):
-        return iter(())
-    return itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
-
-
 def box_cells(shape: Shape) -> Iterator[tuple[int, ...]]:
     """Cells of [0, shape] in row-major order."""
     return itertools.product(*(range(m + 1) for m in shape))
@@ -303,8 +295,8 @@ class TileSystem:
             pred = [tuple(a for a in range(n) if mat[b][a]) for b in range(n)]
             self._succ.append(succ)
             self._pred.append(pred)
-            self._succ_mask.append([_mask(s) for s in succ])
-            self._pred_mask.append([_mask(p) for p in pred])
+            self._succ_mask.append(tuple(_mask(s) for s in succ))
+            self._pred_mask.append(tuple(_mask(p) for p in pred))
 
     @property
     def n_letters(self) -> int:
@@ -325,6 +317,14 @@ class TileSystem:
 
     def predecessor_mask(self, j: int, b: int) -> int:
         return self._pred_mask[j - 1][b]
+
+    def successor_masks(self, j: int) -> tuple[int, ...]:
+        """successor_mask(j, a) for every letter a, indexed by a."""
+        return self._succ_mask[j - 1]
+
+    def predecessor_masks(self, j: int) -> tuple[int, ...]:
+        """predecessor_mask(j, b) for every letter b, indexed by b."""
+        return self._pred_mask[j - 1]
 
     def __eq__(self, other):
         return (isinstance(other, TileSystem)
@@ -588,15 +588,20 @@ def translates_agree(w1: Word, w2: Word, p: Translate) -> bool:
 
     The overlap is [0, l1] intersected with [p, p + l2]; an empty overlap
     counts as agreement.  Its rows along the last direction are contiguous
-    in both words, so the check compares one slice pair per row and returns
-    False at the first row that differs.  The row plan depends only on
-    (l1, l2, p) and is memoised for the last 1024 such keys.
+    in both words; :func:`rows_agree` compares them along the row plan of
+    :func:`overlap_rows`.
     """
     if len(p) != w1.rank:
         raise ValueError("translate has wrong rank")
     _same_rank(w1.shape, w2.shape)
-    width, rows = _overlap_rows(tuple(w1.shape), tuple(w2.shape), tuple(p))
-    a, b = w1.letters, w2.letters
+    plan = overlap_rows(tuple(w1.shape), tuple(w2.shape), tuple(p))
+    return rows_agree(w1.letters, w2.letters, plan)
+
+
+def rows_agree(a: Sequence[int], b: Sequence[int], plan) -> bool:
+    """True iff the letters a and b agree on every row of an overlap plan:
+    one slice pair per row, returning False at the first row that differs."""
+    width, rows = plan
     for i, j in rows:
         if a[i:i + width] != b[j:j + width]:
             return False
@@ -604,11 +609,13 @@ def translates_agree(w1: Word, w2: Word, p: Translate) -> bool:
 
 
 @functools.lru_cache(maxsize=1024)
-def _overlap_rows(l1: Shape, l2: Shape, p: Translate):
+def overlap_rows(l1: Shape, l2: Shape, p: Translate):
     """Row width and row-start pairs of the overlap of [0, l1] and [p, p + l2].
 
     Row starts are row-major positions: in [0, l1] for the first word and in
-    [0, l2] for the second, whose cell x - p faces cell x of the first.
+    [0, l2] for the second, whose cell x - p faces cell x of the first.  The
+    plan depends only on (l1, l2, p) and is memoised for the last 1024 such
+    keys.
     """
     if not p:  # rank 0: each box is the one cell 0
         return 1, ((0, 0),)

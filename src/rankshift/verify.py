@@ -421,7 +421,14 @@ def nonperiodic_witness(ts: TileSystem, p: Translate, shape_bound: Shape
 
 def _h3_search(ts: TileSystem, p_bound: Shape, shape_bound: Shape
                ) -> tuple[dict[Translate, Word], list[Translate]]:
-    """Witnesses by canonical p with |p| <= p_bound, and the p left without."""
+    """Witnesses by canonical p with |p| <= p_bound, and the p left without.
+
+    A shape bound that does not dominate the p bound would skip some p
+    unsearched, so it raises :class:`ValueError`.
+    """
+    if not dominates(shape_bound, p_bound):
+        raise ValueError(f"shape bound {shape_bound} does not dominate the "
+                         f"p bound {p_bound}; each p is decided at shape |p|")
     found = {}
     missing = []
     for p in translate_reps(p_bound):
@@ -441,10 +448,10 @@ def check_h3_bounded(ts: TileSystem, p_bound: Shape, shape_bound: Shape
     Bounded-pass lists one witness per p; a fail means some p has no witness
     within shape_bound, which is inconclusive for (H3) globally and is
     reported as such.  Each p is decided by one search at shape |p| (see
-    :func:`nonperiodic_witness`), so shape_bound only decides which p are
-    searched: a p with |p| not below it is reported without a witness.  An
-    all-zero p_bound admits no p and raises :class:`ValueError`, as does a
-    bad rank or a negative component in either bound.
+    :func:`nonperiodic_witness`), so shape_bound must dominate p_bound.  A
+    shape_bound that does not, or an all-zero p_bound, which admits no p,
+    raises :class:`ValueError`, as does a bad rank or a negative component in
+    either bound.
     """
     p_bound = check_shape(ts, p_bound, "p bound")
     shape_bound = check_shape(ts, shape_bound, "shape bound")

@@ -28,9 +28,10 @@ from .core import (
     join,
     letter_word,
     neg,
+    overlap_rows,
     restrict,
+    rows_agree,
     translate_reps,
-    translates_agree,
     unit,
     vec,
     zero,
@@ -191,14 +192,6 @@ def separate_translates(ts: TileSystem, p: Translate, w1: Word, w2: Word
     return w1p, w2p
 
 
-def _all_nonzero_translates(m: Shape) -> list[Translate]:
-    out = []
-    for p in translate_reps(m):
-        out.append(p)
-        out.append(neg(p))
-    return out
-
-
 def separating_family(ts: TileSystem, m: Shape,
                       shape_bound: Shape | None = None
                       ) -> tuple[Shape, dict[int, Word]]:
@@ -210,7 +203,9 @@ def separating_family(ts: TileSystem, m: Shape,
     :func:`nonperiodic_all` words, one connector each before one shared core,
     then repairs violating (a, b, p) triples with :func:`separate_translates`;
     established disagreements persist under extension, so one pass over the
-    triples suffices.  The result is re-verified before returning.
+    triples suffices.  The result is re-verified before returning.  All
+    members have shape l, so each p has one row plan for :func:`rows_agree`,
+    taken again whenever a repair grows l.
     """
     m = vec(m)
     n = ts.n_letters
@@ -220,25 +215,27 @@ def separating_family(ts: TileSystem, m: Shape,
         l = join(l, w.shape)
     family = {a: grow_to_shape(ts, w, l) for a, w in family.items()}
 
-    translates = _all_nonzero_translates(m)
+    translates = [q for p in translate_reps(m) for q in (p, neg(p))]
+    plans = [overlap_rows(l, l, q) for q in translates]
     for a in range(n):
         for b in range(n):
             if a == b:
                 continue
-            for p in translates:
-                if not translates_agree(family[a], family[b], p):
+            for k, p in enumerate(translates):
+                if not rows_agree(family[a].letters, family[b].letters, plans[k]):
                     continue
                 wb, wa = separate_translates(ts, p, family[b], family[a])
                 family[b], family[a] = wb, wa
                 l = wa.shape
                 family = {c: grow_to_shape(ts, w, l) for c, w in family.items()}
+                plans = [overlap_rows(l, l, q) for q in translates]
 
     for a in range(n):
         if family[a].origin != a:
             raise WitnessSearchError("separating family lost an origin")
         for b in range(n):
-            for p in translates:
-                if translates_agree(family[a], family[b], p):
+            for p, plan in zip(translates, plans):
+                if rows_agree(family[a].letters, family[b].letters, plan):
                     raise WitnessSearchError(
                         f"separating family failed for letters "
                         f"({ts.alphabet.name(a)}, {ts.alphabet.name(b)}), p={p}")

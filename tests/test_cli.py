@@ -599,6 +599,28 @@ def test_search_bound_below_floor_exits_2(gm_file, fs2_file, argv, flag, capsys)
     assert flag in captured.err
 
 
+@pytest.mark.parametrize("argv, shape_bound, p_bound", [
+    (["verify", "{fs2}", "--h3-shape-bound", "0,0"], "(0, 0)", "(2, 2)"),
+    (["verify", "{fs2}", "--h3-p-bound", "1,2", "--h3-shape-bound", "3,1"],
+     "(3, 1)", "(1, 2)"),
+    (["witness", "nonperiodic", "{fs2}", "--p-bound", "1,1", "--shape-bound", "0,0"],
+     "(0, 0)", "(1, 1)"),
+    (["witness", "set-s", "{fs2}", "--p-bound", "1,1", "--shape-bound", "1,0"],
+     "(1, 0)", "(1, 1)"),
+    (["witness", "q-support", "{gm2}", "--p-bound", "1,1", "--shape-bound", "0,1"],
+     "(0, 1)", "(1, 1)"),
+])
+def test_shape_bound_below_the_p_bound_exits_2(gm2_file, fs2_file, argv,
+                                               shape_bound, p_bound, capsys):
+    """A shape bound must dominate the p bound: one below it would skip some
+    p unsearched and report a failure that no search produced."""
+    assert main([a.format(gm2=gm2_file, fs2=fs2_file) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: shape bound {shape_bound} does not dominate "
+                            f"the p bound {p_bound}; each p is decided at shape |p|\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["enumerate", "{gm}", "--shape", "1", "--origin", "9"],
     ["extend", "{gm}", "--shape", "1", "--cells", "0,1", "--direction", "1",

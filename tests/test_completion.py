@@ -33,7 +33,6 @@ from rankshift.core import (
     add,
     box_cells,
     box_offsets,
-    box_range,
     box_size,
     dominates,
     strides,
@@ -486,7 +485,8 @@ def _unit_extend(ts, w, j, a):
     for i, b in zip(box_offsets(new_shape, zero(ts.rank), w.shape), w.letters):
         letters[i] = b
     layer_lo = tuple(c if k == j - 1 else 0 for k, c in enumerate(new_shape))
-    layer = zip(box_range(layer_lo, new_shape),
+    layer = zip(itertools.product(*(range(a, b + 1)
+                                    for a, b in zip(layer_lo, new_shape))),
                 box_offsets(new_shape, layer_lo, new_shape))
     for x, i in reversed(list(layer)):
         mask = ts.successor_mask(j, letters[i - new_st[j - 1]])

@@ -25,6 +25,7 @@ from rankshift.verify import (
     check_h2,
     check_h3_bounded,
     check_h3_star,
+    h3_bounded_witnesses,
     nonperiodic_witness,
     verify_report,
 )
@@ -514,6 +515,20 @@ def test_h3_bounded_rejects_bad_bounds(fs2):
     # the bound error, not an IndexError on an empty list of per-p witnesses
     with pytest.raises(ValueError, match=r"p bound \(-1, 2\) has a negative"):
         nonperiodic_all(fs2, (-1, 2), 0)
+
+
+def test_h3_search_rejects_a_shape_bound_below_the_p_bound(fs2):
+    # each p is decided at shape |p|: a bound below the p bound would skip
+    # some p unsearched and report them as failures
+    message = r"shape bound \(0, 0\) does not dominate the p bound \(1, 1\)"
+    with pytest.raises(ValueError, match=message):
+        check_h3_bounded(fs2, (1, 1), (0, 0))
+    with pytest.raises(ValueError, match=message):
+        h3_bounded_witnesses(fs2, (1, 1), (0, 0))
+    with pytest.raises(ValueError, match=r"shape bound \(2, 0\) does not dominate"):
+        verify_report(fs2, h3_p_bound=(1, 1), h3_shape_bound=(2, 0))
+    # equal bounds search every p
+    assert check_h3_bounded(fs2, (1, 1), (1, 1)).status is Status.BOUNDED_PASS
 
 
 def test_report_empty_bounds_are_not_defaults(gm):

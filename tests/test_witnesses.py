@@ -401,3 +401,75 @@ def test_separating_family_matches_per_letter_chain():
                 assert nonperiodic_all(ts, m, a) == _chain_nonperiodic_all(ts, m, a)
             outcomes["family"] += 1
     assert outcomes["family"] >= 40 and outcomes["error"] >= 5, outcomes
+
+
+# ---------------------------------------------------------------------------
+# separating_family's row plans against the former triple loop, which called
+# the public translates_agree on every (a, b, p)
+# ---------------------------------------------------------------------------
+
+def _triple_loop_separating_family(ts, m):
+    """The former separating_family, and the number of repairs it made."""
+    n = ts.n_letters
+    family = {a: nonperiodic_all(ts, m, a) for a in range(n)}
+    l = zero(ts.rank)
+    for w in family.values():
+        l = join(l, w.shape)
+    family = {a: grow_to_shape(ts, w, l) for a, w in family.items()}
+    translates = [p for q in translate_reps(m) for p in (q, neg(q))]
+    repairs = 0
+    for a in range(n):
+        for b in range(n):
+            if a == b:
+                continue
+            for p in translates:
+                if not translates_agree(family[a], family[b], p):
+                    continue
+                family[b], family[a] = separate_translates(ts, p, family[b], family[a])
+                repairs += 1
+                l = family[a].shape
+                family = {c: grow_to_shape(ts, w, l) for c, w in family.items()}
+    for a in range(n):
+        for b in range(n):
+            for p in translates:
+                if translates_agree(family[a], family[b], p):
+                    raise WitnessSearchError(
+                        f"separating family failed for letters "
+                        f"({ts.alphabet.name(a)}, {ts.alphabet.name(b)}), p={p}")
+    return (l, family), repairs
+
+
+def _seeded_family_inputs(rank, count, seed):
+    """Seeded circulants and tensors of the given rank that pass (H0)-(H2)."""
+    rng = random.Random(seed)
+    systems = []
+    while len(systems) < count:
+        if len(systems) % 2:
+            ts = tensor([random_system(rng, rng.randint(2, 5 - rank), 1)
+                         for _ in range(rank)])
+        else:
+            n = rng.randint(4, 11 - rank)
+            ts = _circulant(n, [set(rng.sample(range(n), 2)) for _ in range(rank)])
+        if all(c.ok for c in (check_h0(ts), check_h1_local(ts), check_h2(ts))):
+            systems.append(ts)
+    return systems
+
+
+@pytest.mark.parametrize("rank, count, seed", [(2, 24, 15), (3, 4, 16)])
+def test_separating_family_matches_the_triple_loop(rank, count, seed):
+    """One row plan per (l, p), renewed after each repair, gives the family
+    (or the search error) that translates_agree on every triple gave."""
+    repairs = []
+    for ts in _seeded_family_inputs(rank, count, seed):
+        m = (1,) * rank
+        try:
+            want, made = _triple_loop_separating_family(ts, m)
+        except WitnessSearchError as exc:
+            with pytest.raises(WitnessSearchError) as err:
+                separating_family(ts, m)
+            assert str(err.value) == str(exc), ts.matrices
+            continue
+        assert separating_family(ts, m) == want, ts.matrices
+        repairs.append(made)
+    assert len(repairs) >= count // 2, repairs
+    assert sum(r >= 2 for r in repairs) >= len(repairs) // 2, repairs
