@@ -12,7 +12,8 @@ enumeration (:func:`iter_grid_completions`, :func:`words_of_shape`), which
 never uses the forced-fill path and therefore serves as its oracle.
 :func:`iter_grid_completions` is the package's only grid search.  The (H1)
 oracle enumerates each shape up to its bound with it once and decides each
-split from counts of the words and of their restrictions; the projection
+split from the count of its words and their letters along one staircase,
+comparing full restrictions only when that does not settle it; the projection
 support constrains it by placing one family member as a word on the window,
 one search per member, rather than tracking patterns inside the search.
 Placed words are propagated backwards before the search starts, so a fixed
@@ -47,7 +48,7 @@ from .core import (
 __all__ = [
     "extend_along", "extend_unit", "word_from_path", "product", "list_extensions",
     "iter_grid_completions", "words_of_shape",
-    "decorated_words_of_shape", "staircase_steps",
+    "decorated_words_of_shape", "staircase_offsets", "staircase_steps",
 ]
 
 
@@ -149,22 +150,23 @@ def word_from_path(ts: TileSystem, a0: int, steps: Sequence[tuple[int, int]]) ->
     return extend_along(ts, letter_word(ts.rank, a0), target, steps)
 
 
-def staircase_steps(w: Word) -> list[tuple[int, int]]:
-    """The canonical staircase of w: direction 1 first, then 2, and so on.
-
-    Returns (direction, letter) pairs suitable for :func:`word_from_path`
-    starting from o(w).  Direction j's steps are the cells
-    m_1 e_1 + ... + m_(j-1) e_(j-1) + c e_j, c = 1..m_j.
-    """
-    steps = []
-    lo = list(zero(w.rank))
-    for j in range(1, w.rank + 1):
-        hi = lo[:]
-        hi[j - 1] = w.shape[j - 1]
-        lo[j - 1] = 1
-        steps += [(j, w.letters[i]) for i in box_offsets(w.shape, lo, hi)]
-        lo = hi
+def staircase_offsets(shape: Shape, corners: Iterable[Shape]) -> list[tuple[int, int]]:
+    """(direction, row-major position in [0, shape]) of each step of the
+    staircase from 0 through each corner in turn, direction 1 first on each leg."""
+    steps, lo = [], [0] * len(shape)
+    for corner in corners:
+        for j in range(len(shape)):
+            hi = [*corner[:j + 1], *lo[j + 1:]]
+            first = [*hi[:j], lo[j] + 1, *lo[j + 1:]]
+            steps += [(j + 1, i) for i in box_offsets(shape, first, hi)]
+            lo = hi
     return steps
+
+
+def staircase_steps(w: Word) -> list[tuple[int, int]]:
+    """The canonical staircase of w, direction 1 first, then 2, and so on: the
+    (direction, letter) pairs of :func:`word_from_path` from o(w)."""
+    return [(j, w.letters[i]) for j, i in staircase_offsets(w.shape, [w.shape])]
 
 
 def product(ts: TileSystem, u: WordLike, v: Word) -> WordLike:
@@ -219,8 +221,7 @@ def iter_grid_completions(ts: TileSystem, shape: Shape,
     """
     shape = check_shape(ts, shape, "shape")
     st = strides(shape)
-    succ = [[ts.successor_mask(j, a) for a in range(ts.n_letters)]
-            for j in range(1, len(shape) + 1)]
+    succ = [ts.successor_masks(j) for j in range(1, len(shape) + 1)]
     # per cell: (flat index of the predecessor, its successor masks) pairs
     plan = [tuple((i - st[k], succ[k]) for k in range(len(shape)) if cell[k] > 0)
             for i, cell in enumerate(box_cells(shape))]

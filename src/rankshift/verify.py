@@ -46,7 +46,8 @@ from .core import (
     vec,
     zero,
 )
-from .completion import iter_grid_completions, word_from_path, words_of_shape
+from .completion import (iter_grid_completions, staircase_offsets, word_from_path,
+                         words_of_shape)
 
 __all__ = [
     "Status", "CheckResult", "VerificationReport", "FiberFamily",
@@ -183,10 +184,14 @@ def check_h1_oracle(ts: TileSystem, shape_bound: Shape) -> CheckResult:
     restriction w -> (w|[0,m], w|[m,total]) must be a bijection from the
     words of shape total onto the composable pairs (u, v) of shapes m and n.
     Each shape is enumerated once by exhaustive grid search, m and n before
-    their total.  A split passes when its words have distinct restrictions
-    and number sum_c #(u ending at c) * #(v starting at c), the count of
-    composable pairs; only a failing split walks its pairs in canonical
-    order, and the first with no extension, or with two, is the witness.
+    their total.  A split passes when its words number sum_c #(u ending at
+    c) * #(v starting at c), the count of composable pairs, and have distinct
+    restrictions.  These are distinct, in any system, if the words differ on
+    a staircase through m, whose cells lie in [0,m] and [m,total]: so the
+    staircase 0 -> m -> total is tried first, and one that passes settles
+    every split it goes through.  Only a split with a repeat there compares
+    whole restrictions, and only a failing split walks its pairs in canonical
+    order; the first with no extension, or with two, is the witness.
     Splits where u or v has shape 0 are trivial (the extension is the other
     word) and are skipped, so a bound of grade below 2 checks nothing and
     raises :class:`ValueError`, as does a bad rank or a negative component.
@@ -209,19 +214,25 @@ def check_h1_oracle(ts: TileSystem, shape_bound: Shape) -> CheckResult:
         grids_of[total] = grids
         starts[total] = Counter(w[0] for w in grids)
         ends[total] = Counter(w[-1] for w in grids)
-        for m in box_cells(total):
+        settled = set()  # positions on a staircase with distinct letters
+        for i, m in enumerate(box_cells(total)):
             if not 0 < sum(m) < sum(total):
                 continue
             n = sub(total, m)
+            composable = sum(k * starts[n][c] for c, k in ends[m].items())
+            if composable == len(grids) and i not in settled:
+                stair = [0, *(x for _, x in staircase_offsets(total, (m, total)))]
+                if len(set(map("".join, map(itemgetter(*stair), grids)))) == len(grids):
+                    settled.update(stair)
+            if composable == len(grids) and i in settled:
+                continue
             pair_of = itemgetter(*box_offsets(total, zero(ts.rank), m),
                                  *box_offsets(total, m, total))
-            keys = list(map("".join, map(pair_of, grids)))
-            composable = sum(k * starts[n][c] for c, k in ends[m].items())
-            if len(set(keys)) == len(grids) == composable:
+            if len(set(map("".join, map(pair_of, grids)))) == len(grids) == composable:
                 continue
             extensions: dict[str, list[str]] = {}
-            for key, w in zip(keys, grids):
-                extensions.setdefault(key, []).append(w)
+            for w in grids:
+                extensions.setdefault("".join(pair_of(w)), []).append(w)
             by_origin: dict[str, list[str]] = {}
             for v in grids_of[n]:
                 by_origin.setdefault(v[0], []).append(v)
@@ -419,16 +430,22 @@ def nonperiodic_witness(ts: TileSystem, p: Translate, shape_bound: Shape
     return None
 
 
-def _h3_search(ts: TileSystem, p_bound: Shape, shape_bound: Shape
-               ) -> tuple[dict[Translate, Word], list[Translate]]:
-    """Witnesses by canonical p with |p| <= p_bound, and the p left without.
-
-    A shape bound that does not dominate the p bound would skip some p
-    unsearched, so it raises :class:`ValueError`.
-    """
+def _h3_bounds(ts: TileSystem, p_bound: Shape, shape_bound: Shape
+               ) -> tuple[Shape, Shape]:
+    """The bounds of a bounded (H3) search, checked; see :func:`check_h3_bounded`."""
+    p_bound = check_shape(ts, p_bound, "p bound")
+    shape_bound = check_shape(ts, shape_bound, "shape bound")
+    if not any(p_bound):
+        raise ValueError(f"p bound {p_bound} admits no translate p != 0")
     if not dominates(shape_bound, p_bound):
         raise ValueError(f"shape bound {shape_bound} does not dominate the "
                          f"p bound {p_bound}; each p is decided at shape |p|")
+    return p_bound, shape_bound
+
+
+def _h3_search(ts: TileSystem, p_bound: Shape, shape_bound: Shape
+               ) -> tuple[dict[Translate, Word], list[Translate]]:
+    """Witnesses by canonical p with |p| <= p_bound, and the p left without."""
     found = {}
     missing = []
     for p in translate_reps(p_bound):
@@ -453,10 +470,7 @@ def check_h3_bounded(ts: TileSystem, p_bound: Shape, shape_bound: Shape
     raises :class:`ValueError`, as does a bad rank or a negative component in
     either bound.
     """
-    p_bound = check_shape(ts, p_bound, "p bound")
-    shape_bound = check_shape(ts, shape_bound, "shape bound")
-    if not any(p_bound):
-        raise ValueError(f"p bound {p_bound} admits no translate p != 0")
+    p_bound, shape_bound = _h3_bounds(ts, p_bound, shape_bound)
     params = {"p_bound": list(p_bound), "shape_bound": list(shape_bound)}
     found, missing = _h3_search(ts, p_bound, shape_bound)
     if missing:
@@ -472,8 +486,7 @@ def check_h3_bounded(ts: TileSystem, p_bound: Shape, shape_bound: Shape
 def h3_bounded_witnesses(ts: TileSystem, p_bound: Shape, shape_bound: Shape
                          ) -> dict[Translate, Word]:
     """Witness words per canonical p, raising if any p has none in bounds."""
-    found, missing = _h3_search(ts, check_shape(ts, p_bound, "p bound"),
-                                check_shape(ts, shape_bound, "shape bound"))
+    found, missing = _h3_search(ts, *_h3_bounds(ts, p_bound, shape_bound))
     if missing:
         raise WitnessSearchError(
             f"no non-periodic witness within shape bound {tuple(shape_bound)} "
@@ -496,13 +509,14 @@ def verify_report(ts: TileSystem,
     product conditions hold, so those checks are marked skipped when
     (H1a)-(H1c) fail.  Defaults, for a bound left as None: oracle bound
     (2,...,2), p bound (2,...,2), shape bound p bound + (1,...,1).  Any other
-    bound, () too, goes to its check, which raises if it is invalid.
+    bound, () too, raises if invalid, the (H3) bounds before any check runs.
     """
     r = ts.rank
     h1_oracle_bound = (2,) * r if h1_oracle_bound is None else h1_oracle_bound
     h3_p_bound = (2,) * r if h3_p_bound is None else vec(h3_p_bound)
     if h3_shape_bound is None:
         h3_shape_bound = tuple(b + 1 for b in h3_p_bound)
+    h3_p_bound, h3_shape_bound = _h3_bounds(ts, h3_p_bound, h3_shape_bound)
 
     checks = [check_h0(ts)]
     h1 = check_h1_local(ts)

@@ -609,12 +609,15 @@ def test_search_bound_below_floor_exits_2(gm_file, fs2_file, argv, flag, capsys)
      "(1, 0)", "(1, 1)"),
     (["witness", "q-support", "{gm2}", "--p-bound", "1,1", "--shape-bound", "0,1"],
      "(0, 1)", "(1, 1)"),
+    # (H1b) fails, so the bounded (H3) check is skipped: the bound still exits 2
+    (["verify", "{jj}", "--h3-shape-bound", "0,0"], "(0, 0)", "(2, 2)"),
 ])
-def test_shape_bound_below_the_p_bound_exits_2(gm2_file, fs2_file, argv,
+def test_shape_bound_below_the_p_bound_exits_2(gm2_file, fs2_file, jj_file, argv,
                                                shape_bound, p_bound, capsys):
     """A shape bound must dominate the p bound: one below it would skip some
     p unsearched and report a failure that no search produced."""
-    assert main([a.format(gm2=gm2_file, fs2=fs2_file) for a in argv]) == 2
+    argv = [a.format(gm2=gm2_file, fs2=fs2_file, jj=jj_file) for a in argv]
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (f"error: shape bound {shape_bound} does not dominate "

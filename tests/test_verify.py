@@ -1,14 +1,18 @@
 import itertools
+import os
 import random
+from collections import Counter
+from operator import itemgetter
 
 import pytest
 
-from rankshift import Alphabet, TileSystem, validate_word, verify
+from rankshift import Alphabet, TileSystem, load_system, validate_word, verify
 from rankshift.builders import from_rank1, random_system
 from rankshift.completion import iter_grid_completions, words_of_shape
 from rankshift.core import (
     absv,
     box_cells,
+    box_offsets,
     dominates,
     is_periodic,
     is_zero,
@@ -32,6 +36,8 @@ from rankshift.verify import (
 from rankshift.witnesses import nonperiodic_all
 from conftest import circulant
 from test_fiber_oracle import fiber_transfer_round
+
+SAMPLES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "samples")
 
 
 # --- (H0) ------------------------------------------------------------------
@@ -279,6 +285,113 @@ def test_h1_oracle_searches_each_shape_once(monkeypatch, fs3):
     assert check_h1_oracle(fs3, (2, 2, 2)).status is Status.PASS
     assert searched == shapes_upto((2, 2, 2))
     assert len(searched) == 27
+
+
+def _former_h1_oracle(ts, shape_bound):
+    """The former check_h1_oracle(...).to_json(): every split by its full
+    restriction pairs, with no staircase test."""
+    params = {"shape_bound": list(shape_bound)}
+    grids_of, starts, ends = {}, {}, {}
+
+    def word_json(shape, text):
+        return {"shape": list(shape), "cells": [ts.alphabet.name(ord(a)) for a in text]}
+
+    for total in shapes_upto(shape_bound):
+        grids = ["".join(map(chr, w)) for w in iter_grid_completions(ts, total)]
+        grids_of[total] = grids
+        starts[total] = Counter(w[0] for w in grids)
+        ends[total] = Counter(w[-1] for w in grids)
+        for m in box_cells(total):
+            if not 0 < sum(m) < sum(total):
+                continue
+            n = sub(total, m)
+            pair_of = itemgetter(*box_offsets(total, zero(ts.rank), m),
+                                 *box_offsets(total, m, total))
+            keys = list(map("".join, map(pair_of, grids)))
+            composable = sum(k * starts[n][c] for c, k in ends[m].items())
+            if len(set(keys)) == len(grids) == composable:
+                continue
+            extensions = {}
+            for key, w in zip(keys, grids):
+                extensions.setdefault(key, []).append(w)
+            by_origin = {}
+            for v in grids_of[n]:
+                by_origin.setdefault(v[0], []).append(v)
+            for u in grids_of[m]:
+                for v in by_origin.get(u[-1], ()):
+                    found = extensions.get(u + v, [])
+                    if len(found) != 1:
+                        witness = {
+                            "u": word_json(m, u), "v": word_json(n, v),
+                            "split": list(m), "total": list(total),
+                            "completions": len(found) if len(found) < 2 else ">=2"}
+                        if found:
+                            witness["examples"] = [word_json(total, w)
+                                                   for w in found[:2]]
+                        return {"condition": "H1 (oracle)", "status": "fail",
+                                "params": params, "witness": witness}
+    return {"condition": "H1 (oracle)", "status": "pass", "params": params}
+
+
+def _walked_splits(ts, shape_bound, stop):
+    """Splits before stop = (total, m), the oracle's failing split if any,
+    whose words number as many as their composable pairs but repeat letters
+    along every staircase 0 -> m -> total: no staircase test can pass them,
+    so the oracle walks their pairs and passes them."""
+    walked = 0
+    for total in shapes_upto(shape_bound):
+        words = list(words_of_shape(ts, total))
+        for m in box_cells(total):
+            n = sub(total, m)
+            if is_zero(m) or is_zero(n) or (stop and (total, m) >= stop):
+                continue
+            ends = Counter(u.terminus for u in words_of_shape(ts, m))
+            composable = sum(ends[v.origin] for v in words_of_shape(ts, n))
+            if composable != len(words):
+                continue
+            steps = [k for k in range(ts.rank) for _ in range(m[k])]
+            rest = [k for k in range(ts.rank) for _ in range(n[k])]
+            walks = {first + second for first in itertools.permutations(steps)
+                     for second in itertools.permutations(rest)}
+            if all(len({tuple(w.at(x) for x in _cells(walk, ts.rank)) for w in words})
+                   < len(words) for walk in walks):
+                walked += 1
+    return walked
+
+
+def _cells(walk, rank):
+    """The cells of the staircase taking unit steps in the given directions."""
+    x = [0] * rank
+    cells = [tuple(x)]
+    for k in walk:
+        x[k] += 1
+        cells.append(tuple(x))
+    return cells
+
+
+def test_h1_oracle_matches_the_former_all_splits_oracle(fs3):
+    cases = [(load_system(os.path.join(SAMPLES, name))[0], bound)
+             for name in sorted(os.listdir(SAMPLES)) for bound in (2, 3)]
+    cases = [(ts, (bound,) * ts.rank) for ts, bound in cases]
+    cases += [(fs3, (2, 2, 2)), (fs3, (2, 2, 1))]
+    rng = random.Random(0x5EED)
+    for rank, bound, sizes in [(2, (2, 2), [2, 3, 4]), (3, (1, 1, 1), [2, 3])]:
+        for _ in range(100):
+            cases.append((random_system(rng, rng.choice(sizes), rank,
+                                        density=rng.choice([0.3, 0.5, 0.7])), bound))
+    kinds = Counter()
+    walked = 0
+    for ts, bound in cases:
+        got = check_h1_oracle(ts, bound).to_json()
+        assert got == _former_h1_oracle(ts, bound), (ts, bound)
+        witness = got.get("witness")
+        kinds[witness and witness["completions"]] += 1
+        if ts.rank > 1 and sum(bound) < 5:
+            stop = witness and (tuple(witness["total"]), tuple(witness["split"]))
+            walked += _walked_splits(ts, bound, stop)
+    assert kinds[0] >= 20 and kinds[">=2"] >= 20 and kinds[None] >= 10, kinds
+    # the pair walk runs on splits that pass, not only on the failing ones
+    assert walked >= 10, walked
 
 
 def test_h1_oracle_agreement_randomized():
@@ -529,6 +642,18 @@ def test_h3_search_rejects_a_shape_bound_below_the_p_bound(fs2):
         verify_report(fs2, h3_p_bound=(1, 1), h3_shape_bound=(2, 0))
     # equal bounds search every p
     assert check_h3_bounded(fs2, (1, 1), (1, 1)).status is Status.BOUNDED_PASS
+
+
+def test_report_checks_h3_bounds_even_when_h3_is_skipped(jj):
+    # (H1b) fails on jj, so the bounded (H3) check is skipped; its bounds are
+    # still checked, before any check runs
+    assert verify_report(jj)["H3 (bounded)"].status is Status.SKIPPED
+    with pytest.raises(ValueError, match=r"shape bound \(0, 0\) does not dominate"):
+        verify_report(jj, h3_shape_bound=(0, 0))
+    with pytest.raises(ValueError, match=r"p bound \(0, 0\) admits no translate"):
+        verify_report(jj, h3_p_bound=(0, 0))
+    with pytest.raises(ValueError, match=r"p bound \(1,\) has wrong rank"):
+        verify_report(jj, h3_p_bound=(1,), h3_shape_bound=(2, 2))
 
 
 def test_report_empty_bounds_are_not_defaults(gm):
