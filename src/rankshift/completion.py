@@ -10,7 +10,9 @@ single box; unit extension, staircase words and the product all call it.
 Independently of any of that, this module also provides brute-force grid
 enumeration (:func:`iter_grid_completions`, :func:`words_of_shape`), which
 never uses the forced-fill path and therefore serves as its oracle.
-:func:`iter_grid_completions` is the package's only grid search.  The (H1)
+:func:`iter_grid_completions` is the package's only grid search.  It runs
+along direction 1 one slab at a time and finds the slabs that can follow a
+given slab once, as the transfer-matrix view of the subshift allows.  The (H1)
 oracle enumerates each shape up to its bound with it once and decides each
 split from the count of its words and their letters along one staircase,
 comparing full restrictions only when that does not settle it; the projection
@@ -22,6 +24,7 @@ terminus prunes from the first cell.
 
 from __future__ import annotations
 
+from itertools import tee
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
@@ -209,15 +212,25 @@ def iter_grid_completions(ts: TileSystem, shape: Shape,
     sub-box [k, k + shape(u)], which must lie in [0, shape].  Grids are
     produced in lexicographic order of their full row-major tuple; cells are
     assigned one by one with every constraint towards already-assigned
-    neighbours enforced, so the search is exact.  A cell tries its letters
-    least first, split from its mask once per call and distinct mask; a
-    forced cell, whose mask has one bit, takes that letter with no list or
-    iterator, and backtracking passes over it.  When
+    neighbours enforced (:func:`_cell_search`), so the search is exact.  When
     words are placed, one reverse sweep first narrows each cell x to letters
     with an allowed successor at every x + e_k.  It drops only letters that
     are in no grid, so the grids and their order stay; it is skipped without
     placements, where it would cost time and, on an essential system, drop
     nothing.
+
+    A box of three or more slabs x_1 = 0, ..., m_1 is searched one slab at a
+    time.  The slabs that can stand at x_1 = x + 1 depend only on slab x and
+    on the allowed masks there (the slab's mask class), so the cell search
+    runs once per such pair and a lazily filled list keeps its slabs: a
+    visit past the list's end pulls the next one, so an early exit fills no
+    list further than it was read.  Slabs are consecutive row-major blocks
+    and each list is lexicographic, so the grids and their order are those
+    of the cell search on the whole box.  The lists hold one entry per
+    distinct (mask class, previous slab, slab) visited: they grow with the
+    search's work, not with the grids it yields.  In a box of one or two
+    slabs every previous slab is new and a list only adds cost, so such a
+    box is searched cell by cell.
     """
     shape = check_shape(ts, shape, "shape")
     st = strides(shape)
@@ -238,6 +251,51 @@ def iter_grid_completions(ts: TileSystem, shape: Shape,
         for i in reversed(range(n_cells)):
             for p, masks in plan[i]:
                 allowed[p] &= sum(1 << a for a, m in enumerate(masks) if m & allowed[i])
+    last = shape[0]
+    if last < 2:
+        yield from _cell_search(allowed, plan)
+        return
+    width, succ_1 = st[0], succ[0]
+    # slab 0's plan holds exactly the constraints inside a slab, by index
+    inner = plan[:width]
+    # per slab: the lists of its mask class, keyed by the previous slab
+    classes: dict[tuple[int, ...], dict] = {}
+    memo = [classes.setdefault(tuple(allowed[x * width:(x + 1) * width]), {})
+            for x in range(last + 1)]
+
+    def slabs(x: int, prev: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        found = memo[x].get(prev)
+        if found is None:
+            masks = [a & succ_1[b] for a, b in zip(allowed[x * width:(x + 1) * width], prev)]
+            # a tee buffers all its copies have pulled; this one stays at the start
+            found = memo[x][prev] = tee(_cell_search(masks, inner), 1)[0]
+        return found.__copy__()
+
+    # iterative DFS over slabs 0 .. last - 1; the last slab is a flat loop
+    its = [_cell_search(allowed[:width], inner)] + [iter(())] * (last - 1)
+    head: list[tuple[int, ...]] = [()] * last
+    x = 0
+    while x >= 0:
+        for s in its[x]:
+            if x + 1 < last:
+                x += 1
+                head[x] = head[x - 1] + s
+                its[x] = slabs(x, s)
+                break
+            grid = head[x] + s
+            for t in slabs(last, s):
+                yield grid + t
+        else:
+            x -= 1
+
+
+def _cell_search(allowed: list[int], plan: list[tuple]) -> Iterator[tuple[int, ...]]:
+    """Every assignment of letters to cells 0, 1, ... in which cell i takes a
+    letter of ``allowed[i]`` that each ``(p, masks)`` of ``plan[i]`` allows
+    after the letter of cell p < i, in lexicographic order.  A cell tries its
+    letters least first; a forced cell, whose mask has one bit, takes that
+    letter with no list or iterator, and backtracking passes over it."""
+    n_cells = len(allowed)
     assign = [0] * n_cells
     # per cell: an iterator over its allowed letters, least first; the letter
     # list of each distinct mask is built once, in a table local to this call.

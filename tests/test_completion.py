@@ -442,11 +442,69 @@ def test_sparse_grid_search_matches_reference():
     assert nonempty >= 150
 
 
+@pytest.mark.parametrize("name,shapes", [
+    ("gm", [(0,), (1,), (2,), (5,), (12,)]),
+    ("jj", [(0, 3), (1, 3), (2, 3), (5, 1)]),
+    ("gm2", [(0, 4), (1, 4), (2, 4), (5, 3)]),
+    ("fs3", [(0, 1, 1), (1, 1, 1), (2, 2, 1), (5, 1, 1)]),
+])
+def test_slab_search_matches_reference(name, shapes, request):
+    """Whole lists, so the order too, equal the cell-by-cell reference on
+    boxes of one, two, three and six slabs along direction 1 (one-cell slabs
+    in rank 1, rows in rank 2, planes in rank 3): unplaced, with a placed
+    terminus, and with a placed word across two slabs, so that slabs differ
+    in their mask class."""
+    ts = request.getfixturevalue(name)
+    rng = random.Random(1717)
+    nonempty = 0
+    for shape in shapes:
+        terminus = (shape, letter_word(ts.rank, rng.randrange(ts.n_letters)))
+        placements = [[], [terminus]]
+        if shape[0] > 0:
+            sub = (1, *(min(1, m) for m in shape[1:]))
+            word = Word(sub, rng.choice(list(_reference_grid_completions(ts, sub))))
+            across = ((shape[0] // 2, *zero(ts.rank - 1)), word)
+            placements += [[across], [across, terminus]]
+        for fixed in placements:
+            got = list(iter_grid_completions(ts, shape, fixed))
+            assert got == list(_reference_grid_completions(ts, shape, fixed)), \
+                (name, shape, fixed)
+            nonempty += bool(got)
+    assert nonempty >= 2 * len(shapes)
+
+
 def test_grid_search_is_lazy(jj):
     """The first grid of a search with 2^402 grids comes at once."""
     grids = iter_grid_completions(jj, (1, 200))
     assert next(grids) == (0,) * 402
     assert next(grids) == (0,) * 401 + (1,)
+
+
+def test_slab_search_is_lazy(jj):
+    """Four slabs of 201 cells, 2^804 grids: each slab's list of next slabs
+    fills only as far as the search reads it, so the first grids come at once."""
+    grids = iter_grid_completions(jj, (3, 200))
+    assert next(grids) == (0,) * 804
+    assert next(grids) == (0,) * 803 + (1,)
+
+
+def test_slab_lists_fill_only_as_far_as_read(jj, monkeypatch):
+    """Two grids of a four-slab box pull a few slabs from the cell search, not
+    the 2^13 that one eagerly filled list of next slabs would hold; this fails
+    on an eager list where the test above would hang."""
+    from rankshift import completion
+    search, pulled = completion._cell_search, []
+
+    def counting(allowed, plan):
+        for s in search(allowed, plan):
+            pulled.append(s)
+            yield s
+
+    monkeypatch.setattr(completion, "_cell_search", counting)
+    grids = iter_grid_completions(jj, (3, 12))
+    assert next(grids) == (0,) * 52
+    assert next(grids) == (0,) * 51 + (1,)
+    assert len(pulled) < 10
 
 
 def _random_word_from(ts, rng, origin):
