@@ -25,7 +25,6 @@ from .core import (
     letter_word,
     meet,
     restrict,
-    shape_lattice,
     translates_agree,
     validate_word,
 )

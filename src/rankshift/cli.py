@@ -231,7 +231,6 @@ def _cmd_verify(args) -> int:
         ts,
         h1_oracle_bound=h1_bound,
         h3_p_bound=p_bound,
-        h3_shape_bound=_parse_shape(args.h3_shape_bound, r, "--h3-shape-bound"),
         h3_star_cap=args.h3_star_cap,
     )
     if args.json:
@@ -319,8 +318,7 @@ def _cmd_witness_nonperiodic(args) -> int:
     ts, _ = _load_gated(args)
     p_bound = _parse_shape(args.p_bound, ts.rank, "--p-bound")
     origin = ts.alphabet.resolve(args.origin) if args.origin is not None else 0
-    bound = _parse_shape(args.shape_bound, ts.rank, "--shape-bound")
-    w = witnesses.nonperiodic_all(ts, p_bound, origin, bound)
+    w = witnesses.nonperiodic_all(ts, p_bound, origin)
     print(_format_word(ts, w))
     return 0
 
@@ -345,8 +343,7 @@ def _cmd_witness_distinct_pair(args) -> int:
 def _cmd_witness_set_s(args) -> int:
     ts, _ = _load_gated(args)
     m = _parse_shape(args.p_bound, ts.rank, "--p-bound")
-    bound = _parse_shape(args.shape_bound, ts.rank, "--shape-bound")
-    l, family = witnesses.separating_family(ts, m, bound)
+    l, family = witnesses.separating_family(ts, m)
     print(f"common-shape:{_format_shape(l)}")
     for a in range(ts.n_letters):
         print(f"{ts.alphabet.name(a)} {_format_word(ts, family[a])}")
@@ -356,8 +353,7 @@ def _cmd_witness_set_s(args) -> int:
 def _cmd_witness_q_support(args) -> int:
     ts, dmap = _load_gated(args)
     m = _parse_shape(args.p_bound, ts.rank, "--p-bound")
-    bound = _parse_shape(args.shape_bound, ts.rank, "--shape-bound")
-    l, family = witnesses.separating_family(ts, m, bound)
+    l, family = witnesses.separating_family(ts, m)
     total = _parse_shape(args.total, ts.rank, "--total")
     support = witnesses.projection_support(ts, dmap, m, l, family, total=total)
     print(f"common-shape:{_format_shape(l)}")
@@ -455,9 +451,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h3-p-bound", metavar="S",
                    help="largest |p| searched for non-periodic witnesses "
                         "(default 2,...,2)")
-    p.add_argument("--h3-shape-bound", metavar="S",
-                   help="each p is decided at shape |p|, so S must dominate "
-                        "the p bound (default p bound + 1)")
     p.add_argument("--h3-star-cap", type=int, default=100_000,
                    help="max fiber sets before the (H3*) run reports cap-hit "
                         "(default %(default)s)")
@@ -500,8 +493,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_product)
 
     p = sub.add_parser("witness", help="constructive witnesses")
-    shape_bound_help = ("per-p witness search bound; each p is decided at shape "
-                        "|p|, so S must dominate the p bound (default p bound + 2)")
     wsub = p.add_subparsers(dest="witness_kind", required=True)
 
     w = wsub.add_parser("nonperiodic",
@@ -510,7 +501,6 @@ def _build_parser() -> argparse.ArgumentParser:
     w.add_argument("--p-bound", required=True, metavar="M")
     w.add_argument("--origin", metavar="A",
                    help="origin letter (default: first letter)")
-    w.add_argument("--shape-bound", metavar="S", help=shape_bound_help)
     w.set_defaults(func=_cmd_witness_nonperiodic)
 
     w = wsub.add_parser("connect", help="a word with given ends and minimum shape")
@@ -528,14 +518,12 @@ def _build_parser() -> argparse.ArgumentParser:
     w = wsub.add_parser("set-s", help="a translate-separated word family")
     common(w)
     w.add_argument("--p-bound", required=True, metavar="M")
-    w.add_argument("--shape-bound", metavar="S", help=shape_bound_help)
     w.set_defaults(func=_cmd_witness_set_s)
 
     w = wsub.add_parser("q-support",
                         help="the projection support over a separating family")
     common(w)
     w.add_argument("--p-bound", required=True, metavar="M")
-    w.add_argument("--shape-bound", metavar="S", help=shape_bound_help)
     w.add_argument("--total", metavar="S",
                    help="ambient shape (default m + l); larger values "
                         "realise refinements")

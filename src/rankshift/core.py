@@ -123,11 +123,6 @@ def absv(l):
     return tuple(abs(a) for a in l)
 
 
-def shape_lattice(l, m):
-    """Return ``(meet, join, abs_l)`` for translates l, m of equal rank."""
-    return meet(l, m), join(l, m), absv(l)
-
-
 def dominates(l, m) -> bool:
     """True iff m <= l componentwise."""
     _same_rank(l, m)

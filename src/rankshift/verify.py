@@ -38,12 +38,10 @@ from .core import (
     box_cells,
     box_offsets,
     check_shape,
-    dominates,
     is_periodic,
     shapes_upto,
     sub,
     translate_reps,
-    vec,
     zero,
 )
 from .completion import (iter_grid_completions, staircase_offsets, word_from_path,
@@ -409,47 +407,38 @@ def check_h3_star(ts: TileSystem, j: int, max_sets: int = 100_000
 # bounded (H3) search
 # ---------------------------------------------------------------------------
 
-def nonperiodic_witness(ts: TileSystem, p: Translate, shape_bound: Shape
-                        ) -> Optional[Word]:
-    """First word (canonical order) within the bound that is not p-periodic.
+def nonperiodic_witness(ts: TileSystem, p: Translate) -> Optional[Word]:
+    """First word (canonical order) of any shape that is not p-periodic.
 
     One grid search, at shape |p|, decides it.  Only shapes l >= |p| can carry
     a witness, as smaller boxes have empty overlap with their p-translate.  A
     word of shape l that differs at x and x + p restricts, on the box spanned
     by those two cells, to a word of shape |p| that differs at two of its
     corners; and |p| is the first shape in canonical order dominating |p|.
-    So the first witness of any shape up to the bound is the first of shape
-    |p|, and there is none when shape_bound does not dominate |p|.
+    So the first witness of any shape is the first of shape |p|, and None
+    means every word is p-periodic.
     """
-    lo = absv(p)
-    if not dominates(shape_bound, lo):
-        return None
-    for w in words_of_shape(ts, lo):
+    for w in words_of_shape(ts, absv(p)):
         if not is_periodic(w, p):
             return w
     return None
 
 
-def _h3_bounds(ts: TileSystem, p_bound: Shape, shape_bound: Shape
-               ) -> tuple[Shape, Shape]:
-    """The bounds of a bounded (H3) search, checked; see :func:`check_h3_bounded`."""
+def _h3_bounds(ts: TileSystem, p_bound: Shape) -> Shape:
+    """The p bound of a bounded (H3) search, checked; see :func:`check_h3_bounded`."""
     p_bound = check_shape(ts, p_bound, "p bound")
-    shape_bound = check_shape(ts, shape_bound, "shape bound")
     if not any(p_bound):
         raise ValueError(f"p bound {p_bound} admits no translate p != 0")
-    if not dominates(shape_bound, p_bound):
-        raise ValueError(f"shape bound {shape_bound} does not dominate the "
-                         f"p bound {p_bound}; each p is decided at shape |p|")
-    return p_bound, shape_bound
+    return p_bound
 
 
-def _h3_search(ts: TileSystem, p_bound: Shape, shape_bound: Shape
+def _h3_search(ts: TileSystem, p_bound: Shape
                ) -> tuple[dict[Translate, Word], list[Translate]]:
     """Witnesses by canonical p with |p| <= p_bound, and the p left without."""
     found = {}
     missing = []
     for p in translate_reps(p_bound):
-        w = nonperiodic_witness(ts, p, shape_bound)
+        w = nonperiodic_witness(ts, p)
         if w is None:
             missing.append(p)
         else:
@@ -457,40 +446,37 @@ def _h3_search(ts: TileSystem, p_bound: Shape, shape_bound: Shape
     return found, missing
 
 
-def check_h3_bounded(ts: TileSystem, p_bound: Shape, shape_bound: Shape
-                     ) -> CheckResult:
+def check_h3_bounded(ts: TileSystem, p_bound: Shape) -> CheckResult:
     """Search for a non-p-periodic word for every p with |p| <= p_bound.
 
     p ranges over representatives modulo p <-> -p (periodicity is symmetric).
-    Bounded-pass lists one witness per p; a fail means some p has no witness
-    within shape_bound, which is inconclusive for (H3) globally and is
-    reported as such.  Each p is decided by one search at shape |p| (see
-    :func:`nonperiodic_witness`), so shape_bound must dominate p_bound.  A
-    shape_bound that does not, or an all-zero p_bound, which admits no p,
-    raises :class:`ValueError`, as does a bad rank or a negative component in
-    either bound.
+    Each p is decided by one search at shape |p| (see
+    :func:`nonperiodic_witness`).  Bounded-pass lists one witness per p; a
+    fail lists the p for which every word, of any shape, is p-periodic, so
+    (H3) fails.  An all-zero p_bound, which admits no p, raises
+    :class:`ValueError`, as does a bad rank or a negative component.
     """
-    p_bound, shape_bound = _h3_bounds(ts, p_bound, shape_bound)
-    params = {"p_bound": list(p_bound), "shape_bound": list(shape_bound)}
-    found, missing = _h3_search(ts, p_bound, shape_bound)
+    p_bound = _h3_bounds(ts, p_bound)
+    params = {"p_bound": list(p_bound)}
+    found, missing = _h3_search(ts, p_bound)
     if missing:
         return CheckResult("H3 (bounded)", Status.FAIL,
                            {"no_witness_for": [list(p) for p in missing],
-                            "note": "inconclusive for (H3) globally"},
+                            "note": "every word is p-periodic for these p, "
+                                    "so (H3) fails"},
                            params)
     return CheckResult("H3 (bounded)", Status.BOUNDED_PASS,
                        {"witnesses": {",".join(map(str, p)): _word_json(ts, w)
                                       for p, w in found.items()}}, params)
 
 
-def h3_bounded_witnesses(ts: TileSystem, p_bound: Shape, shape_bound: Shape
-                         ) -> dict[Translate, Word]:
-    """Witness words per canonical p, raising if any p has none in bounds."""
-    found, missing = _h3_search(ts, *_h3_bounds(ts, p_bound, shape_bound))
+def h3_bounded_witnesses(ts: TileSystem, p_bound: Shape) -> dict[Translate, Word]:
+    """Witness words per canonical p, raising if any p has none."""
+    found, missing = _h3_search(ts, _h3_bounds(ts, p_bound))
     if missing:
         raise WitnessSearchError(
-            f"no non-periodic witness within shape bound {tuple(shape_bound)} "
-            f"for translates {missing}")
+            f"no non-periodic witness for translates {missing}: every word is "
+            f"p-periodic for these p, so (H3) fails")
     return found
 
 
@@ -501,22 +487,18 @@ def h3_bounded_witnesses(ts: TileSystem, p_bound: Shape, shape_bound: Shape
 def verify_report(ts: TileSystem,
                   h1_oracle_bound: Shape | None = None,
                   h3_p_bound: Shape | None = None,
-                  h3_shape_bound: Shape | None = None,
                   h3_star_cap: int = 100_000) -> VerificationReport:
     """Run every check and aggregate the results.
 
     The (H3*) and bounded (H3) machinery is only meaningful when the local
     product conditions hold, so those checks are marked skipped when
     (H1a)-(H1c) fail.  Defaults, for a bound left as None: oracle bound
-    (2,...,2), p bound (2,...,2), shape bound p bound + (1,...,1).  Any other
-    bound, () too, raises if invalid, the (H3) bounds before any check runs.
+    (2,...,2) and p bound (2,...,2).  Any other bound, () too, raises if
+    invalid, the p bound before any check runs.
     """
     r = ts.rank
     h1_oracle_bound = (2,) * r if h1_oracle_bound is None else h1_oracle_bound
-    h3_p_bound = (2,) * r if h3_p_bound is None else vec(h3_p_bound)
-    if h3_shape_bound is None:
-        h3_shape_bound = tuple(b + 1 for b in h3_p_bound)
-    h3_p_bound, h3_shape_bound = _h3_bounds(ts, h3_p_bound, h3_shape_bound)
+    h3_p_bound = _h3_bounds(ts, (2,) * r if h3_p_bound is None else h3_p_bound)
 
     checks = [check_h0(ts)]
     h1 = check_h1_local(ts)
@@ -527,7 +509,7 @@ def verify_report(ts: TileSystem,
         for j in range(1, r + 1):
             result, _ = check_h3_star(ts, j, max_sets=h3_star_cap)
             checks.append(result)
-        checks.append(check_h3_bounded(ts, h3_p_bound, h3_shape_bound))
+        checks.append(check_h3_bounded(ts, h3_p_bound))
     else:
         for j in range(1, r + 1):
             checks.append(CheckResult(f"H3* (j={j})", Status.SKIPPED,

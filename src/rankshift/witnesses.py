@@ -131,27 +131,24 @@ def distinct_pair(ts: TileSystem) -> tuple[Word, Word]:
         "successors in any one direction; evidence against (H3)")
 
 
-def nonperiodic_all(ts: TileSystem, m: Shape, a: int,
-                    shape_bound: Shape | None = None) -> Word:
+def nonperiodic_all(ts: TileSystem, m: Shape, a: int) -> Word:
     """A word from letter a that is non-p-periodic for every p != 0, |p| <= m.
 
-    Per-p witnesses are found by bounded search (default bound m + 2 in every
-    direction) and joined by spacers into a core p_0 s_0 ... p_k, which a
+    Per-p witnesses are found by the bounded (H3) search, one at shape |p|
+    each, and joined by spacers into a core p_0 s_0 ... p_k, which a
     connector from a precedes; a word containing a non-p-periodic sub-box is
     itself non-p-periodic.  m = 0 has nothing to defeat: the letter word.
     """
-    return _nonperiodic_words(ts, m, shape_bound, [a])[a]
+    return _nonperiodic_words(ts, m, [a])[a]
 
 
-def _nonperiodic_words(ts: TileSystem, m: Shape, shape_bound: Shape | None,
-                       letters: Iterable[int]) -> dict[int, Word]:
+def _nonperiodic_words(ts: TileSystem, m: Shape, letters: Iterable[int]
+                       ) -> dict[int, Word]:
     """:func:`nonperiodic_all` for each letter, from one core p_0 s_0 ... p_k."""
     m = check_shape(ts, m, "p bound")
     if is_zero(m):
         return {a: letter_word(ts.rank, a) for a in letters}
-    if shape_bound is None:
-        shape_bound = tuple(c + 2 for c in m)
-    parts = list(h3_bounded_witnesses(ts, m, shape_bound).values())
+    parts = list(h3_bounded_witnesses(ts, m).values())
     core = parts[0]
     for part in parts[1:]:
         spacer = connect(ts, core.terminus, part.origin, zero(ts.rank))
@@ -192,9 +189,7 @@ def separate_translates(ts: TileSystem, p: Translate, w1: Word, w2: Word
     return w1p, w2p
 
 
-def separating_family(ts: TileSystem, m: Shape,
-                      shape_bound: Shape | None = None
-                      ) -> tuple[Shape, dict[int, Word]]:
+def separating_family(ts: TileSystem, m: Shape) -> tuple[Shape, dict[int, Word]]:
     """A common-shape family {w_a} with all small translates separated.
 
     Returns (l, family) where family[a] is a word of shape l with origin a,
@@ -209,7 +204,7 @@ def separating_family(ts: TileSystem, m: Shape,
     """
     m = vec(m)
     n = ts.n_letters
-    family = _nonperiodic_words(ts, m, shape_bound, range(n))
+    family = _nonperiodic_words(ts, m, range(n))
     l = zero(ts.rank)
     for w in family.values():
         l = join(l, w.shape)

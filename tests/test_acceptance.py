@@ -120,7 +120,7 @@ def test_criterion_4_h3_star_implies_bounded_h3(corpus):
             continue
         tested += 1
         p_bound = (3,) * ts.rank if ts.rank <= 2 else (1,) * ts.rank
-        result = check_h3_bounded(ts, p_bound, p_bound)
+        result = check_h3_bounded(ts, p_bound)
         if result.status is not Status.BOUNDED_PASS:
             ok = False
         else:
@@ -255,7 +255,7 @@ def test_criterion_9_negative_fixtures(jj, identity2, single):
     h2 = check_h2(identity2)
     ok = ok and h2.status is Status.FAIL \
         and len(h2.witness["components"]) == 2
-    h3 = check_h3_bounded(single, (1,), (3,))
+    h3 = check_h3_bounded(single, (1,))
     ok = ok and h3.status is Status.FAIL \
         and h3.witness["no_witness_for"] == [[1]]
     elapsed = time.monotonic() - start

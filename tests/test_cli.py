@@ -11,7 +11,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rankshift import DecorationMap, cli, load_system, save_system
+from rankshift import DecorationMap, cli, load_system, save_system, verify
 from rankshift.cli import SystemFileError, main, parse_system, system_to_json
 
 
@@ -192,8 +192,7 @@ def test_missing_file_exits_2(capsys):
 
 
 def test_verify_pass_exit_0(fs2_file, capsys):
-    code = main(["verify", fs2_file, "--h3-p-bound", "2,2",
-                 "--h3-shape-bound", "3,3"])
+    code = main(["verify", fs2_file, "--h3-p-bound", "2,2"])
     out = capsys.readouterr().out
     assert code == 0
     assert "H0: pass" in out
@@ -274,10 +273,9 @@ def test_witness_set_s_negative_p_bound_exits_2(fs2_file, capsys):
     (["bratteli", "{fs2}", "--upto"], "--upto"),
     (["verify", "{fs2}", "--h1-oracle-bound"], "--h1-oracle-bound"),
     (["verify", "{fs2}", "--h3-p-bound"], "--h3-p-bound"),
-    (["verify", "{fs2}", "--h3-shape-bound"], "--h3-shape-bound"),
+    (["verify", "{fs2}", "--h3-p"], "--h3-p-bound"),  # argparse's prefix matching
     (["witness", "set-s", "{fs2}", "--p-bound"], "--p-bound"),
-    (["witness", "set-s", "{fs2}", "--p-bound", "1,1", "--shape-bound"],
-     "--shape-bound"),
+    (["witness", "q-support", "{fs2}", "--p-bound"], "--p-bound"),
     (["witness", "nonperiodic", "{fs2}", "--p-bound"], "--p-bound"),
     (["witness", "connect", "{fs2}", "--from", "00", "--to", "00", "--min-shape"],
      "--min-shape"),
@@ -508,9 +506,9 @@ GOLDEN = [
     ("witness distinct-pair gm2.json", 0,
      "0011af91a72d54fea27e11bd8c5676fc28e460b097d78f4be7d5f86885228c97"),
     ("verify fs2.json --json", 0,
-     "f2fb5e0306b359a9baea81accea19549329ec5d4803e6298deea3e55dda0d981"),
+     "6c2e535ef4f2ecf374df875c3853ebc60c8aa0455f8f289828d5ef8b87c60e64"),
     ("verify gm2.json --json", 1,
-     "4bb485668dad33cd4e3612bfd27246bf20ee881cd0f40b6595a83a11303e8b3b"),
+     "7b2459e385867f33df9f24582191de191f83c8d93c83e1d9188e5b0e9fbb4a51"),
     ("enumerate gm2.json --shape 3,3 --terminus 11", 0,
      "6c3b6d1cfe28e5daa1997fced0cf97b3699ac9049738c19445dc3cff78f8d14e"),
     ("bratteli gm2.json --upto 3,3 --format json", 0,
@@ -546,6 +544,14 @@ def test_golden_output_digests(capsys):
         assert main(argv) == code, command
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+
+
+def test_verify_json_h3_params_name_only_the_p_bound():
+    """The bounded (H3) check reports the one bound it has, the p bound; the
+    ``verify --json`` digests above pin this document."""
+    ts, _ = load_system(os.path.join(SAMPLES, "fs2.json"))
+    checks = {c["condition"]: c for c in verify.verify_report(ts).to_json()["checks"]}
+    assert checks["H3 (bounded)"]["params"] == {"p_bound": [2, 2]}
 
 
 @pytest.mark.parametrize("command", [
@@ -613,15 +619,19 @@ def test_search_bound_below_floor_exits_2(gm_file, fs2_file, argv, flag, capsys)
     (["verify", "{jj}", "--h3-shape-bound", "0,0"], "(0, 0)", "(2, 2)"),
 ])
 def test_shape_bound_below_the_p_bound_exits_2(gm2_file, fs2_file, jj_file, argv,
-                                               shape_bound, p_bound, capsys):
-    """A shape bound must dominate the p bound: one below it would skip some
-    p unsearched and report a failure that no search produced."""
+                                               shape_bound, p_bound):
+    """There is no (H3) shape-bound flag: each p is decided at shape |p|, so
+    no shape bound could change a result.  Each command line passes one, at
+    shape_bound below its p bound p_bound, and argparse rejects the flag
+    itself before any bound is read."""
     argv = [a.format(gm2=gm2_file, fs2=fs2_file, jj=jj_file) for a in argv]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (f"error: shape bound {shape_bound} does not dominate "
-                            f"the p bound {p_bound}; each p is decided at shape |p|\n")
+    code, out, err = _run_in_process(argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.endswith(f"rankshift: error: unrecognized arguments: "
+                        f"{argv[-2]} {argv[-1]}\n")
+    assert f"shape bound {shape_bound}" not in err and f"p bound {p_bound}" not in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -813,7 +823,6 @@ def _argv(head, *parts):
 _ARGV = st.one_of(
     _argv(["verify"], _SAMPLE, _option("--h1-oracle-bound", _shape_text()),
           _option("--h3-p-bound", _shape_text()),
-          _option("--h3-shape-bound", _shape_text()),
           _option("--h3-star-cap", _INT), _switch("--json")),
     _argv(["count"], _SAMPLE, _flag("--shape", _shape_text()),
           _switch("--per-letter"), _switch("--json")),
@@ -826,15 +835,14 @@ _ARGV = st.one_of(
           _flag("--cells1", _CELLS), _flag("--shape2", _shape_text()),
           _flag("--cells2", _CELLS)),
     _argv(["witness", "nonperiodic"], _SAMPLE, _flag("--p-bound", _shape_text()),
-          _option("--origin", _LETTER), _option("--shape-bound", _shape_text())),
+          _option("--origin", _LETTER)),
     _argv(["witness", "connect"], _SAMPLE, _flag("--from", _LETTER),
           _flag("--to", _LETTER), _flag("--min-shape", _shape_text())),
     _argv(["witness", "distinct-pair"], _SAMPLE),
     # set-s and q-support grow fast in the p bound, so theirs stays at 2
-    _argv(["witness", "set-s"], _SAMPLE, _flag("--p-bound", _shape_text(2)),
-          _option("--shape-bound", _shape_text())),
+    _argv(["witness", "set-s"], _SAMPLE, _flag("--p-bound", _shape_text(2))),
     _argv(["witness", "q-support"], _SAMPLE, _flag("--p-bound", _shape_text(2)),
-          _option("--shape-bound", _shape_text()), _option("--total", _shape_text())),
+          _option("--total", _shape_text())),
     _argv(["bratteli"], _SAMPLE, _flag("--upto", _shape_text()),
           _option("--format", st.sampled_from(["text", "dot", "json", "xml"])),
           _switch("--chain")),

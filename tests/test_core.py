@@ -13,7 +13,6 @@ from rankshift import (
     is_periodic,
     letter_word,
     restrict,
-    shape_lattice,
     tensor,
     translates_agree,
     validate_word,
@@ -24,7 +23,9 @@ from rankshift.core import (
     box_cells,
     box_offsets,
     box_size,
+    join,
     meet,
+    neg,
     strides,
     sub,
     translate_reps,
@@ -37,18 +38,20 @@ from rankshift.witnesses import connect, nonperiodic_all, projection_support
 
 
 def test_shape_lattice_examples():
-    m, j, a = shape_lattice((-1, 2), (0, 0))
-    assert a == (1, 2)
-    m, j, _ = shape_lattice((1, 3), (2, 1))
-    assert m == (1, 1) and j == (2, 3)
-    assert absv((0, 0)) == (0, 0)
+    assert absv((-1, 2)) == (1, 2) and absv((0, 0)) == (0, 0)
+    assert meet((1, 3), (2, 1)) == (1, 1) and join((1, 3), (2, 1)) == (2, 3)
+    for p in translate_reps((2, 2)):
+        # |p| = p v (-p), and it lies within the bound
+        assert absv(p) == join(p, neg(p)) == neg(meet(p, neg(p)))
+        assert meet(absv(p), (2, 2)) == absv(p)
 
 
 def test_shape_lattice_rank_mismatch():
-    with pytest.raises(ValueError):
-        shape_lattice((1, 2), (1,))
-    with pytest.raises(ValueError):
-        meet((1,), (1, 2))
+    for op in (meet, join):
+        with pytest.raises(ValueError):
+            op((1, 2), (1,))
+        with pytest.raises(ValueError):
+            op((1,), (1, 2))
 
 
 def test_alphabet_rejects_duplicates_and_empty():

@@ -6,7 +6,8 @@ from operator import itemgetter
 
 import pytest
 
-from rankshift import Alphabet, TileSystem, load_system, validate_word, verify
+from rankshift import (Alphabet, TileSystem, WitnessSearchError, load_system,
+                       validate_word, verify)
 from rankshift.builders import from_rank1, random_system
 from rankshift.completion import iter_grid_completions, words_of_shape
 from rankshift.core import (
@@ -537,7 +538,7 @@ def test_h3_star_witness_word_revalidates(gm2):
 # --- bounded (H3) --------------------------------------------------------------
 
 def test_h3_bounded_gm2(gm2):
-    result = check_h3_bounded(gm2, (2, 2), (3, 3))
+    result = check_h3_bounded(gm2, (2, 2))
     assert result.status is Status.BOUNDED_PASS
     witnesses = result.witness["witnesses"]
     assert len(witnesses) == len(translate_reps((2, 2)))
@@ -548,9 +549,10 @@ def test_h3_bounded_gm2(gm2):
 
 
 def test_h3_bounded_single_letter_fails(single):
-    result = check_h3_bounded(single, (1,), (3,))
+    result = check_h3_bounded(single, (1,))
     assert result.status is Status.FAIL
     assert result.witness["no_witness_for"] == [[1]]
+    assert result.params == {"p_bound": [1]}
 
 
 def _walked_nonperiodic_witness(ts, p, shape_bound):
@@ -569,24 +571,21 @@ def _walked_nonperiodic_witness(ts, p, shape_bound):
 
 
 def test_nonperiodic_witness_matches_the_shape_walk():
-    """One search at shape |p| finds what the walk over every shape up to the
-    bound found, on random systems of rank 1-3: a witness, no witness at any
-    shape, or none because the bound does not dominate |p|."""
+    """One search at shape |p| finds what the walk over every shape up to a
+    bound dominating |p| found, on random systems of rank 1-3: a witness, or
+    no witness at any shape."""
     rng = random.Random(1414)
-    seen = {"witness": 0, "no witness": 0, "bound below |p|": 0}
+    seen = {"witness": 0, "no witness": 0}
     for _ in range(1000):
         rank = rng.randint(1, 3)
         ts = random_system(rng, rng.randint(1, 4), rank, rng.choice([0.3, 0.5, 0.8]))
         top = (3, 2, 1)[rank - 1]
         for p in rng.sample(translate_reps((top,) * rank), 3):
-            bound = tuple(max(0, min(c + rng.randint(-1, 1), top))
-                          for c in absv(p))
-            got = nonperiodic_witness(ts, p, bound)
+            bound = tuple(min(c + rng.randint(0, 1), top) for c in absv(p))
+            got = nonperiodic_witness(ts, p)
             assert got == _walked_nonperiodic_witness(ts, p, bound), (
                 ts.matrices, p, bound)
-            if not dominates(bound, absv(p)):
-                seen["bound below |p|"] += 1
-            elif got is None:
+            if got is None:
                 seen["no witness"] += 1
             else:
                 assert got.shape == absv(p)
@@ -595,7 +594,7 @@ def test_nonperiodic_witness_matches_the_shape_walk():
 
 
 def test_h3_bounded_fs2(fs2):
-    assert check_h3_bounded(fs2, (1, 1), (2, 2)).status is Status.BOUNDED_PASS
+    assert check_h3_bounded(fs2, (1, 1)).status is Status.BOUNDED_PASS
 
 
 def test_vacuous_bounds_raise(gm, fs2):
@@ -606,7 +605,7 @@ def test_vacuous_bounds_raise(gm, fs2):
         check_h1_oracle(gm, (1,))
     assert check_h1_oracle(gm, (2,)).status is Status.PASS
     with pytest.raises(ValueError, match="no translate"):
-        check_h3_bounded(fs2, (0, 0), (2, 2))
+        check_h3_bounded(fs2, (0, 0))
 
 
 def test_h1_oracle_rejects_negative_bound(fs2):
@@ -618,42 +617,41 @@ def test_h1_oracle_rejects_negative_bound(fs2):
 def test_h3_bounded_rejects_bad_bounds(fs2):
     # a bound of the wrong rank is an error, not a bounded-pass
     with pytest.raises(ValueError, match=r"p bound \(1,\) has wrong rank"):
-        check_h3_bounded(fs2, (1,), (2,))
-    with pytest.raises(ValueError, match=r"shape bound \(2, 2, 2\) has wrong rank"):
-        check_h3_bounded(fs2, (1, 1), (2, 2, 2))
+        check_h3_bounded(fs2, (1,))
+    with pytest.raises(ValueError, match=r"p bound \(1, 1, 1\) has wrong rank"):
+        check_h3_bounded(fs2, (1, 1, 1))
     with pytest.raises(ValueError, match=r"p bound \(-1, 2\) has a negative"):
-        check_h3_bounded(fs2, (-1, 2), (3, 3))
-    with pytest.raises(ValueError, match=r"shape bound \(3, -1\) has a negative"):
-        check_h3_bounded(fs2, (1, 1), (3, -1))
+        check_h3_bounded(fs2, (-1, 2))
+    with pytest.raises(ValueError, match=r"p bound \(1, -1\) has a negative"):
+        h3_bounded_witnesses(fs2, (1, -1))
     # the bound error, not an IndexError on an empty list of per-p witnesses
     with pytest.raises(ValueError, match=r"p bound \(-1, 2\) has a negative"):
         nonperiodic_all(fs2, (-1, 2), 0)
 
 
-def test_h3_search_rejects_a_shape_bound_below_the_p_bound(fs2):
-    # each p is decided at shape |p|: a bound below the p bound would skip
-    # some p unsearched and report them as failures
-    message = r"shape bound \(0, 0\) does not dominate the p bound \(1, 1\)"
+def test_h3_search_rejects_a_p_bound_with_no_translate(fs2):
+    # an all-zero p bound admits no p != 0, so a pass would be vacuous
+    message = r"p bound \(0, 0\) admits no translate"
     with pytest.raises(ValueError, match=message):
-        check_h3_bounded(fs2, (1, 1), (0, 0))
+        check_h3_bounded(fs2, (0, 0))
     with pytest.raises(ValueError, match=message):
-        h3_bounded_witnesses(fs2, (1, 1), (0, 0))
-    with pytest.raises(ValueError, match=r"shape bound \(2, 0\) does not dominate"):
-        verify_report(fs2, h3_p_bound=(1, 1), h3_shape_bound=(2, 0))
-    # equal bounds search every p
-    assert check_h3_bounded(fs2, (1, 1), (1, 1)).status is Status.BOUNDED_PASS
+        h3_bounded_witnesses(fs2, (0, 0))
+    with pytest.raises(ValueError, match=message):
+        verify_report(fs2, h3_p_bound=(0, 0))
+    # one nonzero component admits p
+    assert check_h3_bounded(fs2, (0, 1)).status is Status.BOUNDED_PASS
 
 
 def test_report_checks_h3_bounds_even_when_h3_is_skipped(jj):
     # (H1b) fails on jj, so the bounded (H3) check is skipped; its bounds are
     # still checked, before any check runs
     assert verify_report(jj)["H3 (bounded)"].status is Status.SKIPPED
-    with pytest.raises(ValueError, match=r"shape bound \(0, 0\) does not dominate"):
-        verify_report(jj, h3_shape_bound=(0, 0))
     with pytest.raises(ValueError, match=r"p bound \(0, 0\) admits no translate"):
         verify_report(jj, h3_p_bound=(0, 0))
     with pytest.raises(ValueError, match=r"p bound \(1,\) has wrong rank"):
-        verify_report(jj, h3_p_bound=(1,), h3_shape_bound=(2, 2))
+        verify_report(jj, h3_p_bound=(1,))
+    with pytest.raises(ValueError, match=r"p bound \(2, -1\) has a negative"):
+        verify_report(jj, h3_p_bound=(2, -1))
 
 
 def test_report_empty_bounds_are_not_defaults(gm):
@@ -662,8 +660,6 @@ def test_report_empty_bounds_are_not_defaults(gm):
         verify_report(gm, h1_oracle_bound=())
     with pytest.raises(ValueError, match=r"p bound \(\) has wrong rank"):
         verify_report(gm, h3_p_bound=())
-    with pytest.raises(ValueError, match=r"shape bound \(\) has wrong rank"):
-        verify_report(gm, h3_shape_bound=())
 
 
 # --- aggregate report ----------------------------------------------------------
@@ -714,10 +710,21 @@ def test_permutation_system_fails_h3_on_null_translates():
     assert check_h2(ts).status is Status.PASS
     result, _ = check_h3_star(ts, 1)
     assert result.status is Status.FAIL  # every fiber is a singleton
-    bounded = check_h3_bounded(ts, (2, 2), (3, 3))
+    bounded = check_h3_bounded(ts, (2, 2))
     assert bounded.status is Status.FAIL
     # a word w from letter a has w(x) = a + x1 + 2 x2 (mod 3), so exactly
     # the translates with p1 + 2 p2 = 0 (mod 3) admit no witness
     expected = sorted(list(p) for p in translate_reps((2, 2))
                       if (p[0] + 2 * p[1]) % 3 == 0)
     assert sorted(bounded.witness["no_witness_for"]) == expected
+    assert bounded.witness["note"] == ("every word is p-periodic for these p, "
+                                       "so (H3) fails")
+    # a p left without a witness at |p| has none at any shape: every word of
+    # the larger shape |p| + (1, 1) is p-periodic too
+    for p in expected:
+        words = list(words_of_shape(ts, tuple(c + 1 for c in absv(p))))
+        assert len(words) == ts.n_letters  # every word is forced by its origin
+        assert all(is_periodic(w, tuple(p)) for w in words), p
+    with pytest.raises(WitnessSearchError,
+                       match=r"^no non-periodic witness for translates "):
+        h3_bounded_witnesses(ts, (2, 2))

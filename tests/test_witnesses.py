@@ -317,14 +317,12 @@ def test_no_word_carries_two_family_windows(fs2):
 # one aperiodic core per family against the former per-letter chain
 # ---------------------------------------------------------------------------
 
-def _chain_nonperiodic_all(ts, m, a, shape_bound=None):
+def _chain_nonperiodic_all(ts, m, a):
     """The former nonperiodic_all: connect(a) p_0 s_0 p_1 ... p_k as a
     left-nested chain of products, rebuilt for every letter."""
     if is_zero(m):
         return letter_word(ts.rank, a)
-    if shape_bound is None:
-        shape_bound = tuple(c + 2 for c in m)
-    parts = list(h3_bounded_witnesses(ts, m, shape_bound).values())
+    parts = list(h3_bounded_witnesses(ts, m).values())
     w = connect(ts, a, parts[0].origin, zero(ts.rank))
     for i, part in enumerate(parts):
         w = product(ts, w, part)
