@@ -10,9 +10,8 @@ A system file looks like
     }
 
 ``matrices[j][b][a] = 1`` means the step  a -> b  in direction j+1 is
-allowed (rows are indexed by the target letter).  Files written with the
-opposite convention load correctly with ``--transpose``.  ``decorations``
-is optional and defaults to the identity decoration D = A.
+allowed (rows are indexed by the target letter).  ``decorations`` is
+optional and defaults to the identity decoration D = A.
 
 Exit codes: 0 = success / all checks passed, 1 = a check failed or a
 witness search came back negative (with evidence printed), 2 = usage or
@@ -63,21 +62,23 @@ def _require(cond, message):
         raise SystemFileError(message)
 
 
-def load_system(path, transpose: bool = False) -> tuple[TileSystem, DecorationMap]:
-    """Load a system file; returns the system and its decoration map."""
+def load_system(path) -> tuple[TileSystem, DecorationMap]:
+    """Load a UTF-8 system file; returns the system and its decoration map."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise SystemFileError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SystemFileError(f"{path}: not UTF-8 text, {exc.reason} "
+                              f"at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise SystemFileError(f"{path}: invalid JSON at line {exc.lineno}, "
                               f"column {exc.colno}: {exc.msg}") from exc
-    return parse_system(data, transpose=transpose, origin=str(path))
+    return parse_system(data, origin=str(path))
 
 
-def parse_system(data, transpose: bool = False, origin: str = "<data>"
-                 ) -> tuple[TileSystem, DecorationMap]:
+def parse_system(data, origin: str = "<data>") -> tuple[TileSystem, DecorationMap]:
     _require(isinstance(data, dict), f"{origin}: top level must be an object")
     for key in ("rank", "alphabet", "matrices"):
         _require(key in data, f"{origin}: missing field {key!r}")
@@ -100,11 +101,9 @@ def parse_system(data, transpose: bool = False, origin: str = "<data>"
     matrices = data["matrices"]
     _require(isinstance(matrices, list) and len(matrices) == rank,
              f"{origin}: 'matrices' must list exactly rank={rank} matrices")
-    parsed = []
     for j, mat in enumerate(matrices):
         _require(isinstance(mat, list) and len(mat) == n,
                  f"{origin}: matrices[{j}] is not {n}x{n}")
-        rows = []
         for b, row in enumerate(mat):
             _require(isinstance(row, list) and len(row) == n,
                      f"{origin}: matrices[{j}][{b}] is not a row of length {n}")
@@ -112,10 +111,6 @@ def parse_system(data, transpose: bool = False, origin: str = "<data>"
                 _require(type(e) is int and e in (0, 1),
                          f"{origin}: matrices[{j}][{b}][{a}] is {e!r}, "
                          f"entries must be the integers 0 or 1")
-            rows.append(row)
-        if transpose:
-            rows = [[rows[a][b] for a in range(n)] for b in range(n)]
-        parsed.append(rows)
 
     if "decorations" in data and data["decorations"] is not None:
         deco = data["decorations"]
@@ -143,7 +138,7 @@ def parse_system(data, transpose: bool = False, origin: str = "<data>"
         dmap = DecorationMap(tuple(names), tuple(delta))
     else:
         dmap = DecorationMap.identity(alphabet)
-    return TileSystem(alphabet, parsed), dmap
+    return TileSystem(alphabet, matrices), dmap
 
 
 def system_to_json(ts: TileSystem, dmap: DecorationMap | None = None) -> dict:
@@ -162,7 +157,7 @@ def system_to_json(ts: TileSystem, dmap: DecorationMap | None = None) -> dict:
 
 def save_system(ts: TileSystem, path, dmap: DecorationMap | None = None) -> None:
     try:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             json.dump(system_to_json(ts, dmap), fh, indent=2)
             fh.write("\n")
     except OSError as exc:
@@ -220,7 +215,7 @@ def _word_arg(ts: TileSystem, shape_text: str, cells_text: str, what: str) -> Wo
 
 def _cmd_verify(args) -> int:
     _check_floor(args.h3_star_cap, 1, "--h3-star-cap")
-    ts, _ = load_system(args.system, transpose=args.transpose)
+    ts, _ = load_system(args.system)
     r = ts.rank
     h1_bound = _parse_shape(args.h1_oracle_bound, r, "--h1-oracle-bound")
     p_bound = _parse_shape(args.h3_p_bound, r, "--h3-p-bound")
@@ -246,7 +241,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    ts, dmap = load_system(args.system, transpose=args.transpose)
+    ts, dmap = load_system(args.system)
     shape = _parse_shape(args.shape, ts.rank, "--shape")
     dims = af_core.dim_vector(ts, dmap, shape)
     total = sum(dims)
@@ -265,7 +260,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     _check_floor(args.limit, 0, "--limit")
-    ts, dmap = load_system(args.system, transpose=args.transpose)
+    ts, dmap = load_system(args.system)
     shape = _parse_shape(args.shape, ts.rank, "--shape")
     origin = ts.alphabet.resolve(args.origin) if args.origin is not None else None
     terminus = ts.alphabet.resolve(args.terminus) if args.terminus is not None else None
@@ -286,7 +281,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_extend(args) -> int:
-    ts, _ = load_system(args.system, transpose=args.transpose)
+    ts, _ = load_system(args.system)
     w = _word_arg(ts, args.shape, args.cells, "--shape")
     a = ts.alphabet.resolve(args.letter)
     out = extend_unit(ts, w, args.direction, a)
@@ -295,7 +290,7 @@ def _cmd_extend(args) -> int:
 
 
 def _cmd_product(args) -> int:
-    ts, _ = load_system(args.system, transpose=args.transpose)
+    ts, _ = load_system(args.system)
     u = _word_arg(ts, args.shape1, args.cells1, "--shape1")
     v = _word_arg(ts, args.shape2, args.cells2, "--shape2")
     print(_format_word(ts, product(ts, u, v)))
@@ -304,7 +299,7 @@ def _cmd_product(args) -> int:
 
 def _load_gated(args) -> tuple[TileSystem, DecorationMap]:
     """Load the system for a witness command, refusing it unless (H0)-(H2) hold."""
-    ts, dmap = load_system(args.system, transpose=args.transpose)
+    ts, dmap = load_system(args.system)
     for check in (verify.check_h0(ts), verify.check_h1_local(ts),
                   verify.check_h2(ts)):
         if not check.ok:
@@ -364,7 +359,7 @@ def _cmd_witness_q_support(args) -> int:
 
 
 def _cmd_bratteli(args) -> int:
-    ts, dmap = load_system(args.system, transpose=args.transpose)
+    ts, dmap = load_system(args.system)
     upto = _parse_shape(args.upto, ts.rank, "--upto")
     diagram = af_core.bratteli(ts, dmap, upto)
     chain = diagram.diagonal() if args.chain else []
@@ -393,7 +388,7 @@ def _cmd_bratteli(args) -> int:
 def _cmd_tensor(args) -> int:
     factors = []
     for path in args.factors:
-        ts, _ = load_system(path, transpose=args.transpose)
+        ts, _ = load_system(path)
         factors.append(ts)
     result = builders.tensor(factors)
     save_system(result, args.output)
@@ -403,7 +398,7 @@ def _cmd_tensor(args) -> int:
 
 
 def _cmd_redecorate(args) -> int:
-    ts, dmap = load_system(args.system, transpose=args.transpose)
+    ts, dmap = load_system(args.system)
     assignments = {}
     for item in args.map.split(";"):
         if not item:
@@ -440,8 +435,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("system", help="system JSON file")
-        p.add_argument("--transpose", action="store_true",
-                       help="matrices in the file use the b -> a convention")
 
     p = sub.add_parser("verify", help="run the (H0)-(H3*) checks")
     common(p)
@@ -451,7 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h3-p-bound", metavar="S",
                    help="largest |p| searched for non-periodic witnesses "
                         "(default 2,...,2)")
-    p.add_argument("--h3-star-cap", type=int, default=100_000,
+    p.add_argument("--h3-star-cap", type=int, default=verify.H3_STAR_CAP,
                    help="max fiber sets before the (H3*) run reports cap-hit "
                         "(default %(default)s)")
     p.add_argument("--json", action="store_true")
@@ -539,7 +532,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tensor", help="tensor rank-1 systems into one file")
     p.add_argument("factors", nargs="+", help="rank-1 system files, in order")
-    p.add_argument("--transpose", action="store_true")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_tensor)
 

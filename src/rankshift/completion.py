@@ -15,7 +15,7 @@ along direction 1 one slab at a time and finds the slabs that can follow a
 given slab once, as the transfer-matrix view of the subshift allows.  The (H1)
 oracle enumerates each shape up to its bound with it once and decides each
 split from the count of its words and their letters along one staircase,
-comparing full restrictions only when that does not settle it; the projection
+walking its pairs for a witness only when the split fails; the projection
 support constrains it by placing one family member as a word on the window,
 one search per member, rather than tracking patterns inside the search.
 Placed words are propagated backwards before the search starts, so a fixed

@@ -181,15 +181,17 @@ def check_h1_oracle(ts: TileSystem, shape_bound: Shape) -> CheckResult:
     For every shape total <= shape_bound and every split total = m + n, the
     restriction w -> (w|[0,m], w|[m,total]) must be a bijection from the
     words of shape total onto the composable pairs (u, v) of shapes m and n.
-    Each shape is enumerated once by exhaustive grid search, m and n before
-    their total.  A split passes when its words number sum_c #(u ending at
-    c) * #(v starting at c), the count of composable pairs, and have distinct
-    restrictions.  These are distinct, in any system, if the words differ on
-    a staircase through m, whose cells lie in [0,m] and [m,total]: so the
-    staircase 0 -> m -> total is tried first, and one that passes settles
-    every split it goes through.  Only a split with a repeat there compares
-    whole restrictions, and only a failing split walks its pairs in canonical
-    order; the first with no extension, or with two, is the witness.
+    Each shape is enumerated once by exhaustive grid search, grade first.  A
+    split passes when its words number sum_c #(u ending at c) * #(v starting
+    at c), the count of composable pairs, and differ on the staircase
+    0 -> m -> total; its cells lie in [0,m] and [m,total], so the restriction
+    pairs differ too, and a staircase that passes settles every split it
+    goes through.  A repeat there fails the split: the first failing split
+    ends the run, so by induction on grade every word of a smaller shape is
+    fixed by its letters on any staircase through it, and two words agreeing
+    on 0 -> m -> total agree on w|[0,m] and w|[m,total].  A failing split
+    walks its pairs in canonical order; the first with no extension, or with
+    two, is the witness.
     Splits where u or v has shape 0 are trivial (the extension is the other
     word) and are skipped, so a bound of grade below 2 checks nothing and
     raises :class:`ValueError`, as does a bad rank or a negative component.
@@ -226,8 +228,6 @@ def check_h1_oracle(ts: TileSystem, shape_bound: Shape) -> CheckResult:
                 continue
             pair_of = itemgetter(*box_offsets(total, zero(ts.rank), m),
                                  *box_offsets(total, m, total))
-            if len(set(map("".join, map(pair_of, grids)))) == len(grids) == composable:
-                continue
             extensions: dict[str, list[str]] = {}
             for w in grids:
                 extensions.setdefault("".join(pair_of(w)), []).append(w)
@@ -300,6 +300,9 @@ def check_h2(ts: TileSystem) -> CheckResult:
 # (H3*) via the fiber-set fixed point
 # ---------------------------------------------------------------------------
 
+H3_STAR_CAP = 100_000  # fiber sets an (H3*) run may find before it reports cap-hit
+
+
 @dataclass
 class FiberFamily:
     """All distinct direction-j extension fiber sets, grouped by origin.
@@ -333,17 +336,8 @@ class FiberFamily:
             steps.append(step)
             key = parent
 
-    def to_json(self, ts: TileSystem) -> dict:
-        return {
-            "direction": self.direction,
-            "fibers": {
-                ts.alphabet.name(c): [sorted(_names(ts, s)) for s in sets_]
-                for c, sets_ in sorted(self.sets_by_origin.items())
-            },
-        }
 
-
-def check_h3_star(ts: TileSystem, j: int, max_sets: int = 100_000
+def check_h3_star(ts: TileSystem, j: int, max_sets: int = H3_STAR_CAP
                   ) -> tuple[CheckResult, FiberFamily]:
     """Decide (H3*) in direction j by the fiber-set fixed point.
 
@@ -487,7 +481,7 @@ def h3_bounded_witnesses(ts: TileSystem, p_bound: Shape) -> dict[Translate, Word
 def verify_report(ts: TileSystem,
                   h1_oracle_bound: Shape | None = None,
                   h3_p_bound: Shape | None = None,
-                  h3_star_cap: int = 100_000) -> VerificationReport:
+                  h3_star_cap: int = H3_STAR_CAP) -> VerificationReport:
     """Run every check and aggregate the results.
 
     The (H3*) and bounded (H3) machinery is only meaningful when the local

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rankshift import DecorationMap, cli, load_system, save_system, verify
-from rankshift.cli import SystemFileError, main, parse_system, system_to_json
+from rankshift.cli import SystemFileError, main, parse_system
 
 
 @pytest.fixture()
@@ -176,14 +176,33 @@ def test_load_reports_json_position(tmp_path):
     assert "line 1" in str(err.value)
 
 
-def test_transpose_loader(tmp_path, gm):
-    data = system_to_json(gm)
-    data["matrices"] = [[[row[b] for row in data["matrices"][0]]
-                         for b in range(2)]]
-    path = tmp_path / "t.json"
-    path.write_text(json.dumps(data))
-    loaded, _ = load_system(path, transpose=True)
-    assert loaded == gm
+@pytest.mark.parametrize("argv", [
+    ["verify", "{gm}", "--transpose"],
+    ["tensor", "{gm}", "{gm}", "--transpose", "-o", "{out}"],
+])
+def test_transpose_flag_is_rejected(tmp_path, gm_file, argv):
+    """Files use the a -> b convention only; argparse rejects the flag of the
+    other convention before any file is read or written."""
+    out_path = tmp_path / "out.json"
+    code, out, err = _run_in_process([a.format(gm=gm_file, out=out_path)
+                                      for a in argv])
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.endswith("rankshift: error: unrecognized arguments: --transpose\n")
+    assert not out_path.exists()
+
+
+def test_non_utf8_file_exits_2_naming_it(tmp_path):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff" + json.dumps({"rank": 1}).encode())
+    with pytest.raises(SystemFileError, match="not UTF-8"):
+        load_system(path)
+    code, out, err = _run_in_process(["verify", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err == f"error: {path}: not UTF-8 text, invalid start byte at byte 0\n"
 
 
 def test_missing_file_exits_2(capsys):
