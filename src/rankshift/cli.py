@@ -36,8 +36,8 @@ from .core import (
     TileSystem,
     UnknownLetterError,
     Word,
+    check_shape,
     validate_word,
-    vec,
 )
 from .completion import (
     decorated_words_of_shape,
@@ -79,6 +79,9 @@ def load_system(path) -> tuple[TileSystem, DecorationMap]:
 
 
 def parse_system(data, origin: str = "<data>") -> tuple[TileSystem, DecorationMap]:
+    """The system and decoration map in parsed JSON.  The file format's own
+    rules are checked here, and the constructors check the rest: their
+    ValueError, which names the same field, is re-raised with ``origin``."""
     _require(isinstance(data, dict), f"{origin}: top level must be an object")
     for key in ("rank", "alphabet", "matrices"):
         _require(key in data, f"{origin}: missing field {key!r}")
@@ -86,59 +89,41 @@ def parse_system(data, origin: str = "<data>") -> tuple[TileSystem, DecorationMa
     _require(type(rank) is int and rank >= 1,
              f"{origin}: 'rank' must be an integer >= 1, not {rank!r}")
     letters = data["alphabet"]
-    _require(isinstance(letters, list) and letters
-             and all(isinstance(a, str) for a in letters),
+    _require(isinstance(letters, list) and all(isinstance(a, str) for a in letters),
              f"{origin}: 'alphabet' must be a nonempty list of strings")
     for i, a in enumerate(letters):
         _require(a and not any(c == "," or c.isspace() for c in a),
                  f"{origin}: alphabet[{i}] is {a!r}, letter names must be "
                  f"nonempty with no ',' or whitespace")
-    _require(len(set(letters)) == len(letters),
-             f"{origin}: 'alphabet' has duplicate letters")
-    alphabet = Alphabet(letters)
-    n = len(letters)
-
-    matrices = data["matrices"]
-    _require(isinstance(matrices, list) and len(matrices) == rank,
-             f"{origin}: 'matrices' must list exactly rank={rank} matrices")
-    for j, mat in enumerate(matrices):
-        _require(isinstance(mat, list) and len(mat) == n,
-                 f"{origin}: matrices[{j}] is not {n}x{n}")
-        for b, row in enumerate(mat):
-            _require(isinstance(row, list) and len(row) == n,
-                     f"{origin}: matrices[{j}][{b}] is not a row of length {n}")
-            for a, e in enumerate(row):
-                _require(type(e) is int and e in (0, 1),
-                         f"{origin}: matrices[{j}][{b}][{a}] is {e!r}, "
-                         f"entries must be the integers 0 or 1")
-
-    if "decorations" in data and data["decorations"] is not None:
-        deco = data["decorations"]
+    try:
+        alphabet = Alphabet(letters)
+        matrices = data["matrices"]
+        _require(isinstance(matrices, list) and len(matrices) == rank,
+                 f"{origin}: 'matrices' must list exactly rank={rank} matrices")
+        ts = TileSystem(alphabet, matrices)
+        deco = data.get("decorations")
+        if deco is None:
+            return ts, DecorationMap.identity(alphabet)
         _require(isinstance(deco, dict) and "names" in deco and "delta" in deco,
                  f"{origin}: 'decorations' must have 'names' and 'delta'")
         names = deco["names"]
         delta_names = deco["delta"]
-        _require(isinstance(names, list) and names
-                 and all(isinstance(d, str) for d in names),
+        _require(isinstance(names, list) and all(isinstance(d, str) for d in names),
                  f"{origin}: decorations.names must be a nonempty string list")
         for i, d in enumerate(names):
             _require(d and not any(c.isspace() for c in d),
                      f"{origin}: decorations.names[{i}] is {d!r}, decoration "
                      f"names must be nonempty with no whitespace")
-        _require(len(set(names)) == len(names),
-                 f"{origin}: decorations.names has duplicate names")
-        _require(isinstance(delta_names, list) and len(delta_names) == len(names),
+        _require(isinstance(delta_names, list),
                  f"{origin}: decorations.delta must align with decorations.names")
-        delta = []
         for i, a in enumerate(delta_names):
             _require(a in letters,
                      f"{origin}: decorations.delta[{i}] = {a!r} "
                      f"is not an alphabet letter")
-            delta.append(alphabet.resolve(a))
-        dmap = DecorationMap(tuple(names), tuple(delta))
-    else:
-        dmap = DecorationMap.identity(alphabet)
-    return TileSystem(alphabet, matrices), dmap
+        delta = tuple(map(alphabet.resolve, delta_names))
+        return ts, DecorationMap(tuple(names), delta)
+    except ValueError as exc:
+        raise SystemFileError(f"{origin}: {exc}") from exc
 
 
 def system_to_json(ts: TileSystem, dmap: DecorationMap | None = None) -> dict:
@@ -168,21 +153,16 @@ def save_system(ts: TileSystem, path, dmap: DecorationMap | None = None) -> None
 # small formatting helpers
 # ---------------------------------------------------------------------------
 
-def _parse_shape(text: str | None, rank: int, what: str) -> Shape | None:
-    """The shape given to flag ``what``; None when the flag was not given."""
+def _parse_shape(text: str | None, ts: TileSystem, what: str) -> Shape | None:
+    """The shape given to flag ``what``, checked; None when it was not given."""
     if text is None:
         return None
     try:
-        parts = vec(int(p) for p in text.split(","))
+        parts = [int(p) for p in text.split(",")]
     except ValueError:
         raise SystemFileError(f"cannot parse {what} {text!r}; "
                               f"expected comma-separated integers") from None
-    if len(parts) != rank:
-        raise SystemFileError(f"{what} {text!r} has {len(parts)} components, "
-                              f"system rank is {rank}")
-    if any(c < 0 for c in parts):
-        raise SystemFileError(f"{what} {text!r} has a negative component")
-    return parts
+    return check_shape(ts, parts, what)
 
 
 def _check_floor(value: int | None, floor: int, what: str) -> None:
@@ -204,7 +184,7 @@ def _format_word(ts: TileSystem, w, dmap: DecorationMap | None = None) -> str:
 
 
 def _word_arg(ts: TileSystem, shape_text: str, cells_text: str, what: str) -> Word:
-    shape = _parse_shape(shape_text, ts.rank, what)
+    shape = _parse_shape(shape_text, ts, what)
     cells = cells_text.split(",") if cells_text else []
     return validate_word(ts, cells, shape=shape)
 
@@ -216,9 +196,8 @@ def _word_arg(ts: TileSystem, shape_text: str, cells_text: str, what: str) -> Wo
 def _cmd_verify(args) -> int:
     _check_floor(args.h3_star_cap, 1, "--h3-star-cap")
     ts, _ = load_system(args.system)
-    r = ts.rank
-    h1_bound = _parse_shape(args.h1_oracle_bound, r, "--h1-oracle-bound")
-    p_bound = _parse_shape(args.h3_p_bound, r, "--h3-p-bound")
+    h1_bound = _parse_shape(args.h1_oracle_bound, ts, "--h1-oracle-bound")
+    p_bound = _parse_shape(args.h3_p_bound, ts, "--h3-p-bound")
     # bounds that admit no split, or no p != 0, would pass vacuously
     _check_floor(h1_bound and sum(h1_bound), 2, "the grade of --h1-oracle-bound")
     _check_floor(p_bound and max(p_bound), 1, "the largest component of --h3-p-bound")
@@ -242,7 +221,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_count(args) -> int:
     ts, dmap = load_system(args.system)
-    shape = _parse_shape(args.shape, ts.rank, "--shape")
+    shape = _parse_shape(args.shape, ts, "--shape")
     dims = af_core.dim_vector(ts, dmap, shape)
     total = sum(dims)
     if args.json:
@@ -261,7 +240,7 @@ def _cmd_count(args) -> int:
 def _cmd_enumerate(args) -> int:
     _check_floor(args.limit, 0, "--limit")
     ts, dmap = load_system(args.system)
-    shape = _parse_shape(args.shape, ts.rank, "--shape")
+    shape = _parse_shape(args.shape, ts, "--shape")
     origin = ts.alphabet.resolve(args.origin) if args.origin is not None else None
     terminus = ts.alphabet.resolve(args.terminus) if args.terminus is not None else None
     count = 0
@@ -311,7 +290,7 @@ def _load_gated(args) -> tuple[TileSystem, DecorationMap]:
 
 def _cmd_witness_nonperiodic(args) -> int:
     ts, _ = _load_gated(args)
-    p_bound = _parse_shape(args.p_bound, ts.rank, "--p-bound")
+    p_bound = _parse_shape(args.p_bound, ts, "--p-bound")
     origin = ts.alphabet.resolve(args.origin) if args.origin is not None else 0
     w = witnesses.nonperiodic_all(ts, p_bound, origin)
     print(_format_word(ts, w))
@@ -322,7 +301,7 @@ def _cmd_witness_connect(args) -> int:
     ts, _ = _load_gated(args)
     a = ts.alphabet.resolve(args.origin)
     b = ts.alphabet.resolve(args.terminus)
-    n_min = _parse_shape(args.min_shape, ts.rank, "--min-shape")
+    n_min = _parse_shape(args.min_shape, ts, "--min-shape")
     print(_format_word(ts, witnesses.connect(ts, a, b, n_min)))
     return 0
 
@@ -337,7 +316,7 @@ def _cmd_witness_distinct_pair(args) -> int:
 
 def _cmd_witness_set_s(args) -> int:
     ts, _ = _load_gated(args)
-    m = _parse_shape(args.p_bound, ts.rank, "--p-bound")
+    m = _parse_shape(args.p_bound, ts, "--p-bound")
     l, family = witnesses.separating_family(ts, m)
     print(f"common-shape:{_format_shape(l)}")
     for a in range(ts.n_letters):
@@ -347,9 +326,9 @@ def _cmd_witness_set_s(args) -> int:
 
 def _cmd_witness_q_support(args) -> int:
     ts, dmap = _load_gated(args)
-    m = _parse_shape(args.p_bound, ts.rank, "--p-bound")
+    m = _parse_shape(args.p_bound, ts, "--p-bound")
     l, family = witnesses.separating_family(ts, m)
-    total = _parse_shape(args.total, ts.rank, "--total")
+    total = _parse_shape(args.total, ts, "--total")
     support = witnesses.projection_support(ts, dmap, m, l, family, total=total)
     print(f"common-shape:{_format_shape(l)}")
     print(f"support-size:{len(support)}")
@@ -360,7 +339,7 @@ def _cmd_witness_q_support(args) -> int:
 
 def _cmd_bratteli(args) -> int:
     ts, dmap = load_system(args.system)
-    upto = _parse_shape(args.upto, ts.rank, "--upto")
+    upto = _parse_shape(args.upto, ts, "--upto")
     diagram = af_core.bratteli(ts, dmap, upto)
     chain = diagram.diagonal() if args.chain else []
     if args.format == "json":
@@ -408,7 +387,7 @@ def _cmd_redecorate(args) -> int:
             raise SystemFileError(f"--map names unknown decoration {name!r}")
         if name in assignments:
             raise SystemFileError(f"--map[{name}] is given more than once")
-        assignments[name] = _parse_shape(shape_text, ts.rank, f"--map[{name}]")
+        assignments[name] = _parse_shape(shape_text, ts, f"--map[{name}]")
     missing = [d for d in dmap.names if d not in assignments]
     if missing:
         raise SystemFileError(f"--map missing decorations: {missing}")

@@ -214,10 +214,10 @@ class Alphabet:
     def __init__(self, letters: Iterable[str]):
         self.letters = tuple(str(a) for a in letters)
         if not self.letters:
-            raise ValueError("alphabet must be nonempty")
+            raise ValueError("'alphabet' must be a nonempty list of strings")
         self._index = {a: i for i, a in enumerate(self.letters)}
         if len(self._index) != len(self.letters):
-            raise ValueError("alphabet letters must be distinct")
+            raise ValueError("'alphabet' has duplicate letters")
 
     def __len__(self):
         return len(self.letters)
@@ -254,7 +254,8 @@ class TileSystem:
     """Alphabet plus r boolean transition matrices; the whole subshift.
 
     ``matrices[j-1][b][a] == 1`` means the step a -> b in direction j is
-    allowed.  Construction checks well-formedness only; whether the system
+    allowed.  Construction checks well-formedness only, with no coercion and
+    the system file's field paths in its errors; whether the system
     satisfies (H0)-(H3) is decided by :mod:`rankshift.verify`, so failing
     systems can be loaded and diagnosed.
     """
@@ -263,22 +264,22 @@ class TileSystem:
                  "_succ_mask", "_pred_mask")
 
     def __init__(self, alphabet: Alphabet, matrices: Sequence[Sequence[Sequence[int]]]):
+        matrices = tuple(matrices)
         if not matrices:
             raise ValueError("rank must be >= 1 (no matrices given)")
         self.alphabet = alphabet
         n = len(alphabet)
-        frozen = []
-        for j, mat in enumerate(matrices, start=1):
-            rows = tuple(tuple(int(e) for e in row) for row in mat)
-            if len(rows) != n or any(len(row) != n for row in rows):
-                raise ValueError(f"matrix {j} is not {n}x{n}")
-            for b, row in enumerate(rows):
+        for j, mat in enumerate(matrices):
+            if not isinstance(mat, (list, tuple)) or len(mat) != n:
+                raise ValueError(f"matrices[{j}] is not {n}x{n}")
+            for b, row in enumerate(mat):
+                if not isinstance(row, (list, tuple)) or len(row) != n:
+                    raise ValueError(f"matrices[{j}][{b}] is not a row of length {n}")
                 for a, e in enumerate(row):
-                    if e not in (0, 1):
-                        raise ValueError(
-                            f"matrix {j} entry ({b},{a}) is {e}, not in {{0,1}}")
-            frozen.append(rows)
-        self.matrices = tuple(frozen)
+                    if not (type(e) is int and e in (0, 1)):
+                        raise ValueError(f"matrices[{j}][{b}][{a}] is {e!r}, "
+                                         f"entries must be the integers 0 or 1")
+        self.matrices = tuple(tuple(map(tuple, mat)) for mat in matrices)
         self.rank = len(self.matrices)
         # successor / predecessor tables per direction, as lists and bitmasks
         self._succ = []
@@ -418,11 +419,11 @@ class DecorationMap:
 
     def __post_init__(self):
         if not self.names:
-            raise ValueError("decoration set must be nonempty")
+            raise ValueError("decorations.names must be a nonempty string list")
         if len(set(self.names)) != len(self.names):
-            raise ValueError("decoration names must be distinct")
+            raise ValueError("decorations.names has duplicate names")
         if len(self.delta) != len(self.names):
-            raise ValueError("delta must assign a letter to every decoration")
+            raise ValueError("decorations.delta must align with decorations.names")
 
     @classmethod
     def identity(cls, alphabet: Alphabet) -> "DecorationMap":
@@ -507,30 +508,21 @@ def validate_word(ts: TileSystem, cells, shape: Shape | None = None) -> Word:
     """
     if shape is None:
         if isinstance(cells, (str, int)):
-            shape, flat = zero(ts.rank), [cells]
+            shape, cells = zero(ts.rank), [cells]
         else:
-            shape, flat = _parse_nested(cells)
-            if len(shape) != ts.rank:
-                raise ValueError(f"grid rank {len(shape)} != system rank {ts.rank}")
-    else:
-        shape = check_shape(ts, shape, "shape")
-        flat = list(cells)
-        if len(flat) != box_size(shape):
-            raise ValueError(
-                f"{len(flat)} cells do not fill a box of shape {shape}")
-    letters = tuple(ts.alphabet.resolve(c) for c in flat)
-    violations = word_violations(ts, shape, letters)
+            shape, cells = _parse_nested(cells)
+    shape = check_shape(ts, shape, "shape")
+    word = Word(shape, tuple(ts.alphabet.resolve(c) for c in cells))
+    violations = word_violations(ts, shape, word.letters)
     if violations:
         head = ", ".join(f"cell {c} direction {j}" for c, j in violations[:3])
         raise InvalidWordError(
             f"{len(violations)} forbidden transition(s): {head}", violations)
-    return Word(shape, letters)
+    return word
 
 
 def _parse_nested(cells):
     """Shape and row-major flat list of a rectangular nested sequence."""
-    if isinstance(cells, (str, int)):
-        return (), [cells]
     dims = []
     probe = cells
     while isinstance(probe, (list, tuple)):
@@ -570,8 +562,6 @@ def restrict(w: WordLike, k: Shape, l: Shape) -> WordLike:
         return inner
     k = vec(k)
     l = vec(l)
-    if len(k) != w.rank or len(l) != w.rank:
-        raise ValueError("restriction bounds have wrong rank")
     if not (dominates(k, zero(w.rank)) and dominates(l, k) and dominates(w.shape, l)):
         raise ValueError(f"need 0 <= {k} <= {l} <= {w.shape}")
     letters = tuple(map(w.letters.__getitem__, box_offsets(w.shape, k, l)))

@@ -354,8 +354,7 @@ def check_h3_star(ts: TileSystem, j: int, max_sets: int = H3_STAR_CAP
     """
     if not 1 <= j <= ts.rank:
         raise ValueError(f"direction {j} out of range 1..{ts.rank}")
-    if max_sets < 1:
-        raise ValueError(f"max_sets must be at least 1, not {max_sets}")
+    _check_cap(max_sets, "max_sets")
     params = {"direction": j, "max_sets": max_sets}
     family = FiberFamily(j, {c: [] for c in range(ts.n_letters)}, {})
     provenance = family.provenance
@@ -416,6 +415,12 @@ def nonperiodic_witness(ts: TileSystem, p: Translate) -> Optional[Word]:
         if not is_periodic(w, p):
             return w
     return None
+
+
+def _check_cap(max_sets: int, what: str) -> None:
+    """Reject an (H3*) cap, given as ``what``, below 1."""
+    if max_sets < 1:
+        raise ValueError(f"{what} must be at least 1, not {max_sets}")
 
 
 def _h3_bounds(ts: TileSystem, p_bound: Shape) -> Shape:
@@ -488,11 +493,12 @@ def verify_report(ts: TileSystem,
     product conditions hold, so those checks are marked skipped when
     (H1a)-(H1c) fail.  Defaults, for a bound left as None: oracle bound
     (2,...,2) and p bound (2,...,2).  Any other bound, () too, raises if
-    invalid, the p bound before any check runs.
+    invalid, the p bound and the (H3*) cap before any check runs.
     """
     r = ts.rank
     h1_oracle_bound = (2,) * r if h1_oracle_bound is None else h1_oracle_bound
     h3_p_bound = _h3_bounds(ts, (2,) * r if h3_p_bound is None else h3_p_bound)
+    _check_cap(h3_star_cap, "h3_star_cap")
 
     checks = [check_h0(ts)]
     h1 = check_h1_local(ts)

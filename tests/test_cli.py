@@ -308,7 +308,7 @@ def test_negative_shape_value_names_flag(fs2_file, argv, flag, attach, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {flag} '-1,2' has a negative component\n"
+    assert captured.err == f"error: {flag} (-1, 2) has a negative component\n"
 
 
 def test_enumerate(gm_file, capsys):
@@ -552,6 +552,8 @@ GOLDEN = [
      "4b90a0995b3f9d04cf81e768af4adbb0a6583ef8e89c96ae62157d14153b7010"),
     ("witness nonperiodic gm2.json --p-bound 2,2", 0,
      "8eca4d5be12e42430cdf2dbad84449916b4b1b6c118f1526b22c0fd7ba9b8c99"),
+    ("count gm2.json --shape 2,2 --json", 0,
+     "a52ab48ab89cc41aeda3f367a69991254cf047ffc14b5b631c0066af74b354fe"),
 ]
 
 
@@ -887,3 +889,36 @@ def test_cli_argv_fuzz_exits_cleanly(argv):
                 code = exc.code
     assert code in (0, 1, 2), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+
+
+def _readme_block(heading):
+    """The first fenced code block in README's section ``## heading``."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    return section.split("```")[1]
+
+
+def test_readme_library_quick_start_runs():
+    """The quick start runs, and dim_vector returns the tuple its comment states."""
+    code = _readme_block("Library quick start").removeprefix("python\n")
+    namespace = {}
+    exec(code, namespace)
+    line = next(line for line in code.splitlines() if line.startswith("dim_vector("))
+    call, comment = line.split("#", 1)
+    assert repr(eval(call, namespace)) == comment.split("—")[0].strip() == "(4, 2, 2, 1)"
+
+
+def test_readme_tour_prints_its_stated_output():
+    """A tour line followed by a ``# ->`` line prints exactly that line."""
+    lines = _readme_block("CLI tour").splitlines()
+    pairs = [(command, stated.split("# ->", 1)[1].strip())
+             for command, stated in zip(lines, lines[1:])
+             if stated.lstrip().startswith("# ->")]
+    assert "count" in [command.split()[1] for command, _ in pairs]
+    for command, stated in pairs:
+        argv = [os.path.join(ROOT, a) if a.startswith("samples/") else a
+                for a in command.split("#")[0].split()[1:]]
+        assert _run_in_process(argv) == (0, stated + "\n", ""), command

@@ -68,6 +68,59 @@ def test_tile_system_validation():
         TileSystem(Alphabet("01"), [[[1, 1], [1]]])
     with pytest.raises(ValueError):
         TileSystem(Alphabet("01"), [[[1, 2], [0, 0]]])
+    # matrices may come from an iterator, which is read once
+    with pytest.raises(ValueError):
+        TileSystem(Alphabet("01"), iter([]))
+    mats = [[[1, 1], [1, 0]], [[0, 1], [1, 0]]]
+    assert TileSystem(Alphabet("01"), iter(mats)) == TileSystem(Alphabet("01"), mats)
+
+
+@pytest.mark.parametrize("row, message", [
+    pytest.param([1.9, 0], "matrices[1][1][0] is 1.9, entries must be the "
+                 "integers 0 or 1", id="1.9"),
+    pytest.param([0.5, 0], "matrices[1][1][0] is 0.5, entries must be the "
+                 "integers 0 or 1", id="0.5"),
+    pytest.param([True, 0], "matrices[1][1][0] is True, entries must be the "
+                 "integers 0 or 1", id="True"),
+    pytest.param(["1", 0], "matrices[1][1][0] is '1', entries must be the "
+                 "integers 0 or 1", id="str"),
+    pytest.param(7, "matrices[1][1] is not a row of length 2", id="non-list-row"),
+    pytest.param([1], "matrices[1][1] is not a row of length 2", id="short-row"),
+])
+def test_tile_system_rejects_entries_without_coercion(row, message):
+    """TileSystem is the one check of matrix entries: it coerces nothing and
+    names the field as the system file does."""
+    with pytest.raises(ValueError) as err:
+        TileSystem(Alphabet("01"), [[[1, 1], [1, 0]], [[1, 1], row]])
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("names, delta, message", [
+    pytest.param((), (), "decorations.names must be a nonempty string list",
+                 id="empty"),
+    pytest.param(("d", "d"), (0, 1), "decorations.names has duplicate names",
+                 id="duplicate"),
+    pytest.param(("d", "e"), (0,), "decorations.delta must align with "
+                 "decorations.names", id="misaligned"),
+])
+def test_decoration_map_checks_its_lists(names, delta, message):
+    with pytest.raises(ValueError) as err:
+        DecorationMap(names, delta)
+    assert str(err.value) == message
+
+
+def test_word_checks_its_box():
+    with pytest.raises(ValueError, match=r"^negative shape \(-1, 0\)$"):
+        Word((-1, 0), ())
+    with pytest.raises(ValueError, match=r"^3 letters do not fill a box of shape \(1, 0\)$"):
+        Word((1, 0), (0, 0, 0))
+
+
+def test_validate_word_leaves_the_letter_count_to_word(gm2):
+    with pytest.raises(ValueError, match=r"^3 letters do not fill a box of shape \(1, 0\)$"):
+        validate_word(gm2, ["00"] * 3, shape=(1, 0))
+    with pytest.raises(ValueError, match=r"^shape \(1,\) has wrong rank; system rank is 2$"):
+        validate_word(gm2, ["00", "01"])
 
 
 def test_validate_word_golden_mean(gm):
@@ -222,6 +275,8 @@ def test_restrict_bounds_checked(gm):
         restrict(w, (1,), (3,))
     with pytest.raises(ValueError):
         restrict(w, (2,), (1,))
+    with pytest.raises(ValueError, match="rank mismatch"):
+        restrict(w, (0, 0), (1, 0))
 
 
 @given(st.data())

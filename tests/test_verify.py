@@ -669,6 +669,13 @@ def test_report_checks_h3_bounds_even_when_h3_is_skipped(jj):
         verify_report(jj, h3_p_bound=(2, -1))
 
 
+def test_report_checks_the_h3_star_cap_before_any_check(jj, fs2):
+    # (H1b) fails on jj, so its (H3*) checks are skipped; the cap is still checked
+    for ts, cap in ((jj, -5), (fs2, 0)):
+        with pytest.raises(ValueError, match=f"^h3_star_cap must be at least 1, not {cap}$"):
+            verify_report(ts, h3_star_cap=cap)
+
+
 def test_report_empty_bounds_are_not_defaults(gm):
     # () is a bound like any other: it reaches its check and is rejected there
     with pytest.raises(ValueError, match=r"shape bound \(\) has wrong rank"):
