@@ -24,6 +24,7 @@ import argparse
 import functools
 import json
 import sys
+from itertools import islice
 from typing import Sequence
 
 from . import af_core, builders, verify, witnesses
@@ -39,12 +40,7 @@ from .core import (
     check_shape,
     validate_word,
 )
-from .completion import (
-    decorated_words_of_shape,
-    extend_unit,
-    product,
-    words_of_shape,
-)
+from .completion import end_placements, extend_unit, iter_grid_completions, product
 
 __all__ = ["load_system", "save_system", "main", "console_main", "SystemFileError"]
 
@@ -80,8 +76,9 @@ def load_system(path) -> tuple[TileSystem, DecorationMap]:
 
 def parse_system(data, origin: str = "<data>") -> tuple[TileSystem, DecorationMap]:
     """The system and decoration map in parsed JSON.  The file format's own
-    rules are checked here, and the constructors check the rest: their
-    ValueError, which names the same field, is re-raised with ``origin``."""
+    rules are checked here, and the constructors check the rest (letter names
+    included): their ValueError, which names the same field, is re-raised with
+    ``origin``."""
     _require(isinstance(data, dict), f"{origin}: top level must be an object")
     for key in ("rank", "alphabet", "matrices"):
         _require(key in data, f"{origin}: missing field {key!r}")
@@ -89,12 +86,8 @@ def parse_system(data, origin: str = "<data>") -> tuple[TileSystem, DecorationMa
     _require(type(rank) is int and rank >= 1,
              f"{origin}: 'rank' must be an integer >= 1, not {rank!r}")
     letters = data["alphabet"]
-    _require(isinstance(letters, list) and all(isinstance(a, str) for a in letters),
+    _require(isinstance(letters, list),
              f"{origin}: 'alphabet' must be a nonempty list of strings")
-    for i, a in enumerate(letters):
-        _require(a and not any(c == "," or c.isspace() for c in a),
-                 f"{origin}: alphabet[{i}] is {a!r}, letter names must be "
-                 f"nonempty with no ',' or whitespace")
     try:
         alphabet = Alphabet(letters)
         matrices = data["matrices"]
@@ -241,20 +234,22 @@ def _cmd_enumerate(args) -> int:
     _check_floor(args.limit, 0, "--limit")
     ts, dmap = load_system(args.system)
     shape = _parse_shape(args.shape, ts, "--shape")
-    origin = ts.alphabet.resolve(args.origin) if args.origin is not None else None
-    terminus = ts.alphabet.resolve(args.terminus) if args.terminus is not None else None
-    count = 0
+    fixed = end_placements(ts, shape, args.origin, args.terminus)
+    # each slab's text "a,b,...," is formed once; names hold no ",", so "a" is o(w)
+    named = [a + "," for a in ts.alphabet.letters]
+    texts = iter_grid_completions(ts, shape, fixed, lambda s: "".join([named[a] for a in s]))
+    head = f"shape={_format_shape(shape)} cells="
+    lines = (head + t[:-1] for t in texts)
     if args.decorated:
-        source = decorated_words_of_shape(ts, dmap, shape, origin, terminus)
-    else:
-        source = words_of_shape(ts, shape, origin=origin, terminus=terminus)
-    write = sys.stdout.write  # one call per line; print makes two
-    for w in source:
-        if args.limit is not None and count >= args.limit:
-            print(f"... truncated at --limit {args.limit}")
-            break
-        write(_format_word(ts, w, dmap) + "\n")
-        count += 1
+        heads = {a: [f"decoration={dmap.names[d]} {head}" for d in ds]
+                 for a, ds in zip(ts.alphabet.letters, dmap.by_letter(ts.n_letters))}
+        lines = (h + t[:-1] for t in texts for h in heads[t[:t.index(",")]])
+    kept, count = islice(lines, args.limit), 0
+    while block := list(islice(kept, 256)):
+        sys.stdout.write("\n".join(block) + "\n")
+        count += len(block)
+    if count == args.limit and next(lines, None) is not None:
+        print(f"... truncated at --limit {args.limit}")
     print(f"count:{count}")
     return 0
 

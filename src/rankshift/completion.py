@@ -15,7 +15,11 @@ along direction 1 one slab at a time and finds the slabs that can follow a
 given slab once, as the transfer-matrix view of the subshift allows.  The (H1)
 oracle enumerates each shape up to its bound with it once and decides each
 split from the count of its words and their letters along one staircase,
-walking its pairs for a witness only when the split fails; the projection
+walking its pairs for a witness only when the split fails.  The search forms
+each slab once, with a ``form`` that must satisfy
+``form(s + t) == form(s) + form(t)``, and builds a grid by adding the formed
+slabs, so callers that want text (the CLI's lines, the oracle's code-point
+strings) get it with no per-grid conversion; the projection
 support constrains it by placing one family member as a word on the window,
 one search per member, rather than tracking patterns inside the search.
 Placed words are propagated backwards before the search starts, so a fixed
@@ -25,7 +29,7 @@ terminus prunes from the first cell.
 from __future__ import annotations
 
 from itertools import tee
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .core import (
     CompletionError,
@@ -48,9 +52,11 @@ from .core import (
     zero,
 )
 
+T = TypeVar("T")
+
 __all__ = [
     "extend_along", "extend_unit", "word_from_path", "product", "list_extensions",
-    "iter_grid_completions", "words_of_shape",
+    "iter_grid_completions", "end_placements", "words_of_shape",
     "decorated_words_of_shape", "staircase_offsets", "staircase_steps",
 ]
 
@@ -204,8 +210,9 @@ def list_extensions(ts: TileSystem, u: WordLike, n: Shape
 # ---------------------------------------------------------------------------
 
 def iter_grid_completions(ts: TileSystem, shape: Shape,
-                          fixed: Sequence[tuple[Shape, Word]] = ()
-                          ) -> Iterator[tuple[int, ...]]:
+                          fixed: Sequence[tuple[Shape, Word]] = (),
+                          form: Callable[[tuple[int, ...]], T] = tuple
+                          ) -> Iterator[T]:
     """All valid letter grids on [0, shape] that show the placed words.
 
     ``fixed`` lists placements ``(k, u)``: every grid shows the word u on the
@@ -231,6 +238,13 @@ def iter_grid_completions(ts: TileSystem, shape: Shape,
     search's work, not with the grids it yields.  In a box of one or two
     slabs every previous slab is new and a list only adds cost, so such a
     box is searched cell by cell.
+
+    ``form`` maps a row-major letter tuple to the value yielded for it.  It
+    must satisfy ``form(s + t) == form(s) + form(t)`` (a tuple, a string of
+    one code point per letter, comma-terminated names), so the grids are
+    ``form`` of the letter tuples above.  It is applied once per slab-list
+    entry, and a grid is the sum of its slabs' formed values; a box of one or
+    two slabs applies it to each grid.
     """
     shape = check_shape(ts, shape, "shape")
     st = strides(shape)
@@ -253,37 +267,43 @@ def iter_grid_completions(ts: TileSystem, shape: Shape,
                 allowed[p] &= sum(1 << a for a, m in enumerate(masks) if m & allowed[i])
     last = shape[0]
     if last < 2:
-        yield from _cell_search(allowed, plan)
+        yield from map(form, _cell_search(allowed, plan))
         return
     width, succ_1 = st[0], succ[0]
     # slab 0's plan holds exactly the constraints inside a slab, by index
     inner = plan[:width]
+
+    def entry(s: tuple[int, ...]) -> tuple[tuple[int, ...], T]:
+        # a slab-list entry: the slab and its formed value, formed once
+        return s, form(s)
+
     # per slab: the lists of its mask class, keyed by the previous slab
     classes: dict[tuple[int, ...], dict] = {}
     memo = [classes.setdefault(tuple(allowed[x * width:(x + 1) * width]), {})
             for x in range(last + 1)]
 
-    def slabs(x: int, prev: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    def slabs(x: int, prev: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], T]]:
         found = memo[x].get(prev)
         if found is None:
             masks = [a & succ_1[b] for a, b in zip(allowed[x * width:(x + 1) * width], prev)]
             # a tee buffers all its copies have pulled; this one stays at the start
-            found = memo[x][prev] = tee(_cell_search(masks, inner), 1)[0]
+            found = memo[x][prev] = tee(map(entry, _cell_search(masks, inner)), 1)[0]
         return found.__copy__()
 
-    # iterative DFS over slabs 0 .. last - 1; the last slab is a flat loop
-    its = [_cell_search(allowed[:width], inner)] + [iter(())] * (last - 1)
-    head: list[tuple[int, ...]] = [()] * last
+    # iterative DFS over slabs 0 .. last - 1; the last slab is a flat loop.
+    # head[x] is the formed value of slabs 0 .. x; a grid adds the last two slabs' values
+    its = [map(entry, _cell_search(allowed[:width], inner))] + [iter(())] * (last - 1)
+    head: list = [None] * last
     x = 0
     while x >= 0:
-        for s in its[x]:
+        for s, f in its[x]:
             if x + 1 < last:
+                head[x] = head[x - 1] + f if x else f
                 x += 1
-                head[x] = head[x - 1] + s
                 its[x] = slabs(x, s)
                 break
-            grid = head[x] + s
-            for t in slabs(last, s):
+            grid = head[x - 1] + f
+            for _, t in slabs(last, s):
                 yield grid + t
         else:
             x -= 1
@@ -340,22 +360,28 @@ def _cell_search(allowed: list[int], plan: list[tuple]) -> Iterator[tuple[int, .
             yield tuple(assign)
 
 
-def words_of_shape(ts: TileSystem, shape: Shape,
-                   origin: int | None = None,
-                   terminus: int | None = None) -> Iterator[Word]:
-    """All words of the given shape, lexicographic in row-major letters.
-
-    Optional origin/terminus filters, letter names or indices, place
-    one-letter words at 0 and at shape; a letter not in the alphabet raises
-    :class:`~rankshift.core.UnknownLetterError`.
-    """
-    shape = vec(shape)
+def end_placements(ts: TileSystem, shape: Shape, origin: int | str | None = None,
+                   terminus: int | str | None = None) -> list[tuple[Shape, Word]]:
+    """The ``fixed`` of :func:`iter_grid_completions` for an origin and a
+    terminus filter, letter names or indices: one-letter words at 0 and at
+    shape.  A letter not in the alphabet raises
+    :class:`~rankshift.core.UnknownLetterError`."""
     rank = ts.rank
     fixed = []
     if origin is not None:
         fixed.append((zero(rank), letter_word(rank, ts.alphabet.resolve(origin))))
     if terminus is not None:
         fixed.append((shape, letter_word(rank, ts.alphabet.resolve(terminus))))
+    return fixed
+
+
+def words_of_shape(ts: TileSystem, shape: Shape,
+                   origin: int | None = None,
+                   terminus: int | None = None) -> Iterator[Word]:
+    """All words of the given shape, lexicographic in row-major letters,
+    with the origin/terminus filters of :func:`end_placements`."""
+    shape = vec(shape)
+    fixed = end_placements(ts, shape, origin, terminus)
     for letters in iter_grid_completions(ts, shape, fixed):
         yield Word(shape, letters)
 
@@ -363,7 +389,10 @@ def words_of_shape(ts: TileSystem, shape: Shape,
 def decorated_words_of_shape(ts: TileSystem, dmap: DecorationMap, shape: Shape,
                              origin: int | None = None,
                              terminus: int | None = None) -> Iterator[DecoratedWord]:
-    """All decorated words of the given shape, word-major canonical order."""
+    """All decorated words of the given shape, word-major canonical order.
+
+    No command uses it: ``rankshift enumerate --decorated`` writes the same
+    lines from text grids.  It stays as the tests' reference enumerator."""
     groups = dmap.by_letter(ts.n_letters)
     for w in words_of_shape(ts, shape, origin=origin, terminus=terminus):
         for d in groups[w.origin]:

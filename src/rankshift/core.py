@@ -206,15 +206,21 @@ class Alphabet:
     """An ordered finite set of distinct letter names.
 
     Declaration order is canonical: every enumeration and tie-break in this
-    package uses it, which makes all operations deterministic.
+    package uses it, which makes all operations deterministic.  A name is a
+    nonempty string with no ',' or whitespace, the rule of the system file
+    and of the CLI's comma-separated cells; nothing is coerced.
     """
 
     __slots__ = ("letters", "_index")
 
     def __init__(self, letters: Iterable[str]):
-        self.letters = tuple(str(a) for a in letters)
-        if not self.letters:
+        self.letters = tuple(letters)
+        if not self.letters or not all(isinstance(a, str) for a in self.letters):
             raise ValueError("'alphabet' must be a nonempty list of strings")
+        for i, a in enumerate(self.letters):
+            if not a or any(c == "," or c.isspace() for c in a):
+                raise ValueError(f"alphabet[{i}] is {a!r}, letter names must be "
+                                 f"nonempty with no ',' or whitespace")
         self._index = {a: i for i, a in enumerate(self.letters)}
         if len(self._index) != len(self.letters):
             raise ValueError("'alphabet' has duplicate letters")

@@ -175,6 +175,11 @@ def check_h1_local(ts: TileSystem) -> CheckResult:
     return CheckResult("H1a-c", Status.PASS)
 
 
+def _code_points(letters: tuple[int, ...]) -> str:
+    """One code point per letter: the oracle's grid form, applied per slab."""
+    return "".join(map(chr, letters))
+
+
 def check_h1_oracle(ts: TileSystem, shape_bound: Shape) -> CheckResult:
     """Brute-force unique factorisation on bounded shapes.
 
@@ -203,14 +208,15 @@ def check_h1_oracle(ts: TileSystem, shape_bound: Shape) -> CheckResult:
                          f"nonzero shapes; its grade must be at least 2")
     params = {"shape_bound": list(shape_bound)}
     # per shape: its grids, as strings with one code point per letter (far less
-    # memory than tuples), and how many of them start and end at each letter
+    # memory than tuples; the search forms each slab once and joins them), and
+    # how many of them start and end at each letter
     grids_of, starts, ends = {}, {}, {}
 
     def word_json(shape, text):
         return _word_json(ts, Word(shape, tuple(map(ord, text))))
 
     for total in shapes_upto(shape_bound):
-        grids = ["".join(map(chr, w)) for w in iter_grid_completions(ts, total)]
+        grids = list(iter_grid_completions(ts, total, form=_code_points))
         grids_of[total] = grids
         starts[total] = Counter(w[0] for w in grids)
         ends[total] = Counter(w[-1] for w in grids)

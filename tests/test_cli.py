@@ -11,8 +11,11 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rankshift import DecorationMap, cli, load_system, save_system, verify
+from rankshift import (Alphabet, DecorationMap, TileSystem, builders, cli,
+                       load_system, save_system, verify)
 from rankshift.cli import SystemFileError, main, parse_system
+from rankshift.completion import decorated_words_of_shape, words_of_shape
+from rankshift.core import UnknownLetterError
 
 
 @pytest.fixture()
@@ -59,6 +62,30 @@ def test_load_with_decorations_roundtrip(tmp_path, gm):
     loaded, loaded_map = load_system(path)
     assert loaded == gm
     assert loaded_map == dmap
+
+
+_NAME_CHARS = st.one_of(st.sampled_from("ab0,. \t\n\x1f\u00a0\u2028\u00e9\"\\"),
+                       st.characters())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(_NAME_CHARS, max_size=3), min_size=1, max_size=4))
+def test_alphabet_and_loader_share_one_name_rule(letters):
+    """Every accepted Alphabet survives save_system -> load_system, and the
+    loader rejects every other list with the Alphabet's own message."""
+    n = len(letters)
+    data = {"rank": 1, "alphabet": letters, "matrices": [[[1] * n] * n]}
+    try:
+        ts = TileSystem(Alphabet(letters), data["matrices"])
+    except ValueError as exc:
+        with pytest.raises(SystemFileError) as err:
+            parse_system(data)
+        assert str(err.value) == f"<data>: {exc}"
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "system.json")
+        save_system(ts, path)
+        assert load_system(path) == (ts, DecorationMap.identity(ts.alphabet))
 
 
 def test_load_rejects_bad_entry():
@@ -389,6 +416,95 @@ def test_enumerate_decorated(tmp_path, gm, capsys):
     # two shape-1 words from letter 0, two decorations mapping to it
     assert out[-1] == "count:4"
     assert out[0] == "decoration=p shape=1 cells=0,0"
+
+
+def _former_enumerate(argv):
+    """(exit code, stdout) of the former ``rankshift enumerate``: one validated
+    Word (or DecoratedWord) per grid, formatted by ``_format_word`` and
+    written one line at a time.  The reference for the text-grid path."""
+    args = cli._build_parser().parse_args(argv)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            cli._check_floor(args.limit, 0, "--limit")
+            ts, dmap = load_system(args.system)
+            shape = cli._parse_shape(args.shape, ts, "--shape")
+            origin = ts.alphabet.resolve(args.origin) if args.origin is not None else None
+            terminus = (ts.alphabet.resolve(args.terminus)
+                        if args.terminus is not None else None)
+            if args.decorated:
+                source = decorated_words_of_shape(ts, dmap, shape, origin, terminus)
+            else:
+                source = words_of_shape(ts, shape, origin=origin, terminus=terminus)
+            count = 0
+            for w in source:
+                if args.limit is not None and count >= args.limit:
+                    print(f"... truncated at --limit {args.limit}")
+                    break
+                sys.stdout.write(cli._format_word(ts, w, dmap) + "\n")
+                count += 1
+            print(f"count:{count}")
+            code = 0
+        except (SystemFileError, UnknownLetterError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+    return code, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def enumerate_files(tmp_path_factory, fs3, gm2):
+    """Sample files plus fs3, a redecorated gm2 (letter 0 carries three
+    decorations) and a tensor with multi-character ``x.y`` names and one
+    undecorated letter."""
+    tmp = tmp_path_factory.mktemp("enumerate")
+    files = {name: os.path.join(SAMPLES, f"{name}.json") for name in ("gm", "gm2", "fs2")}
+    files["fs3"] = str(tmp / "fs3.json")
+    save_system(fs3, files["fs3"])
+    shapes = {"00": (1, 0), "01": (0, 1), "10": (1, 1), "11": (0, 0)}
+    redecorated, _ = builders.redecorate_by_shape(
+        gm2, DecorationMap.identity(gm2.alphabet), shapes)
+    files["gm2-redecorated"] = str(tmp / "gm2-redecorated.json")
+    save_system(gm2, files["gm2-redecorated"], redecorated)
+    dotted = builders.tensor([builders.from_rank1(["x0", "y1"], [[1, 1], [1, 0]]),
+                              builders.golden_mean()])
+    files["dotted"] = str(tmp / "dotted.json")
+    save_system(dotted, files["dotted"], DecorationMap(("p", "q", "r"), (0, 3, 0)))
+    return files
+
+
+@pytest.mark.parametrize("system, flags", [
+    # rank 1: a box of one slab per cell
+    ("gm", "--shape 0"), ("gm", "--shape 1"), ("gm", "--shape 5"),
+    ("gm", "--shape 4 --origin 1"), ("gm", "--shape 4 --terminus 0"),
+    # rank 2: boxes of one, two and several slabs
+    ("gm2", "--shape 0,3"), ("gm2", "--shape 1,3"), ("gm2", "--shape 3,2"),
+    ("gm2", "--shape 4,4 --origin 01 --terminus 11"), ("gm2", "--shape 5,1 --terminus 10"),
+    ("fs2", "--shape 2,1"), ("fs2", "--shape 1,2 --origin 10"),
+    ("fs2", "--shape 3,1 --decorated"),
+    # rank 3
+    ("fs3", "--shape 0,1,1"), ("fs3", "--shape 1,1,1 --origin 101"),
+    ("fs3", "--shape 2,1,1 --terminus 011"),
+    # decorated: redecorated letters and multi-character x.y names
+    ("gm2-redecorated", "--shape 0,0 --decorated"),
+    ("gm2-redecorated", "--shape 1,2 --decorated"),
+    ("gm2-redecorated", "--shape 3,1 --decorated --origin 00"),
+    ("dotted", "--shape 2,1"), ("dotted", "--shape 2,2 --decorated"),
+    ("dotted", "--shape 3,0 --decorated --terminus y1.0"),
+    # no words, and an unknown letter (exit 2)
+    ("gm2", "--shape 0,1 --origin 11 --terminus 11"), ("gm", "--shape 2 --origin 7"),
+])
+def test_enumerate_matches_the_former_per_word_loop(enumerate_files, system, flags):
+    """The text-grid ``enumerate`` writes the bytes the per-Word loop wrote,
+    with the same exit code, unlimited and with --limit 0, 1, below, at and
+    above the count."""
+    argv = ["enumerate", enumerate_files[system], *flags.split()]
+    code, out, _ = _run_in_process(argv)
+    assert (code, out) == _former_enumerate(argv)
+    total = int(out.rsplit("count:", 1)[1]) if code == 0 else 0
+    for limit in sorted({0, 1, max(total - 1, 0), total, total + 1}):
+        limited = [*argv, "--limit", str(limit)]
+        code, out, _ = _run_in_process(limited)
+        assert (code, out) == _former_enumerate(limited), limit
 
 
 def test_witness_set_s_and_q_support(fs2_file, capsys):

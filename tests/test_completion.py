@@ -473,6 +473,52 @@ def test_slab_search_matches_reference(name, shapes, request):
     assert nonempty >= 2 * len(shapes)
 
 
+@pytest.mark.parametrize("form_name", ["tuple", "code points", "comma text"])
+@pytest.mark.parametrize("name,shapes", [
+    ("gm", [(0,), (1,), (2,), (7,)]),
+    ("gm2", [(0, 3), (1, 3), (2, 3), (4, 2)]),
+    ("fs3", [(0, 1, 1), (1, 1, 1), (2, 1, 1), (3, 1, 1)]),
+])
+def test_form_is_applied_per_slab(name, shapes, form_name, request, monkeypatch):
+    """With ``form`` the search yields form of each grid it yields without:
+    on boxes of one, two and several slabs, unplaced, with a placed terminus
+    and with a placed word across two slabs.  ``form`` runs at most once per
+    slab-list entry, that is per slab the cell search yields."""
+    from rankshift import completion
+    ts = request.getfixturevalue(name)
+    named = [a + "," for a in ts.alphabet.letters]
+    form = {"tuple": tuple,
+            "code points": lambda s: "".join(map(chr, s)),
+            "comma text": lambda s: "".join([named[a] for a in s])}[form_name]
+    search, entries, calls = completion._cell_search, [0], [0]
+
+    def counting_search(allowed, plan):
+        for s in search(allowed, plan):
+            entries[0] += 1
+            yield s
+
+    def counting_form(s):
+        calls[0] += 1
+        return form(s)
+
+    rng = random.Random(4242)
+    for shape in shapes:
+        terminus = (shape, letter_word(ts.rank, rng.randrange(ts.n_letters)))
+        placements = [[], [terminus]]
+        if shape[0] > 0:
+            sub = (1, *(min(1, m) for m in shape[1:]))
+            word = Word(sub, rng.choice(list(iter_grid_completions(ts, sub))))
+            placements.append([((shape[0] // 2, *zero(ts.rank - 1)), word), terminus])
+        for fixed in placements:
+            want = [form(g) for g in iter_grid_completions(ts, shape, fixed)]
+            entries[0] = calls[0] = 0
+            with monkeypatch.context() as m:
+                m.setattr(completion, "_cell_search", counting_search)
+                got = list(iter_grid_completions(ts, shape, fixed, form=counting_form))
+            assert got == want, (name, shape, fixed)
+            assert calls[0] <= entries[0], (name, shape, fixed)
+
+
 def test_grid_search_is_lazy(jj):
     """The first grid of a search with 2^402 grids comes at once."""
     grids = iter_grid_completions(jj, (1, 200))

@@ -61,6 +61,26 @@ def test_alphabet_rejects_duplicates_and_empty():
         Alphabet(["a", "a"])
 
 
+@pytest.mark.parametrize("letters, message", [
+    pytest.param([1, 2], "'alphabet' must be a nonempty list of strings", id="ints"),
+    pytest.param(["a", None], "'alphabet' must be a nonempty list of strings", id="None"),
+    pytest.param(["a", ""], "alphabet[1] is '', letter names must be nonempty "
+                 "with no ',' or whitespace", id="empty-name"),
+    pytest.param(["a,b"], "alphabet[0] is 'a,b', letter names must be nonempty "
+                 "with no ',' or whitespace", id="comma"),
+    pytest.param(["a", "a b"], "alphabet[1] is 'a b', letter names must be "
+                 "nonempty with no ',' or whitespace", id="space"),
+    pytest.param(["a\u2028"], "alphabet[0] is 'a\\u2028', letter names must be "
+                 "nonempty with no ',' or whitespace", id="line-separator"),
+])
+def test_alphabet_owns_the_letter_name_rule(letters, message):
+    """Alphabet coerces nothing and rejects a name the word format cannot
+    carry, with the system file's field path."""
+    with pytest.raises(ValueError) as err:
+        Alphabet(letters)
+    assert str(err.value) == message
+
+
 def test_tile_system_validation():
     with pytest.raises(ValueError):
         TileSystem(Alphabet("01"), [])

@@ -279,9 +279,9 @@ def test_h1_oracle_matches_per_pair_search():
 def test_h1_oracle_searches_each_shape_once(monkeypatch, fs3):
     searched = []
 
-    def counting(ts, shape, fixed=()):
+    def counting(ts, shape, fixed=(), form=tuple):
         searched.append(tuple(shape))
-        return iter_grid_completions(ts, shape, fixed)
+        return iter_grid_completions(ts, shape, fixed, form=form)
 
     monkeypatch.setattr(verify, "iter_grid_completions", counting)
     assert check_h1_oracle(fs3, (2, 2, 2)).status is Status.PASS
