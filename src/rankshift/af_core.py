@@ -13,17 +13,22 @@ level m to m + e_j are exactly the matrix entries M_j(b, a).  Counts follow
 one fixed path, d_m = M_r^{m_r} ... M_1^{m_1} d_0 (direction 1 first); other
 paths, and the two composites around a lattice square, agree only when the
 matrices commute.  Counts are Python integers, so growth cannot overflow.
+
+`bratteli` steps a column of levels, those that differ only in m_k (k the
+first direction with a nonzero bound), at once: n q tuple sums per column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .core import (
     DecorationMap,
     Shape,
     TileSystem,
     add,
+    box_cells,
     check_shape,
     dominates,
     shape_key,
@@ -154,16 +159,30 @@ class BratteliDiagram:
 
 
 def bratteli(ts: TileSystem, dmap: DecorationMap, upto: Shape) -> BratteliDiagram:
-    """The full graded diagram on [0, upto].
+    """The full graded diagram on [0, upto], computed a column of levels at a time.
 
     Level m > 0 is `dim_vector`'s step, M_j by predecessor sums, applied to
     level m - e_j for the last j with m_j > 0, so levels equal it for any M_j.
-    Levels are computed, and ``nodes`` is filled, in `shapes_upto` order.
+    Levels that differ only in m_k, k the first direction with upto_k > 0,
+    share j and form a column: per letter, one tuple over m_k = 0..upto_k.
+    The first column is `dim_vector`'s chain along e_k; each later one is n q
+    tuple sums over the column at m - e_j.  ``nodes`` is filled in
+    `shapes_upto` order.
     """
     upto = check_shape(ts, upto, "bound")
-    nodes = {zero(ts.rank): dim_vector(ts, dmap, zero(ts.rank))}
-    for m in shapes_upto(upto)[1:]:  # grade first: m - e_j comes before m
-        j = max(i for i, c in enumerate(m, 1) if c)
-        nodes[m] = _step(ts, j, nodes[(*m[:j - 1], m[j - 1] - 1, *m[j:])])
+    k = next((i for i, u in enumerate(upto, 1) if u), ts.rank)
+    chain = [dim_vector(ts, dmap, zero(ts.rank))]
+    for _ in range(upto[k - 1]):
+        chain.append(_step(ts, k, chain[-1]))
+    zeros = (0,) * len(chain)
+    # the column of m is keyed by t = m[k:], whose entry i is m_{k+i}
+    preds = [[ts.predecessors(k + i, b) for b in range(ts.n_letters)]
+             for i in range(1, ts.rank - k + 1)]
+    rows, cols = {zero(ts.rank - k): chain}, {zero(ts.rank - k): list(zip(*chain))}
+    for t in islice(box_cells(upto[k:]), 1, None):  # row-major: t - e_i before t
+        i = max(d for d, c in enumerate(t, 1) if c)
+        pred = cols[(*t[:i - 1], t[i - 1] - 1, *t[i:])].__getitem__
+        cols[t] = col = [tuple(map(sum, zip(*map(pred, p)))) or zeros for p in preds[i - 1]]
+        rows[t] = list(zip(*col))
+    nodes = {m: rows[m[k:]][m[k - 1]] for m in shapes_upto(upto)}
     return BratteliDiagram(ts, dmap, upto, nodes)
-

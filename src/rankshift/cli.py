@@ -230,6 +230,15 @@ def _cmd_count(args) -> int:
     return 0
 
 
+def _write_blocks(lines) -> int:
+    """Write the lines to stdout in blocks of 256; return how many there were."""
+    count = 0
+    while block := list(islice(lines, 256)):
+        sys.stdout.write("\n".join(block) + "\n")
+        count += len(block)
+    return count
+
+
 def _cmd_enumerate(args) -> int:
     _check_floor(args.limit, 0, "--limit")
     ts, dmap = load_system(args.system)
@@ -244,10 +253,7 @@ def _cmd_enumerate(args) -> int:
         heads = {a: [f"decoration={dmap.names[d]} {head}" for d in ds]
                  for a, ds in zip(ts.alphabet.letters, dmap.by_letter(ts.n_letters))}
         lines = (h + t[:-1] for t in texts for h in heads[t[:t.index(",")]])
-    kept, count = islice(lines, args.limit), 0
-    while block := list(islice(kept, 256)):
-        sys.stdout.write("\n".join(block) + "\n")
-        count += len(block)
+    count = _write_blocks(islice(lines, args.limit))
     if count == args.limit and next(lines, None) is not None:
         print(f"... truncated at --limit {args.limit}")
     print(f"count:{count}")
@@ -349,13 +355,10 @@ def _cmd_bratteli(args) -> int:
         comments = "".join(f"  // chain {_format_shape(m)}: ({_format_shape(d)})\n"
                            for m, d in chain)
         print(diagram.to_dot().removesuffix("}") + comments + "}")
-    else:
-        for m in diagram.levels():
-            dims = diagram.nodes[m]
-            print(f"level {_format_shape(m)}: dims ({_format_shape(dims)}) "
-                  f"total {sum(dims)}")
-        for m, dims in chain:
-            print(f"chain {_format_shape(m)}: ({_format_shape(dims)})")
+    else:  # bratteli fills nodes in canonical order, so no levels() sort
+        _write_blocks(f"level {_format_shape(m)}: dims ({_format_shape(d)}) total {sum(d)}"
+                      for m, d in diagram.nodes.items())
+        _write_blocks(f"chain {_format_shape(m)}: ({_format_shape(d)})" for m, d in chain)
     return 0
 
 

@@ -167,8 +167,9 @@ def box_offsets(shape: Shape, lo: Sequence[int], hi: Sequence[int]) -> list[int]
 
 
 def shapes_upto(bound: Shape) -> list[Shape]:
-    """All shapes 0 <= s <= bound in canonical order."""
-    return sorted(box_cells(bound), key=shape_key)
+    """All shapes 0 <= s <= bound in canonical (`shape_key`) order: row-major
+    cells of the reversed bound, stably sorted by grade."""
+    return [c[::-1] for c in sorted(box_cells(bound[::-1]), key=sum)]
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

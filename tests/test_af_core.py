@@ -4,6 +4,7 @@ import random
 import pytest
 
 from rankshift import DecorationMap, bratteli, dim_vector
+from rankshift.af_core import _step
 from rankshift.builders import random_system
 from rankshift.completion import decorated_words_of_shape
 from rankshift.core import add, box_cells, shapes_upto, sub, unit, zero
@@ -122,6 +123,57 @@ def test_counts_match_dense_recursion():
         assert list(diagram.nodes) == shapes_upto(upto)
         for m, d in by_path.items():
             assert dim_vector(ts, dmap, m) == d, (ts.matrices, m)
+
+
+def _per_level_bratteli(ts, dmap, upto):
+    """The per-level recursion bratteli used before it stepped whole columns:
+    each level in shapes_upto order is one _step from level m - e_j, j the
+    last direction with m_j > 0."""
+    nodes = {zero(ts.rank): dim_vector(ts, dmap, zero(ts.rank))}
+    for m in shapes_upto(upto)[1:]:  # grade first: m - e_j comes before m
+        j = max(i for i, c in enumerate(m, 1) if c)
+        nodes[m] = _step(ts, j, nodes[(*m[:j - 1], m[j - 1] - 1, *m[j:])])
+    return nodes
+
+
+def _assert_same_as_per_level(ts, dmap, upto):
+    nodes = bratteli(ts, dmap, upto).nodes
+    expected = _per_level_bratteli(ts, dmap, upto)
+    assert nodes == expected, (ts.matrices, dmap.delta, upto)
+    assert list(nodes) == list(expected), upto
+
+
+def test_column_step_matches_per_level_random():
+    """Random systems of rank 1-4 with repeated decoration deltas, on bounds
+    with leading zeros, all-zero bounds, u_k = 1 and u_k much larger than
+    the rest (k the first direction with a nonzero bound)."""
+    rng = random.Random(0xC01)
+    for _ in range(200):
+        rank = rng.randint(1, 4)
+        ts = random_system(rng, rng.randint(1, 6), rank,
+                           density=rng.choice([0.2, 0.5, 0.8]))
+        delta = [rng.randrange(ts.n_letters) for _ in range(rng.randint(1, 8))]
+        dmap = DecorationMap(tuple(f"d{i}" for i in range(len(delta))), tuple(delta))
+        lead = rng.randrange(rank)
+        u_k = rng.choice([1, 1, 2, 3, 9])
+        rest = [rng.randint(0, 4 if rank < 4 else 2) for _ in range(rank - lead - 1)]
+        for upto in [(0,) * rank, (*[0] * lead, u_k, *rest),
+                     tuple(rng.randint(0, 3) for _ in range(rank))]:
+            _assert_same_as_per_level(ts, dmap, upto)
+
+
+@pytest.mark.parametrize("upto", [(0, 0), (0, 7), (5, 0), (1, 6), (12, 1), (3, 3)])
+def test_column_step_matches_per_level_rank2(gm2, upto):
+    _assert_same_as_per_level(gm2, DecorationMap(("x", "y", "z"), (3, 0, 3)), upto)
+
+
+@pytest.mark.parametrize("upto", [(0, 0, 0), (0, 0, 4), (0, 3, 2), (1, 0, 2), (6, 1, 1)])
+def test_column_step_matches_per_level_rank3(fs3, upto):
+    _assert_same_as_per_level(fs3, DecorationMap.identity(fs3.alphabet), upto)
+
+
+def test_column_step_matches_per_level_gm2_paper_scale(gm2):
+    _assert_same_as_per_level(gm2, DecorationMap.identity(gm2.alphabet), (60, 60))
 
 
 def test_counts_at_paper_scale():

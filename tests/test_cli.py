@@ -652,6 +652,11 @@ GOLDEN = [
      "a35880a949ee6d09bf48f253dbecb0828f828b78da6c35a2997a7da47dcd1c6b"),
     ("bratteli gm2.json --upto 3,3 --chain", 0,
      "fc4137d4e6cf081d99388bf07d3a37162b85bb2de9eee14c986d987cbea8492b"),
+    # 3,721 level lines: many full blocks of 256 and a partial last one
+    ("bratteli gm2.json --upto 60,60", 0,
+     "13da041545ab244e0cad779c51094212ba8af54ce29e17c54b416c29c43493d5"),
+    ("bratteli gm2.json --upto 60,60 --chain", 0,
+     "abb890cb26f095abef89b142cf6ff9ef40f788f9e3a330e51aa77fb9ba3e8aba"),
     ("bratteli gm2.json --upto 2,2 --format dot", 0,
      "ce5df3390d0d9f6afe5fefcb4c5bae325251ebb1c17abd4a9dee875451e11151"),
     ("enumerate gm2.json --shape 3,3 --limit 5", 0,

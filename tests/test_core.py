@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +27,8 @@ from rankshift.core import (
     join,
     meet,
     neg,
+    shape_key,
+    shapes_upto,
     strides,
     sub,
     translate_reps,
@@ -399,6 +402,17 @@ def test_translates_agree_rejects_rank_mismatch():
         translates_agree(w, Word((1,), (0, 1)), (1, 0))
     with pytest.raises(ValueError):
         translates_agree(w, Word((1, 1, 1), (0,) * 8), (1, 0))
+
+
+def test_shapes_upto_is_the_shape_key_order():
+    """shapes_upto sorts by grade only and relies on row-major order of the
+    reversed bound for ties; shape_key is the order it must give."""
+    rng = random.Random(0x5A9E)
+    bounds = [()] + [tuple(rng.choice([0, 0, 1, 2, 3, 5]) for _ in range(rank))
+                     for rank in (1, 2, 3, 4) for _ in range(25)]
+    assert any(0 in b and any(b) for b in bounds)
+    for bound in bounds:
+        assert shapes_upto(bound) == sorted(box_cells(bound), key=shape_key), bound
 
 
 def test_translate_reps_cover_classes():
