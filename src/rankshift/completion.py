@@ -13,17 +13,17 @@ never uses the forced-fill path and therefore serves as its oracle.
 :func:`iter_grid_completions` is the package's only grid search.  It runs
 along direction 1 one slab at a time and finds the slabs that can follow a
 given slab once, as the transfer-matrix view of the subshift allows.  The (H1)
-oracle enumerates each shape up to its bound with it once and decides each
-split from the count of its words and their letters along one staircase,
-walking its pairs for a witness only when the split fails.  The search forms
-each slab once, with a ``form`` that must satisfy
-``form(s + t) == form(s) + form(t)``, and builds a grid by adding the formed
-slabs, so callers that want text (the CLI's lines, the oracle's code-point
-strings) get it with no per-grid conversion; the projection
-support constrains it by placing one family member as a word on the window,
-one search per member, rather than tracking patterns inside the search.
-Placed words are propagated backwards before the search starts, so a fixed
-terminus prunes from the first cell.
+oracle searches each shape of one or two slabs up to its bound once, appends
+slabs to build the longer ones, and decides each split from the count of its
+words and their letters along one staircase, walking its pairs for a witness
+only when the split fails.  The search forms each slab once, with a ``form``
+that must satisfy ``form(s + t) == form(s) + form(t)``, and builds a grid by
+adding the formed slabs, so callers that want text (the CLI's lines, the
+oracle's code-point strings) get it with no per-grid conversion; the
+projection support constrains it by placing one family member as a word on the
+window, one search per member, rather than tracking patterns inside the
+search.  Placed words are propagated backwards before the search starts, so a
+fixed terminus prunes from the first cell.
 """
 
 from __future__ import annotations

@@ -37,6 +37,7 @@ from .core import (
     absv,
     box_cells,
     box_offsets,
+    box_size,
     check_shape,
     is_periodic,
     shapes_upto,
@@ -180,13 +181,29 @@ def _code_points(letters: tuple[int, ...]) -> str:
     return "".join(map(chr, letters))
 
 
+def _slab_step(grids_of: dict[Shape, list[str]], total: Shape) -> list[str]:
+    """The grids of total = (m_1, c), m_1 >= 2, in order: each grid of (m_1 - 1, c)
+    followed by the second slab of each grid of (1, c) that starts with its last slab."""
+    m1, *c = total
+    size, links = box_size((0, *c)), grids_of[(1, *c)]
+    ranges: dict[str, list[int]] = {}
+    for i, h in enumerate(links):  # sorted, so links sharing a first slab are a run
+        ranges.setdefault(h[:size], [i, i])[1] = i + 1
+    return [g + h[size:] for g in grids_of[(m1 - 1, *c)]
+            for h in links[slice(*ranges.get(g[-size:], (0, 0)))]]
+
+
 def check_h1_oracle(ts: TileSystem, shape_bound: Shape) -> CheckResult:
     """Brute-force unique factorisation on bounded shapes.
 
     For every shape total <= shape_bound and every split total = m + n, the
     restriction w -> (w|[0,m], w|[m,total]) must be a bijection from the
     words of shape total onto the composable pairs (u, v) of shapes m and n.
-    Each shape is enumerated once by exhaustive grid search, grade first.  A
+    Each shape is enumerated once, grade first, by grid search if m_1 <= 1.
+    A grid of (m_1, c), c the other components, is m_1 + 1 row-major slabs,
+    valid iff every two in a row form a grid of (1, c): :func:`_slab_step`
+    builds it from the grids held of (m_1 - 1, c) and (1, c), of lower grade,
+    in the search's lexicographic order.  A
     split passes when its words number sum_c #(u ending at c) * #(v starting
     at c), the count of composable pairs, and differ on the staircase
     0 -> m -> total; its cells lie in [0,m] and [m,total], so the restriction
@@ -216,7 +233,10 @@ def check_h1_oracle(ts: TileSystem, shape_bound: Shape) -> CheckResult:
         return _word_json(ts, Word(shape, tuple(map(ord, text))))
 
     for total in shapes_upto(shape_bound):
-        grids = list(iter_grid_completions(ts, total, form=_code_points))
+        if total[0] < 2:
+            grids = list(iter_grid_completions(ts, total, form=_code_points))
+        else:
+            grids = _slab_step(grids_of, total)
         grids_of[total] = grids
         starts[total] = Counter(w[0] for w in grids)
         ends[total] = Counter(w[-1] for w in grids)

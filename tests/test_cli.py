@@ -644,6 +644,12 @@ GOLDEN = [
      "6c2e535ef4f2ecf374df875c3853ebc60c8aa0455f8f289828d5ef8b87c60e64"),
     ("verify gm2.json --json", 1,
      "7b2459e385867f33df9f24582191de191f83c8d93c83e1d9188e5b0e9fbb4a51"),
+    # the (H1) oracle's shapes with m_1 >= 2, built slab by slab, up to (4,4)
+    ("verify fs2.json --h1-oracle-bound 4,4 --json", 0,
+     "5fe76387210d0f9b7c51a5cc79fc94aaba2a1186deeed5853856fa5f04f1de3a"),
+    # rank 1: one cell per slab; (H3*) fails
+    ("verify gm.json --h1-oracle-bound 6 --json", 1,
+     "6efa5eef9107c9b1083e90e91cad86da1600c2d5965923d109026ae024b35669"),
     ("enumerate gm2.json --shape 3,3 --terminus 11", 0,
      "6c3b6d1cfe28e5daa1997fced0cf97b3699ac9049738c19445dc3cff78f8d14e"),
     ("bratteli gm2.json --upto 3,3 --format json", 0,

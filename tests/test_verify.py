@@ -25,6 +25,8 @@ from rankshift.core import (
 )
 from rankshift.verify import (
     Status,
+    _code_points,
+    _slab_step,
     check_h0,
     check_h1_local,
     check_h1_oracle,
@@ -276,7 +278,7 @@ def test_h1_oracle_matches_per_pair_search():
     assert kinds.count(0) >= 20 and kinds.count(">=2") >= 20
 
 
-def test_h1_oracle_searches_each_shape_once(monkeypatch, fs3):
+def test_h1_oracle_searches_each_shape_with_m1_at_most_1_once(monkeypatch, fs3, gm):
     searched = []
 
     def counting(ts, shape, fixed=(), form=tuple):
@@ -285,8 +287,46 @@ def test_h1_oracle_searches_each_shape_once(monkeypatch, fs3):
 
     monkeypatch.setattr(verify, "iter_grid_completions", counting)
     assert check_h1_oracle(fs3, (2, 2, 2)).status is Status.PASS
-    assert searched == shapes_upto((2, 2, 2))
-    assert len(searched) == 27
+    assert searched == [s for s in shapes_upto((2, 2, 2)) if s[0] <= 1]
+    assert len(searched) == 18
+    searched.clear()
+    assert check_h1_oracle(gm, (6,)).status is Status.PASS
+    assert searched == [(0,), (1,)]
+
+
+def _slab_step_cases(fs3):
+    yield from ((load_system(os.path.join(SAMPLES, name))[0], bound)
+                for name, bound in [("gm2.json", (4, 2)), ("fs2.json", (4, 2)),
+                                    ("gm.json", (6,))])
+    yield fs3, (3, 1, 1)
+    rng = random.Random(0x51AB)
+    n = rng.randrange(5, 9)
+    yield circulant(n, [rng.sample(range(n), 2), rng.sample(range(n), 2)]), (3, 2)
+    for rank, bound in [(1, (5,)), (2, (3, 2)), (3, (2, 1, 1))]:
+        for _ in range(15):
+            yield random_system(rng, rng.choice([2, 3]), rank,
+                                density=rng.choice([0.2, 0.4, 0.6, 0.8])), bound
+
+
+def test_slab_step_matches_the_grid_search(fs3):
+    """Each shape (m_1, c) with m_1 >= 2, built from the grids of (m_1 - 1, c)
+    and (1, c), is the grid search's list in the grid search's order."""
+    built = no_links = dead_ends = 0
+    for ts, bound in _slab_step_cases(fs3):
+        for total in shapes_upto(bound):
+            if total[0] < 2:
+                continue
+            shorter, link = (total[0] - 1, *total[1:]), (1, *total[1:])
+            held = {s: list(iter_grid_completions(ts, s, form=_code_points))
+                    for s in (shorter, link)}
+            got = _slab_step(held, total)
+            assert got == list(iter_grid_completions(ts, total, form=_code_points)), \
+                (ts, total)
+            built += 1
+            no_links += not held[link]
+            dead_ends += not got and bool(held[shorter])
+    assert built >= 200 and no_links >= 5 and dead_ends >= 1, \
+        (built, no_links, dead_ends)
 
 
 def _former_h1_oracle(ts, shape_bound):
@@ -379,7 +419,10 @@ def test_h1_oracle_matches_the_former_all_splits_oracle(fs3):
     cases = [(load_system(os.path.join(SAMPLES, name))[0], bound)
              for name in sorted(os.listdir(SAMPLES)) for bound in (2, 3)]
     cases = [(ts, (bound,) * ts.rank) for ts, bound in cases]
-    cases += [(fs3, (2, 2, 2)), (fs3, (2, 2, 1))]
+    cases += [(fs3, (2, 2, 2)), (fs3, (2, 2, 1)), (fs3, (3, 1, 1))]
+    rng = random.Random(0xC1C)
+    cases.append((circulant(7, [rng.sample(range(7), 2), rng.sample(range(7), 2)]),
+                  (3, 2)))
     n_fixed = len(cases)
     rng = random.Random(0x5EED)
     for rank, bound, sizes in [(2, (2, 2), [2, 3, 4]), (3, (1, 1, 1), [2, 3])]:
