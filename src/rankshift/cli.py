@@ -328,8 +328,8 @@ def _cmd_witness_set_s(args) -> int:
 def _cmd_witness_q_support(args) -> int:
     ts, dmap = _load_gated(args)
     m = _parse_shape(args.p_bound, ts, "--p-bound")
-    l, family = witnesses.separating_family(ts, m)
     total = _parse_shape(args.total, ts, "--total")
+    l, family = witnesses.separating_family(ts, m)
     support = witnesses.projection_support(ts, dmap, m, l, family, total=total)
     print(f"common-shape:{_format_shape(l)}")
     print(f"support-size:{len(support)}")

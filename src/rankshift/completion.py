@@ -5,7 +5,8 @@ Under the local conditions (H1a)-(H1c) -- checked by
 layer at a time: the new far corner is chosen among allowed successors and
 every other new cell is forced by a commuting-square constraint.  The one
 kernel, :func:`extend_along`, fills a whole staircase of such layers in a
-single box; unit extension, staircase words and the product all call it.
+single box; unit extension, staircase words and the product all call it, and
+so do the witness words, one box per word along its factors' staircases.
 
 Independently of any of that, this module also provides brute-force grid
 enumeration (:func:`iter_grid_completions`, :func:`words_of_shape`), which

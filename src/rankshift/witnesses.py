@@ -11,6 +11,7 @@ graded with declaration-order tie-breaks, so outputs are deterministic.
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .core import (
@@ -36,7 +37,7 @@ from .core import (
     vec,
     zero,
 )
-from .completion import extend_along, iter_grid_completions, product, word_from_path
+from .completion import extend_along, iter_grid_completions, staircase_steps, word_from_path
 from .verify import h3_bounded_witnesses
 
 __all__ = [
@@ -46,17 +47,21 @@ __all__ = [
 
 
 def connect(ts: TileSystem, a: int, b: int, n_min: Shape) -> Word:
-    """A word w with o(w) = a, t(w) = b and shape(w) >= n_min.
-
-    Breadth-first search over (letter, progress-clamped-at-n_min) states
-    finds a shortest qualifying staircase; ties break by direction then
-    letter order.  Unreachable letters mean the system fails (H2).
-    """
+    """A word w with o(w) = a, t(w) = b and shape(w) >= n_min, through the
+    steps of :func:`_connect_steps`, which the witness words fill in place."""
     n_min = check_shape(ts, n_min, "minimum shape")
+    return word_from_path(ts, a, _connect_steps(ts, a, b, n_min))
+
+
+def _connect_steps(ts: TileSystem, a: int, b: int, n_min: Shape) -> list[tuple[int, int]]:
+    """The (direction, letter) steps from a to b of a shortest staircase
+    spanning at least n_min: breadth-first search over (letter,
+    progress-clamped-at-n_min) states, ties broken by direction then letter
+    order.  Unreachable letters mean the system fails (H2)."""
     start = (a, zero(ts.rank))
     goal = (b, n_min)
     if start == goal:
-        return letter_word(ts.rank, a)
+        return []
     parents: dict[tuple[int, Shape], tuple] = {start: None}
     queue = deque([start])
     while queue:
@@ -71,42 +76,48 @@ def connect(ts: TileSystem, a: int, b: int, n_min: Shape) -> Word:
                     continue
                 parents[nxt] = (state, j, c2)
                 if nxt == goal:
-                    steps = []
-                    cur = nxt
+                    steps, cur = [], nxt
                     while parents[cur] is not None:
-                        prev, jj, letter = parents[cur]
+                        cur, jj, letter = parents[cur]
                         steps.append((jj, letter))
-                        cur = prev
-                    steps.reverse()
-                    return word_from_path(ts, a, steps)
+                    return steps[::-1]
                 queue.append(nxt)
     raise WitnessSearchError(
         f"letter {ts.alphabet.name(b)} unreachable from {ts.alphabet.name(a)} "
         f"with shape >= {n_min}; the system fails (H2)")
 
 
+def _span(rank: int, steps: list[tuple[int, int]]) -> Shape:
+    """The shape spanned by a staircase of (direction, letter) steps."""
+    return tuple(sum(j == k for j, _ in steps) for k in range(1, rank + 1))
+
+
+def _greedy_steps(ts: TileSystem, shape: Shape, c: int, target: Shape
+                  ) -> Iterator[tuple[int, int]]:
+    """Steps from shape and terminus c to target, each to the least allowed
+    letter, direction 1 first.  Under (H0)-(H2) every letter has a successor
+    in every direction, so the walk cannot get stuck."""
+    for j in range(1, ts.rank + 1):
+        for _ in range(target[j - 1] - shape[j - 1]):
+            succ = ts.successors(j, c)
+            if not succ:
+                raise WitnessSearchError(
+                    f"letter {ts.alphabet.name(c)} has no successor "
+                    f"in direction {j}; the system fails (H2)")
+            c = succ[0]
+            yield j, c
+
+
 def grow_to_shape(ts: TileSystem, w: Word, target: Shape) -> Word:
     """Extend w to exact shape target >= shape(w), greedily.
 
-    Each unit step takes the least allowed letter, direction 1 first, and one
-    :func:`~rankshift.completion.extend_along` call fills the staircase.  Under
-    (H0)-(H2) every letter has a successor in every direction, so the greedy
-    walk cannot get stuck.
+    One :func:`~rankshift.completion.extend_along` call fills the steps of
+    :func:`_greedy_steps`; target = shape(w) returns w itself, unfilled.
     """
-    target = vec(target)
-
-    def greedy(c: int) -> Iterator[tuple[int, int]]:
-        for j in range(1, ts.rank + 1):
-            for _ in range(target[j - 1] - w.shape[j - 1]):
-                succ = ts.successors(j, c)
-                if not succ:
-                    raise WitnessSearchError(
-                        f"letter {ts.alphabet.name(c)} has no successor "
-                        f"in direction {j}; the system fails (H2)")
-                c = succ[0]
-                yield j, c
-
-    return extend_along(ts, w, target, greedy(w.terminus))
+    target = check_shape(ts, target, "target")
+    if target == w.shape:
+        return w
+    return extend_along(ts, w, target, _greedy_steps(ts, w.shape, w.terminus, target))
 
 
 def distinct_pair(ts: TileSystem) -> tuple[Word, Word]:
@@ -138,22 +149,34 @@ def nonperiodic_all(ts: TileSystem, m: Shape, a: int) -> Word:
     each, and joined by spacers into a core p_0 s_0 ... p_k, which a
     connector from a precedes; a word containing a non-p-periodic sub-box is
     itself non-p-periodic.  m = 0 has nothing to defeat: the letter word.
+    The word is one fill (see :func:`_nonperiodic_words`).
     """
     return _nonperiodic_words(ts, m, [a])[a]
 
 
 def _nonperiodic_words(ts: TileSystem, m: Shape, letters: Iterable[int]
                        ) -> dict[int, Word]:
-    """:func:`nonperiodic_all` for each letter, from one core p_0 s_0 ... p_k."""
+    """:func:`nonperiodic_all` for each letter, from one core p_0 s_0 ... p_k.
+
+    One :func:`extend_along` fill per word, along its factors' staircases:
+    the core from p_0 along each spacer path and p_{i+1}'s staircase, a
+    letter's word from the letter along its connector path and the core's
+    staircase.  A fill forces each cell from filled ones, so filling along
+    s1 + s2 is filling along s1, then s2.  Spacer paths are all searched
+    first, so on input failing (H1) and (H2) the (H2) error may come first
+    (the CLI checks (H0)-(H2) before any witness command).
+    """
     m = check_shape(ts, m, "p bound")
     if is_zero(m):
         return {a: letter_word(ts.rank, a) for a in letters}
     parts = list(h3_bounded_witnesses(ts, m).values())
-    core = parts[0]
-    for part in parts[1:]:
-        spacer = connect(ts, core.terminus, part.origin, zero(ts.rank))
-        core = product(ts, product(ts, core, spacer), part)
-    return {a: product(ts, connect(ts, a, core.origin, zero(ts.rank)), core)
+    steps: list[tuple[int, int]] = []
+    for prev, part in zip(parts, parts[1:]):
+        steps += _connect_steps(ts, prev.terminus, part.origin, zero(ts.rank))
+        steps += staircase_steps(part)
+    core = extend_along(ts, parts[0], add(parts[0].shape, _span(ts.rank, steps)), steps)
+    tail, origin = staircase_steps(core), core.origin
+    return {a: word_from_path(ts, a, _connect_steps(ts, a, origin, zero(ts.rank)) + tail)
             for a in letters}
 
 
@@ -167,7 +190,9 @@ def separate_translates(ts: TileSystem, p: Translate, w1: Word, w2: Word
     what w2' shows there forces the disagreement, which then survives any
     further padding.  The overlap of the two extensions is never empty.  The
     pair has a unit shape e_j (see :func:`distinct_pair`): if any two words
-    of one shape and origin differ, two of shape e_j already do.
+    of one shape and origin differ, two of shape e_j already do.  w1' is one
+    :func:`extend_along` fill along the spacer path, the pick's staircase
+    and the greedy steps; w2 is grown twice, as what it shows is read between.
     """
     p = vec(p)
     if w1.shape != w2.shape:
@@ -176,15 +201,16 @@ def separate_translates(ts: TileSystem, p: Translate, w1: Word, w2: Word
         raise ValueError("translate has wrong rank")
     u, v = distinct_pair(ts)
     spacer_min = join(neg(add(p, w1.shape)), zero(ts.rank))
-    s = connect(ts, w1.terminus, u.origin, spacer_min)
-    base = add(p, add(w1.shape, s.shape))
-    upper = add(base, u.shape)
+    s = _connect_steps(ts, w1.terminus, u.origin, spacer_min)
+    spliced = add(w1.shape, _span(ts.rank, s))  # the shape of w1 s
+    reach = add(spliced, u.shape)  # the shape of w1 s u, and of w1 s v
+    base, upper = add(p, spliced), add(p, reach)
     w2pp = grow_to_shape(ts, w2, join(w2.shape, upper))
     shown = restrict(w2pp, base, upper)
     pick = v if shown == u else u
-    w1pp = product(ts, product(ts, w1, s), pick)
-    common = join(w1pp.shape, w2pp.shape)
-    w1p = grow_to_shape(ts, w1pp, common)
+    common = join(reach, w2pp.shape)
+    w1p = extend_along(ts, w1, common, chain(
+        s, staircase_steps(pick), _greedy_steps(ts, reach, pick.terminus, common)))
     w2p = grow_to_shape(ts, w2pp, common)
     return w1p, w2p
 
@@ -219,9 +245,8 @@ def separating_family(ts: TileSystem, m: Shape) -> tuple[Shape, dict[int, Word]]
             for k, p in enumerate(translates):
                 if not rows_agree(family[a].letters, family[b].letters, plans[k]):
                     continue
-                wb, wa = separate_translates(ts, p, family[b], family[a])
-                family[b], family[a] = wb, wa
-                l = wa.shape
+                family[b], family[a] = separate_translates(ts, p, family[b], family[a])
+                l = family[a].shape
                 family = {c: grow_to_shape(ts, w, l) for c, w in family.items()}
                 plans = [overlap_rows(l, l, q) for q in translates]
 

@@ -306,6 +306,26 @@ def test_witness_set_s_negative_p_bound_exits_2(fs2_file, capsys):
     assert "--p-bound" in captured.err and "negative" in captured.err
 
 
+@pytest.mark.parametrize("total, message", [
+    ("1,1,1", "error: --total (1, 1, 1) has wrong rank; system rank is 2\n"),
+    ("1,-1", "error: --total (1, -1) has a negative component\n"),
+])
+def test_witness_q_support_checks_total_before_the_search(gm2_file, total, message,
+                                                          monkeypatch, capsys):
+    """A bad --total exits 2 before the separating family is searched."""
+    from rankshift import witnesses
+
+    def no_search(*args):
+        raise AssertionError("separating_family called before --total was checked")
+
+    monkeypatch.setattr(witnesses, "separating_family", no_search)
+    argv = ["witness", "q-support", gm2_file, "--p-bound", "3,3", "--total", total]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["count", "{fs2}", "--shape"], "--shape"),
     (["count", "{fs2}", "--sha"], "--shape"),  # argparse's prefix matching
@@ -673,8 +693,11 @@ GOLDEN = [
      "383d2401ed63e3fa8d98e37bc5dedd7e6efaa49ae5f5df8c87208e8a55223ade"),
     ("enumerate gm2.json --shape 2,2 --decorated", 0,
      "2192b7066a62dfe964b307bacf7869e50b1f06c89c2869db841f132ec7dda500"),
+    # an 11-spacer core, each witness word filled once along its staircase
     ("witness set-s fs2.json --p-bound 2,2", 0,
      "4b90a0995b3f9d04cf81e768af4adbb0a6583ef8e89c96ae62157d14153b7010"),
+    ("witness q-support gm2.json --p-bound 2,2", 0,
+     "03f9c5c7fb32e0f06a3bfe2e7f709d55473e6643fbb3235ef7b343510fa8dca7"),
     ("witness set-s gm2.json --p-bound 2,2", 0,
      "4b90a0995b3f9d04cf81e768af4adbb0a6583ef8e89c96ae62157d14153b7010"),
     ("witness nonperiodic gm2.json --p-bound 2,2", 0,

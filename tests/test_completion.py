@@ -9,6 +9,7 @@ from rankshift import (
     WitnessSearchError,
     letter_word,
     restrict,
+    tensor,
     validate_word,
 )
 from rankshift.completion import (
@@ -39,7 +40,10 @@ from rankshift.core import (
     unit,
     zero,
 )
+from rankshift.verify import check_h1_local
 from rankshift.witnesses import grow_to_shape
+
+from conftest import circulant
 
 
 def test_extend_unit_rank1(gm):
@@ -747,3 +751,76 @@ def test_extend_along_checks_the_target(fs2):
                         ((1, 0, 0), [])]:
         with pytest.raises(ValueError, match="target"):
             extend_along(fs2, w, target, bad)
+
+
+# ---------------------------------------------------------------------------
+# a fill along s1 + s2 is the fill along s1, then along s2: the witness words
+# are each filled once along the concatenated staircases of their factors
+# ---------------------------------------------------------------------------
+
+def _walk(ts, rng, c, length):
+    """Up to ``length`` random (direction, letter) steps from letter c; the walk
+    stops at a letter with no successor in the drawn direction."""
+    steps = []
+    for _ in range(length):
+        j = rng.randint(1, ts.rank)
+        succ = ts.successors(j, c)
+        if not succ:
+            break
+        c = rng.choice(succ)
+        steps.append((j, c))
+    return steps
+
+
+def _reach(shape, steps):
+    """shape grown by one unit in direction j for each step (j, a)."""
+    return tuple(c + sum(j == k for j, _ in steps) for k, c in enumerate(shape, 1))
+
+
+def _h1_systems(fs2, gm2, fs3):
+    """fs2, gm2, fs3, and seeded circulants and random tensors passing (H1)."""
+    rng = random.Random(2424)
+    systems = [("fs2", fs2), ("gm2", gm2), ("fs3", fs3)]
+    while len(systems) < 9:
+        n = rng.randint(5, 12)
+        ts = circulant(n, [rng.sample(range(n), 2), rng.sample(range(n), 2)])
+        if check_h1_local(ts).ok:
+            systems.append((f"circulant {n} {ts.matrices}", ts))
+    while len(systems) < 15:
+        ts = tensor([random_system(rng, rng.randint(2, 4), 1)
+                     for _ in range(rng.randint(2, 3))])
+        if check_h1_local(ts).ok:
+            systems.append((f"tensor {ts.matrices}", ts))
+    return systems
+
+
+def test_fill_along_a_concatenated_staircase(fs2, gm2, fs3):
+    """extend_along(w, t2, s1 + s2) == extend_along(extend_along(w, t1, s1), t2, s2)
+    on systems passing (H1), at every split of seeded staircases."""
+    rng = random.Random(2525)
+    for name, ts in _h1_systems(fs2, gm2, fs3):
+        for _ in range(12):
+            shape = tuple(rng.randint(0, 2 if ts.rank < 3 else 1) for _ in range(ts.rank))
+            w = _some_word(ts, rng, shape)
+            steps = _walk(ts, rng, w.terminus, rng.randint(0, 9))
+            whole = extend_along(ts, w, _reach(w.shape, steps), steps)
+            for k in range(len(steps) + 1):
+                t1 = _reach(w.shape, steps[:k])
+                first = extend_along(ts, w, t1, steps[:k])
+                assert extend_along(ts, first, whole.shape, steps[k:]) == whole, (name, w, k)
+
+
+def test_fill_along_a_concatenated_staircase_fails_at_the_same_cell(jj):
+    """On a system failing (H1) both forms raise at the same cell, in absolute
+    coordinates, with the same candidates and message."""
+    w = letter_word(2, 0)
+    s1, s2 = [(1, 0), (1, 1)], [(2, 1)]
+    t1 = (2, 0)
+    errors = []
+    for fill in (lambda: extend_along(jj, w, (2, 1), s1 + s2),
+                 lambda: extend_along(jj, extend_along(jj, w, t1, s1), (2, 1), s2)):
+        with pytest.raises(CompletionError) as err:
+            fill()
+        errors.append((str(err.value), err.value.cell, err.value.candidates))
+    assert errors[0] == errors[1]
+    assert errors[0][1] == (1, 1) and len(errors[0][2]) == 2

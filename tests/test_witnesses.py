@@ -36,7 +36,7 @@ from rankshift.core import (
     validate_word,
     zero,
 )
-from rankshift.completion import list_extensions, product, words_of_shape
+from rankshift.completion import extend_along, list_extensions, product, words_of_shape
 from rankshift.verify import check_h0, check_h1_local, check_h2, h3_bounded_witnesses
 from rankshift.witnesses import grow_to_shape
 
@@ -471,3 +471,152 @@ def test_separating_family_matches_the_triple_loop(rank, count, seed):
         repairs.append(made)
     assert len(repairs) >= count // 2, repairs
     assert sum(r >= 2 for r in repairs) >= len(repairs) // 2, repairs
+
+
+# ---------------------------------------------------------------------------
+# each witness word filled once along its concatenated staircase, against the
+# former product chains, which filled every factor and partial product
+# ---------------------------------------------------------------------------
+
+def _former_grow_to_shape(ts, w, target):
+    """The former grow_to_shape: one fill, also when target is shape(w)."""
+    target = tuple(target)
+
+    def greedy(c):
+        for j in range(1, ts.rank + 1):
+            for _ in range(target[j - 1] - w.shape[j - 1]):
+                succ = ts.successors(j, c)
+                if not succ:
+                    raise WitnessSearchError(
+                        f"letter {ts.alphabet.name(c)} has no successor "
+                        f"in direction {j}; the system fails (H2)")
+                c = succ[0]
+                yield j, c
+
+    return extend_along(ts, w, target, greedy(w.terminus))
+
+
+def _former_nonperiodic_words(ts, m, letters):
+    """The former _nonperiodic_words: the core p_0 s_0 ... p_k as nested
+    products with filled spacer words, then connector words times the core."""
+    if is_zero(m):
+        return {a: letter_word(ts.rank, a) for a in letters}
+    parts = list(h3_bounded_witnesses(ts, m).values())
+    core = parts[0]
+    for part in parts[1:]:
+        spacer = connect(ts, core.terminus, part.origin, zero(ts.rank))
+        core = product(ts, product(ts, core, spacer), part)
+    return {a: product(ts, connect(ts, a, core.origin, zero(ts.rank)), core)
+            for a in letters}
+
+
+def _former_separate_translates(ts, p, w1, w2):
+    """The former separate_translates: w1 s pick as two products, then grown."""
+    u, v = distinct_pair(ts)
+    spacer_min = join(neg(add(p, w1.shape)), zero(ts.rank))
+    s = connect(ts, w1.terminus, u.origin, spacer_min)
+    base = add(p, add(w1.shape, s.shape))
+    upper = add(base, u.shape)
+    w2pp = _former_grow_to_shape(ts, w2, join(w2.shape, upper))
+    pick = v if restrict(w2pp, base, upper) == u else u
+    w1pp = product(ts, product(ts, w1, s), pick)
+    common = join(w1pp.shape, w2pp.shape)
+    return _former_grow_to_shape(ts, w1pp, common), _former_grow_to_shape(ts, w2pp, common)
+
+
+def _former_separating_family(ts, m, repairs):
+    """The former separating_family on the former functions; each repair's
+    arguments and result are appended to ``repairs``."""
+    n = ts.n_letters
+    family = _former_nonperiodic_words(ts, m, range(n))
+    l = zero(ts.rank)
+    for w in family.values():
+        l = join(l, w.shape)
+    family = {a: _former_grow_to_shape(ts, w, l) for a, w in family.items()}
+    translates = [p for q in translate_reps(m) for p in (q, neg(q))]
+    for a in range(n):
+        for b in range(n):
+            if a == b:
+                continue
+            for p in translates:
+                if not translates_agree(family[a], family[b], p):
+                    continue
+                args = (p, family[b], family[a])
+                family[b], family[a] = _former_separate_translates(ts, *args)
+                repairs.append((args, (family[b], family[a])))
+                l = family[a].shape
+                family = {c: _former_grow_to_shape(ts, w, l) for c, w in family.items()}
+    for a in range(n):
+        for b in range(n):
+            for p in translates:
+                if translates_agree(family[a], family[b], p):
+                    raise WitnessSearchError(
+                        f"separating family failed for letters "
+                        f"({ts.alphabet.name(a)}, {ts.alphabet.name(b)}), p={p}")
+    return l, family
+
+
+def _single_fill_inputs(fs3):
+    """(name, system, p bound): the family inputs at bounds 1 and 2, fs3 at
+    (1, 1, 1) and two seeded circulants passing (H0)-(H2)."""
+    cases = [(name, ts, (c,) * ts.rank) for name, ts in _family_inputs() for c in (1, 2)]
+    cases.append(("fs3", fs3, (1, 1, 1)))
+    rng = random.Random(2626)
+    while len(cases) < 2 * len(_family_inputs()) + 3:
+        n = rng.randint(6, 10)
+        ts = _circulant(n, [set(rng.sample(range(n), 2)) for _ in range(2)])
+        if all(c.ok for c in (check_h0(ts), check_h1_local(ts), check_h2(ts))):
+            cases.append((f"circulant {ts.matrices}", ts, (1, 1)))
+    return cases
+
+
+def test_single_fill_witnesses_match_the_product_chains(fs3):
+    """The nonperiodic words, every repair's pair and the separating family (or
+    the same search error) equal those of the former product chains."""
+    outcomes = {"family": 0, "error": 0, "repairs": 0}
+    for name, ts, m in _single_fill_inputs(fs3):
+        letters = range(ts.n_letters)
+        try:
+            want_words = _former_nonperiodic_words(ts, m, letters)
+        except WitnessSearchError as exc:
+            want_words = str(exc)
+        try:
+            got_words = {a: nonperiodic_all(ts, m, a) for a in letters}
+        except WitnessSearchError as exc:
+            got_words = str(exc)
+        assert got_words == want_words, (name, m)
+        repairs = []
+        try:
+            want = _former_separating_family(ts, m, repairs)
+        except WitnessSearchError as exc:
+            with pytest.raises(WitnessSearchError) as err:
+                separating_family(ts, m)
+            assert str(err.value) == str(exc), (name, m)
+            outcomes["error"] += 1
+            continue
+        for args, pair in repairs:
+            assert separate_translates(ts, *args) == pair, (name, m, args[0])
+        assert separating_family(ts, m) == want, (name, m)
+        outcomes["family"] += 1
+        outcomes["repairs"] += len(repairs)
+    assert outcomes["family"] >= 40 and outcomes["error"] >= 5, outcomes
+    assert outcomes["repairs"] >= 100, outcomes
+
+
+def test_grow_to_shape_at_its_own_shape_is_the_word(fs2, gm2):
+    """A target equal to shape(w) returns w itself; a target that does not
+    dominate w, or has the wrong rank, raises as before."""
+    for ts in (fs2, gm2):
+        for shape in [(0, 0), (1, 0), (2, 1)]:
+            for w in itertools.islice(words_of_shape(ts, shape), 5):
+                assert grow_to_shape(ts, w, w.shape) is w
+                assert grow_to_shape(ts, w, list(w.shape)) is w
+                assert grow_to_shape(ts, w, add(w.shape, (1, 1))) == \
+                    _former_grow_to_shape(ts, w, add(w.shape, (1, 1)))
+    w = next(words_of_shape(fs2, (2, 1)))
+    with pytest.raises(ValueError, match="does not dominate"):
+        grow_to_shape(fs2, w, (1, 1))
+    with pytest.raises(ValueError, match="wrong rank"):
+        grow_to_shape(fs2, w, (2, 1, 0))
+    with pytest.raises(ValueError, match="wrong rank"):
+        grow_to_shape(fs2, w, (2,))
