@@ -34,7 +34,6 @@ from .core import (
     shape_key,
     shapes_upto,
     unit,
-    vec,
     zero,
 )
 
@@ -48,10 +47,7 @@ def dim_vector(ts: TileSystem, dmap: DecorationMap, m: Shape) -> tuple[int, ...]
     M_2, ..., M_r last); other monotone paths agree only when the M_j commute.
     """
     m = check_shape(ts, m, "shape")
-    d = [0] * ts.n_letters
-    for a in dmap.delta:
-        d[a] += 1
-    d = tuple(d)
+    d = tuple(map(len, dmap.by_letter(ts.n_letters)))
     for j in range(1, ts.rank + 1):
         for _ in range(m[j - 1]):
             d = _step(ts, j, d)
@@ -88,14 +84,14 @@ class BratteliDiagram:
     nodes: dict[Shape, tuple[int, ...]] = field(compare=False)
 
     def dims(self, m: Shape) -> tuple[int, ...]:
-        return self.nodes[vec(m)]
+        return self.nodes[tuple(m)]
 
     def levels(self) -> list[Shape]:
         return sorted(self.nodes, key=shape_key)
 
     def edge_multiplicity(self, m: Shape, j: int, a: int, b: int) -> int:
-        m = vec(m)
-        if not dominates(self.upto, add(m, unit(len(m), j))):
+        m = tuple(m)
+        if m not in self.nodes or not dominates(self.upto, add(m, unit(len(m), j))):
             raise ValueError(f"no level {m} + e_{j} inside [0, {self.upto}]")
         return self.system.matrices[j - 1][b][a]
 

@@ -14,7 +14,6 @@ from .core import (
     DecoratedWord,
     Shape,
     TileSystem,
-    vec,
 )
 from .completion import words_of_shape
 
@@ -78,19 +77,22 @@ def redecorate_by_shape(ts: TileSystem, dmap: DecorationMap,
                         ) -> tuple[DecorationMap, tuple[DecoratedWord, ...]]:
     """The decoration set of all decorated words (d, w) with shape(w) = l(d).
 
-    ``shape_of`` maps each decoration name to a shape.  The new delta sends
-    each decorated word to its terminus.  Returns the new DecorationMap
-    together with the underlying decorated words, aligned by index; the new
-    names are ``"<d>:<cells>"`` with cells joined row-major.
+    ``shape_of`` maps each decoration name, and no other key, to a shape.
+    The new delta sends each decorated word to its terminus.  Returns the
+    new DecorationMap together with the underlying decorated words, aligned
+    by index; the new names are ``"<d>:<cells>"`` with cells joined row-major.
     """
+    for name in (*shape_of, *dmap.names):
+        if name not in dmap.names:
+            raise ValueError(f"shape_of names unknown decoration {name!r}")
+        if name not in shape_of:
+            raise ValueError(f"shape_of has no shape for decoration {name!r}")
     sep = "" if all(len(a) == 1 for a in ts.alphabet.letters) else ","
     names = []
     delta = []
     words = []
     for d, d_name in enumerate(dmap.names):
-        target = vec(shape_of[d_name])
-        origin = dmap.delta[d]
-        for w in words_of_shape(ts, target, origin=origin):
+        for w in words_of_shape(ts, shape_of[d_name], origin=dmap.delta[d]):
             cells = sep.join(ts.alphabet.name(a) for a in w.letters)
             names.append(f"{d_name}:{cells}")
             delta.append(w.terminus)

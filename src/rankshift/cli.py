@@ -76,9 +76,9 @@ def load_system(path) -> tuple[TileSystem, DecorationMap]:
 
 def parse_system(data, origin: str = "<data>") -> tuple[TileSystem, DecorationMap]:
     """The system and decoration map in parsed JSON.  The file format's own
-    rules are checked here, and the constructors check the rest (letter names
-    included): their ValueError, which names the same field, is re-raised with
-    ``origin``."""
+    rules are checked here, and the constructors check the rest (letter and
+    decoration names included): their ValueError, which names the same field,
+    is re-raised with ``origin``."""
     _require(isinstance(data, dict), f"{origin}: top level must be an object")
     for key in ("rank", "alphabet", "matrices"):
         _require(key in data, f"{origin}: missing field {key!r}")
@@ -101,12 +101,8 @@ def parse_system(data, origin: str = "<data>") -> tuple[TileSystem, DecorationMa
                  f"{origin}: 'decorations' must have 'names' and 'delta'")
         names = deco["names"]
         delta_names = deco["delta"]
-        _require(isinstance(names, list) and all(isinstance(d, str) for d in names),
+        _require(isinstance(names, list),
                  f"{origin}: decorations.names must be a nonempty string list")
-        for i, d in enumerate(names):
-            _require(d and not any(c.isspace() for c in d),
-                     f"{origin}: decorations.names[{i}] is {d!r}, decoration "
-                     f"names must be nonempty with no whitespace")
         _require(isinstance(delta_names, list),
                  f"{origin}: decorations.delta must align with decorations.names")
         for i, a in enumerate(delta_names):
@@ -126,6 +122,7 @@ def system_to_json(ts: TileSystem, dmap: DecorationMap | None = None) -> dict:
         "matrices": [[list(row) for row in mat] for mat in ts.matrices],
     }
     if dmap is not None and dmap != DecorationMap.identity(ts.alphabet):
+        dmap.by_letter(ts.n_letters)  # every delta entry is a letter of ts
         data["decorations"] = {
             "names": list(dmap.names),
             "delta": [ts.alphabet.name(a) for a in dmap.delta],
@@ -134,9 +131,10 @@ def system_to_json(ts: TileSystem, dmap: DecorationMap | None = None) -> dict:
 
 
 def save_system(ts: TileSystem, path, dmap: DecorationMap | None = None) -> None:
+    data = system_to_json(ts, dmap)  # checked before the file is opened
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(system_to_json(ts, dmap), fh, indent=2)
+            json.dump(data, fh, indent=2)
             fh.write("\n")
     except OSError as exc:
         raise SystemFileError(f"{path}: {exc.strerror or exc}") from exc

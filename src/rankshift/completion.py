@@ -49,7 +49,6 @@ from .core import (
     dominates,
     letter_word,
     strides,
-    vec,
     zero,
 )
 
@@ -381,7 +380,7 @@ def words_of_shape(ts: TileSystem, shape: Shape,
                    terminus: int | None = None) -> Iterator[Word]:
     """All words of the given shape, lexicographic in row-major letters,
     with the origin/terminus filters of :func:`end_placements`."""
-    shape = vec(shape)
+    shape = check_shape(ts, shape, "shape")
     fixed = end_placements(ts, shape, origin, terminus)
     for letters in iter_grid_completions(ts, shape, fixed):
         yield Word(shape, letters)

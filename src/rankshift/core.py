@@ -72,10 +72,6 @@ class WitnessSearchError(SubshiftError):
 # shape / translate arithmetic
 # ---------------------------------------------------------------------------
 
-def vec(components: Iterable[int]) -> tuple[int, ...]:
-    return tuple(int(c) for c in components)
-
-
 def zero(rank: int) -> Shape:
     return (0,) * rank
 
@@ -209,7 +205,8 @@ class Alphabet:
     Declaration order is canonical: every enumeration and tie-break in this
     package uses it, which makes all operations deterministic.  A name is a
     nonempty string with no ',' or whitespace, the rule of the system file
-    and of the CLI's comma-separated cells; nothing is coerced.
+    and of the CLI's comma-separated cells.  Nothing is coerced: an index is
+    an ``int``, not a ``bool``, in range.
     """
 
     __slots__ = ("letters", "_index")
@@ -251,10 +248,9 @@ class Alphabet:
                 return self._index[letter]
             except KeyError:
                 raise UnknownLetterError(f"unknown letter {letter!r}") from None
-        i = int(letter)
-        if not 0 <= i < len(self.letters):
-            raise UnknownLetterError(f"letter index {i} out of range")
-        return i
+        if type(letter) is not int or not 0 <= letter < len(self.letters):
+            raise UnknownLetterError(f"letter index {letter!r} out of range")
+        return letter
 
 
 class TileSystem:
@@ -344,10 +340,12 @@ class TileSystem:
 
 def check_shape(ts: TileSystem, shape: Iterable[int], what: str) -> Shape:
     """The shape or bound given as ``what``, as a tuple; :class:`ValueError`
-    if its rank is not that of ts or a component is negative."""
-    shape = vec(shape)
+    unless its rank is ts.rank and each component an ``int`` >= 0, not a bool."""
+    shape = tuple(shape)
     if len(shape) != ts.rank:
         raise ValueError(f"{what} {shape} has wrong rank; system rank is {ts.rank}")
+    if any(type(c) is not int for c in shape):
+        raise ValueError(f"{what} {shape} has a component that is not an integer")
     if any(c < 0 for c in shape):
         raise ValueError(f"{what} {shape} has a negative component")
     return shape
@@ -411,22 +409,27 @@ class Word:
 
 def letter_word(rank: int, a: int) -> Word:
     """The shape-0 word identified with the letter a."""
-    return Word(zero(rank), (int(a),))
+    return Word(zero(rank), (a,))
 
 
 @dataclass(frozen=True)
 class DecorationMap:
     """A finite ordered decoration set D with delta: D -> A.
 
-    ``delta[i]`` is the letter index assigned to decoration ``names[i]``.
+    ``delta[i]``, the letter index of decoration ``names[i]``, is checked
+    against a system by :meth:`by_letter`; a name is nonempty with no whitespace.
     """
 
     names: tuple[str, ...]
     delta: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.names:
+        if not self.names or not all(isinstance(d, str) for d in self.names):
             raise ValueError("decorations.names must be a nonempty string list")
+        for i, d in enumerate(self.names):
+            if not d or any(c.isspace() for c in d):
+                raise ValueError(f"decorations.names[{i}] is {d!r}, decoration "
+                                 f"names must be nonempty with no whitespace")
         if len(set(self.names)) != len(self.names):
             raise ValueError("decorations.names has duplicate names")
         if len(self.delta) != len(self.names):
@@ -446,10 +449,9 @@ class DecorationMap:
                 return self.names.index(decoration)
             except ValueError:
                 raise UnknownLetterError(f"unknown decoration {decoration!r}") from None
-        i = int(decoration)
-        if not 0 <= i < len(self.names):
-            raise UnknownLetterError(f"decoration index {i} out of range")
-        return i
+        if type(decoration) is not int or not 0 <= decoration < len(self.names):
+            raise UnknownLetterError(f"decoration index {decoration!r} out of range")
+        return decoration
 
     def attach(self, decoration: Union[int, str], word: Word) -> "DecoratedWord":
         """Pair a decoration with a word, enforcing delta(d) = o(w)."""
@@ -461,9 +463,13 @@ class DecorationMap:
         return DecoratedWord(d, word)
 
     def by_letter(self, n_letters: int) -> list[tuple[int, ...]]:
-        """Decoration indices grouped by their delta letter."""
+        """Decoration indices grouped by their delta letter; the one check
+        that each delta entry is an ``int`` (not a ``bool``) in 0..n_letters-1."""
         groups: list[list[int]] = [[] for _ in range(n_letters)]
         for d, a in enumerate(self.delta):
+            if type(a) is not int or not 0 <= a < n_letters:
+                raise ValueError(f"decorations.delta[{d}] is {a!r}, not a letter "
+                                 f"index of a {n_letters}-letter system")
             groups[a].append(d)
         return [tuple(g) for g in groups]
 
@@ -567,8 +573,7 @@ def restrict(w: WordLike, k: Shape, l: Shape) -> WordLike:
         if is_zero(k):
             return DecoratedWord(w.decoration, inner)
         return inner
-    k = vec(k)
-    l = vec(l)
+    k, l = tuple(k), tuple(l)
     if not (dominates(k, zero(w.rank)) and dominates(l, k) and dominates(w.shape, l)):
         raise ValueError(f"need 0 <= {k} <= {l} <= {w.shape}")
     letters = tuple(map(w.letters.__getitem__, box_offsets(w.shape, k, l)))

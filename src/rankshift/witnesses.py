@@ -34,7 +34,6 @@ from .core import (
     rows_agree,
     translate_reps,
     unit,
-    vec,
     zero,
 )
 from .completion import extend_along, iter_grid_completions, staircase_steps, word_from_path
@@ -194,7 +193,7 @@ def separate_translates(ts: TileSystem, p: Translate, w1: Word, w2: Word
     :func:`extend_along` fill along the spacer path, the pick's staircase
     and the greedy steps; w2 is grown twice, as what it shows is read between.
     """
-    p = vec(p)
+    p = tuple(p)
     if w1.shape != w2.shape:
         raise ValueError(f"shapes differ: {w1.shape} vs {w2.shape}")
     if len(p) != w1.rank:
@@ -228,7 +227,7 @@ def separating_family(ts: TileSystem, m: Shape) -> tuple[Shape, dict[int, Word]]
     members have shape l, so each p has one row plan for :func:`rows_agree`,
     taken again whenever a repair grows l.
     """
-    m = vec(m)
+    m = check_shape(ts, m, "p bound")
     n = ts.n_letters
     family = _nonperiodic_words(ts, m, range(n))
     l = zero(ts.rank)

@@ -9,7 +9,7 @@ import sys
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rankshift import (Alphabet, DecorationMap, TileSystem, builders, cli,
                        load_system, save_system, verify)
@@ -86,6 +86,30 @@ def test_alphabet_and_loader_share_one_name_rule(letters):
         path = os.path.join(tmp, "system.json")
         save_system(ts, path)
         assert load_system(path) == (ts, DecorationMap.identity(ts.alphabet))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.text(_NAME_CHARS, max_size=3), st.integers(), st.none()),
+                max_size=4))
+@example(["a b"])
+def test_decoration_map_and_loader_share_one_name_rule(names):
+    """Every DecorationMap the constructor accepts survives save_system ->
+    load_system unchanged, and the loader rejects every other names list
+    with the constructor's own message."""
+    data = {"rank": 1, "alphabet": ["0", "1"], "matrices": [[[1, 1], [1, 0]]],
+            "decorations": {"names": names, "delta": ["0"] * len(names)}}
+    try:
+        dmap = DecorationMap(tuple(names), (0,) * len(names))
+    except ValueError as exc:
+        with pytest.raises(SystemFileError) as err:
+            parse_system(data)
+        assert str(err.value) == f"<data>: {exc}"
+        return
+    ts = TileSystem(Alphabet("01"), data["matrices"])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "system.json")
+        save_system(ts, path, dmap)
+        assert load_system(path) == (ts, dmap)
 
 
 def test_load_rejects_bad_entry():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,10 +35,12 @@ from rankshift.core import (
     translate_reps,
     word_violations,
 )
-from rankshift.builders import from_rank1
+from rankshift.builders import from_rank1, redecorate_by_shape
 from rankshift.af_core import bratteli, dim_vector
+from rankshift.cli import save_system
 from rankshift.completion import extend_along, list_extensions, words_of_shape
-from rankshift.witnesses import connect, nonperiodic_all, projection_support
+from rankshift.witnesses import (connect, nonperiodic_all, projection_support,
+                                 separating_family)
 
 
 def test_shape_lattice_examples():
@@ -200,6 +203,34 @@ def test_alphabet_resolve_bounds(gm):
         gm.alphabet.resolve(2)
     with pytest.raises(UnknownLetterError):
         gm.alphabet.resolve("2")
+
+
+@pytest.mark.parametrize("index", [1.9, 1.0, 0.0, True, False])
+def test_resolve_takes_int_indices_only(gm, index):
+    """A letter or decoration index is an int, not a bool: nothing is
+    rounded, and a non-int is rejected as an out-of-range index is."""
+    from rankshift import UnknownLetterError
+    with pytest.raises(UnknownLetterError, match=r"^letter index .* out of range$"):
+        gm.alphabet.resolve(index)
+    with pytest.raises(UnknownLetterError, match=r"^decoration index .* out of range$"):
+        DecorationMap.identity(gm.alphabet).resolve(index)
+
+
+@pytest.mark.parametrize("delta", [-1, 7, True, 1.0, "1"])
+def test_delta_entries_are_checked_against_the_system(tmp_path, gm, delta):
+    """A delta entry that is no letter index of the system raises one
+    ValueError naming it, from every path that reads delta against a system
+    (by_letter), instead of counting the last letter or letter 1."""
+    dmap = DecorationMap(("x", "y"), (0, delta))
+    message = (rf"^decorations\.delta\[1\] is {re.escape(repr(delta))}, "
+               rf"not a letter index of a 2-letter system$")
+    with pytest.raises(ValueError, match=message):
+        dim_vector(gm, dmap, (1,))
+    with pytest.raises(ValueError, match=message):
+        bratteli(gm, dmap, (1,))
+    with pytest.raises(ValueError, match=message):
+        save_system(gm, tmp_path / "x.json", dmap)
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_word_at_rejects_bad_cells(gm):
@@ -460,6 +491,9 @@ _SHAPE_ARGUMENTS = {
         ts, DecorationMap.identity(ts.alphabet), (0, 0), (0, 0), {}, s),
     "dim_vector": lambda ts, s: dim_vector(ts, DecorationMap.identity(ts.alphabet), s),
     "bratteli": lambda ts, s: bratteli(ts, DecorationMap.identity(ts.alphabet), s),
+    "separating_family": lambda ts, s: separating_family(ts, s),
+    "redecorate_by_shape": lambda ts, s: redecorate_by_shape(
+        ts, DecorationMap.identity(ts.alphabet), dict.fromkeys(ts.alphabet, s)),
 }
 
 
@@ -468,9 +502,33 @@ _SHAPE_ARGUMENTS = {
     pytest.param((1,), "has wrong rank; system rank is 2", id="rank-1"),
     pytest.param((1, 1, 1), "has wrong rank; system rank is 2", id="rank-3"),
     pytest.param((-2, 1), "has a negative component", id="negative"),
+    pytest.param((1.5, 0), "is not an integer", id="float"),
+    pytest.param((True, 0), "is not an integer", id="bool"),
+    pytest.param(("1", 0), "is not an integer", id="str"),
 ])
 def test_shape_arguments_are_checked(gm2, name, shape, message):
-    """A shape or bound of the wrong rank, or with a negative component,
-    raises the one ValueError, not a wrong-rank answer or an IndexError."""
+    """A shape or bound of the wrong rank, or with a negative or non-int
+    component, raises the one ValueError, not a wrong-rank answer, an
+    IndexError or the answer for a rounded shape."""
     with pytest.raises(ValueError, match=message):
         _SHAPE_ARGUMENTS[name](gm2, shape)
+
+
+@pytest.mark.parametrize("corner", [(1.5, 0), ("1", 0)])
+def test_restrict_rounds_no_corner(gm2, corner):
+    """restrict takes its corners as they are: a float or str corner fails
+    where it is used, not as the sub-box at its integer part."""
+    w = next(words_of_shape(gm2, (2, 2)))
+    with pytest.raises(TypeError):
+        restrict(w, corner, (2, 2))
+    with pytest.raises(TypeError):
+        restrict(w, (0, 0), corner)
+
+
+def test_redecorate_by_shape_names_a_bad_key(gm):
+    """Every decoration needs a shape, and every key names a decoration."""
+    dmap = DecorationMap.identity(gm.alphabet)
+    with pytest.raises(ValueError, match=r"^shape_of has no shape for decoration '1'$"):
+        redecorate_by_shape(gm, dmap, {"0": (1,)})
+    with pytest.raises(ValueError, match=r"^shape_of names unknown decoration 'z'$"):
+        redecorate_by_shape(gm, dmap, {"0": (1,), "1": (0,), "z": (1,)})
