@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
+from typing import Iterator
 
 from .core import (
     DecorationMap,
@@ -30,8 +31,6 @@ from .core import (
     add,
     box_cells,
     check_shape,
-    dominates,
-    shape_key,
     shapes_upto,
     unit,
     zero,
@@ -84,43 +83,48 @@ class BratteliDiagram:
     nodes: dict[Shape, tuple[int, ...]] = field(compare=False)
 
     def dims(self, m: Shape) -> tuple[int, ...]:
-        return self.nodes[tuple(m)]
+        m = tuple(m)
+        if any(type(c) is not int for c in m):  # (1.0, True) hashes as (1, 1)
+            raise KeyError(m)
+        return self.nodes[m]
 
     def levels(self) -> list[Shape]:
-        return sorted(self.nodes, key=shape_key)
+        """The level shapes in the order of ``nodes``, which `bratteli` fills
+        in canonical (`shape_key`) order."""
+        return list(self.nodes)
+
+    def _edges(self) -> Iterator[tuple[Shape, int, Shape]]:
+        """(m, j, m + e_j) for each level m, in `levels` order, and each
+        direction j in turn for which m + e_j is a level too."""
+        rank = self.system.rank
+        for m in self.nodes:
+            for j in range(1, rank + 1):
+                if (target := add(m, unit(rank, j))) in self.nodes:
+                    yield m, j, target
 
     def edge_multiplicity(self, m: Shape, j: int, a: int, b: int) -> int:
         m = tuple(m)
-        if m not in self.nodes or not dominates(self.upto, add(m, unit(len(m), j))):
+        if not (all(type(c) is int for c in m) and m in self.nodes
+                and add(m, unit(len(m), j)) in self.nodes):
             raise ValueError(f"no level {m} + e_{j} inside [0, {self.upto}]")
         return self.system.matrices[j - 1][b][a]
 
     def diagonal(self) -> list[tuple[Shape, tuple[int, ...]]]:
         """The chain of levels along multiples of (1, ..., 1)."""
-        out = []
-        m = zero(len(self.upto))
-        ones = tuple(1 for _ in self.upto)
-        while dominates(self.upto, m):
+        out, m = [], zero(len(self.upto))
+        while m in self.nodes:
             out.append((m, self.nodes[m]))
-            m = add(m, ones)
+            m = tuple(c + 1 for c in m)
         return out
 
     def to_json(self) -> dict:
+        """Levels and edges; a direction's edges share one list of its rows."""
         names = self.system.alphabet.letters
-        levels = [{"shape": list(m),
-                   "dims": {names[a]: d for a, d in enumerate(self.nodes[m])},
-                   "total": sum(self.nodes[m])}
-                  for m in self.levels()]
-        edges = []
-        for m in self.levels():
-            for j in range(1, self.system.rank + 1):
-                if not dominates(self.upto, add(m, unit(self.system.rank, j))):
-                    continue
-                edges.append({
-                    "from": list(m), "direction": j,
-                    "multiplicities": [list(row)
-                                       for row in self.system.matrices[j - 1]],
-                })
+        levels = [{"shape": list(m), "dims": dict(zip(names, d)), "total": sum(d)}
+                  for m, d in self.nodes.items()]
+        rows = [[list(row) for row in mat] for mat in self.system.matrices]
+        edges = [{"from": list(m), "direction": j, "multiplicities": rows[j - 1]}
+                 for m, j, _ in self._edges()]
         return {"alphabet": list(names), "upto": list(self.upto),
                 "levels": levels, "edges": edges}
 
@@ -132,24 +136,17 @@ class BratteliDiagram:
         def node_id(m, a):
             return _dot_quote("%s|%s" % (",".join(map(str, m)), names[a]))
 
-        for m in self.levels():
-            dims = self.nodes[m]
+        for m, dims in self.nodes.items():
             lines.append("  // level (%s): dims (%s) total %d" % (
                 ",".join(map(str, m)), ",".join(map(str, dims)), sum(dims)))
             for a, d in enumerate(dims):
                 lines.append("  %s [label=%s];" % (
                     node_id(m, a), _dot_quote("%s:%d" % (names[a], d))))
-        for m in self.levels():
-            for j in range(1, self.system.rank + 1):
-                target = add(m, unit(self.system.rank, j))
-                if not dominates(self.upto, target):
-                    continue
-                mat = self.system.matrices[j - 1]
-                for a in range(len(names)):
-                    for b in range(len(names)):
-                        if mat[b][a]:
-                            lines.append("  %s -> %s [label=\"%d\"];" % (
-                                node_id(m, a), node_id(target, b), mat[b][a]))
+        for m, j, target in self._edges():
+            for a in range(len(names)):
+                for b in self.system.successors(j, a):
+                    lines.append("  %s -> %s [label=\"1\"];" % (
+                        node_id(m, a), node_id(target, b)))
         lines.append("}")
         return "\n".join(lines)
 

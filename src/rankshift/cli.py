@@ -347,13 +347,18 @@ def _cmd_bratteli(args) -> int:
             names = ts.alphabet.letters
             doc["chain"] = [{"shape": list(m), "dims": dict(zip(names, d))}
                             for m, d in chain]
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        # encoded as written, in blocks: an unbuffered stdout (python -u) would
+        # otherwise take one write per number
+        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)
+        while block := "".join(islice(chunks, 4096)):
+            sys.stdout.write(block)
+        sys.stdout.write("\n")
     elif args.format == "dot":
         # chain lines are comments inside the graph, before its closing brace
         comments = "".join(f"  // chain {_format_shape(m)}: ({_format_shape(d)})\n"
                            for m, d in chain)
         print(diagram.to_dot().removesuffix("}") + comments + "}")
-    else:  # bratteli fills nodes in canonical order, so no levels() sort
+    else:  # bratteli fills nodes in canonical order
         _write_blocks(f"level {_format_shape(m)}: dims ({_format_shape(d)}) total {sum(d)}"
                       for m, d in diagram.nodes.items())
         _write_blocks(f"chain {_format_shape(m)}: ({_format_shape(d)})" for m, d in chain)

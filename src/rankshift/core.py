@@ -351,6 +351,15 @@ def check_shape(ts: TileSystem, shape: Iterable[int], what: str) -> Shape:
     return shape
 
 
+def _ints(v: Iterable[int], what: str) -> tuple[int, ...]:
+    """The corner or translate ``what`` as a tuple; TypeError unless its
+    components are ints, not bools (1.0 and True pass as 1 in a cache key)."""
+    v = tuple(v)
+    if any(type(c) is not int for c in v):
+        raise TypeError(f"{what} {v} has a component that is not an integer")
+    return v
+
+
 def _mask(indices: Iterable[int]) -> int:
     m = 0
     for i in indices:
@@ -573,7 +582,7 @@ def restrict(w: WordLike, k: Shape, l: Shape) -> WordLike:
         if is_zero(k):
             return DecoratedWord(w.decoration, inner)
         return inner
-    k, l = tuple(k), tuple(l)
+    k, l = _ints(k, "corner"), _ints(l, "corner")
     if not (dominates(k, zero(w.rank)) and dominates(l, k) and dominates(w.shape, l)):
         raise ValueError(f"need 0 <= {k} <= {l} <= {w.shape}")
     letters = tuple(map(w.letters.__getitem__, box_offsets(w.shape, k, l)))
@@ -591,7 +600,7 @@ def translates_agree(w1: Word, w2: Word, p: Translate) -> bool:
     if len(p) != w1.rank:
         raise ValueError("translate has wrong rank")
     _same_rank(w1.shape, w2.shape)
-    plan = overlap_rows(tuple(w1.shape), tuple(w2.shape), tuple(p))
+    plan = overlap_rows(tuple(w1.shape), tuple(w2.shape), _ints(p, "translate"))
     return rows_agree(w1.letters, w2.letters, plan)
 
 

@@ -22,6 +22,7 @@ from .core import (
     Translate,
     WitnessSearchError,
     Word,
+    _ints,
     add,
     check_shape,
     dominates,
@@ -193,7 +194,7 @@ def separate_translates(ts: TileSystem, p: Translate, w1: Word, w2: Word
     :func:`extend_along` fill along the spacer path, the pick's staircase
     and the greedy steps; w2 is grown twice, as what it shows is read between.
     """
-    p = tuple(p)
+    p = _ints(p, "translate")
     if w1.shape != w2.shape:
         raise ValueError(f"shapes differ: {w1.shape} vs {w2.shape}")
     if len(p) != w1.rank:

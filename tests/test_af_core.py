@@ -252,9 +252,13 @@ def test_bratteli_gm_chain(gm):
     d = bratteli(gm, dmap, (2,))
     assert [d.dims(m) for m in d.levels()] == [(1, 1), (2, 1), (3, 2)]
     assert d.edge_multiplicity((0,), 1, 0, 1) == gm.matrices[0][1][0]
-    for m in [(-1,), (0.5,), (2,)]:  # no level, or no level above it
+    # no level, or no level above it; True and 1.0 hash as the level 1
+    for m in [(-1,), (0.5,), (2,), (True,), (1.0,)]:
         with pytest.raises(ValueError, match=r"^no level .* inside \[0, \(2,\)\]$"):
             d.edge_multiplicity(m, 1, 0, 1)
+    for m in [(3,), (True,), (1.0,)]:
+        with pytest.raises(KeyError):
+            d.dims(m)
 
 
 def test_bratteli_commuting_squares(corpus):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from rankshift import DecorationMap, from_rank1, tensor
@@ -52,6 +54,18 @@ def test_tensor_single_factor_identity(gm):
 def test_tensor_rejects_higher_rank(gm2):
     with pytest.raises(ValueError):
         tensor([gm2])
+
+
+@pytest.mark.parametrize("factors, message", [
+    ([], "tensor of zero systems"),
+    # a.b.c is both a + b.c and a.b + c
+    ([from_rank1(["a", "a.b"], [[1, 1], [1, 1]]),
+      from_rank1(["b.c", "c"], [[1, 1], [1, 1]])],
+     "tensor letter names collide; rename the factor letters"),
+])
+def test_tensor_rejects_factors(factors, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        tensor(factors)
 
 
 def test_tensor_multichar_names_use_dots():

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -11,11 +12,12 @@ import tempfile
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rankshift import (Alphabet, DecorationMap, TileSystem, builders, cli,
+from rankshift import (Alphabet, DecorationMap, TileSystem, af_core, builders, cli,
                        load_system, save_system, verify)
 from rankshift.cli import SystemFileError, main, parse_system
 from rankshift.completion import decorated_words_of_shape, words_of_shape
-from rankshift.core import UnknownLetterError
+from rankshift.core import (UnknownLetterError, add, dominates, shape_key, unit,
+                            zero)
 
 
 @pytest.fixture()
@@ -623,6 +625,130 @@ def test_bratteli_rank3_text_digest(tmp_path, capsys):
     assert out.count("\n") == 27
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "39f9c1bd7a7082f56c1ed586211852762e4f312aa53a5a4a5a912683412a3d1e"
+
+
+def _former_levels(d):
+    return sorted(d.nodes, key=shape_key)
+
+
+def _former_diagonal(d):
+    out, m = [], zero(len(d.upto))
+    while dominates(d.upto, m):
+        out.append((m, d.nodes[m]))
+        m = add(m, (1,) * len(m))
+    return out
+
+
+def _former_to_json(d):
+    """BratteliDiagram.to_json as it was: a copy of the matrix per edge, and
+    an upto test per (level, direction)."""
+    ts = d.system
+    names = ts.alphabet.letters
+    levels = [{"shape": list(m),
+               "dims": {names[a]: c for a, c in enumerate(d.nodes[m])},
+               "total": sum(d.nodes[m])}
+              for m in _former_levels(d)]
+    edges = []
+    for m in _former_levels(d):
+        for j in range(1, ts.rank + 1):
+            if dominates(d.upto, add(m, unit(ts.rank, j))):
+                edges.append({"from": list(m), "direction": j,
+                              "multiplicities": [list(row) for row in ts.matrices[j - 1]]})
+    return {"alphabet": list(names), "upto": list(d.upto),
+            "levels": levels, "edges": edges}
+
+
+def _former_to_dot(d):
+    """BratteliDiagram.to_dot as it was: edges from a scan of all n^2 entries."""
+    ts = d.system
+    names = ts.alphabet.letters
+    lines = ["digraph bratteli {", "  rankdir=BT;"]
+
+    def node_id(m, a):
+        return af_core._dot_quote("%s|%s" % (",".join(map(str, m)), names[a]))
+
+    for m in _former_levels(d):
+        dims = d.nodes[m]
+        lines.append("  // level (%s): dims (%s) total %d" % (
+            ",".join(map(str, m)), ",".join(map(str, dims)), sum(dims)))
+        for a, c in enumerate(dims):
+            lines.append("  %s [label=%s];" % (
+                node_id(m, a), af_core._dot_quote("%s:%d" % (names[a], c))))
+    for m in _former_levels(d):
+        for j in range(1, ts.rank + 1):
+            target = add(m, unit(ts.rank, j))
+            if not dominates(d.upto, target):
+                continue
+            mat = ts.matrices[j - 1]
+            for a in range(len(names)):
+                for b in range(len(names)):
+                    if mat[b][a]:
+                        lines.append("  %s -> %s [label=\"%d\"];" % (
+                            node_id(m, a), node_id(target, b), mat[b][a]))
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def _former_bratteli(argv):
+    """stdout of the former ``rankshift bratteli --format json|dot``: the
+    whole JSON text built by json.dumps, then printed."""
+    args = cli._build_parser().parse_args(argv)
+    ts, dmap = load_system(args.system)
+    diagram = af_core.bratteli(ts, dmap, cli._parse_shape(args.upto, ts, "--upto"))
+    chain = _former_diagonal(diagram) if args.chain else []
+    if args.format == "json":
+        doc = _former_to_json(diagram)
+        if args.chain:
+            doc["chain"] = [{"shape": list(m), "dims": dict(zip(ts.alphabet.letters, c))}
+                            for m, c in chain]
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    comments = "".join(f"  // chain {cli._format_shape(m)}: ({cli._format_shape(c)})\n"
+                       for m, c in chain)
+    return _former_to_dot(diagram).removesuffix("}") + comments + "}\n"
+
+
+@pytest.fixture(scope="module")
+def bratteli_files(tmp_path_factory, enumerate_files):
+    """enumerate_files plus seeded random_system draws of rank 1-3 with
+    random decorations; (H1a)-(H1c) hold on some and fail on others."""
+    tmp = tmp_path_factory.mktemp("bratteli")
+    files = dict(enumerate_files)
+    rng = random.Random(0xB7A)
+    passes = set()
+    for k in range(9):
+        ts = builders.random_system(rng, rng.randint(1, 5), k % 3 + 1,
+                                    density=rng.choice([0.2, 0.5, 0.8]))
+        delta = tuple(rng.randrange(ts.n_letters) for _ in range(rng.randint(1, 6)))
+        files[f"random{k}"] = str(tmp / f"random{k}.json")
+        save_system(ts, files[f"random{k}"],
+                    DecorationMap(tuple(f"d{i}" for i in range(len(delta))), delta))
+        passes.add(verify.check_h1_local(ts).status is verify.Status.PASS)
+    assert passes == {True, False}
+    return files
+
+
+_BRATTELI_BOUNDS = {1: ["0", "1", "4"], 2: ["0,0", "2,0", "0,3", "2,3"],
+                    3: ["0,0,0", "1,2,0", "2,1,2"]}
+
+
+@pytest.mark.parametrize("system", ["gm", "gm2", "fs2", "fs3", "gm2-redecorated", "dotted",
+                                    *(f"random{k}" for k in range(9))])
+def test_bratteli_exports_match_the_former_walks(bratteli_files, system):
+    """levels, diagonal, to_json, to_dot and the CLI's json and dot output,
+    --chain included, equal the former sorted levels, per-edge matrix copies,
+    n^2 DOT scan and whole-text JSON writer at several bounds."""
+    ts, dmap = load_system(bratteli_files[system])
+    for upto in _BRATTELI_BOUNDS[ts.rank]:
+        d = af_core.bratteli(ts, dmap, cli._parse_shape(upto, ts, "--upto"))
+        assert d.levels() == _former_levels(d)
+        assert d.diagonal() == _former_diagonal(d)
+        assert d.to_json() == _former_to_json(d)
+        assert d.to_dot() == _former_to_dot(d)
+        for fmt in ("json", "dot"):
+            for chain in ([], ["--chain"]):
+                argv = ["bratteli", bratteli_files[system], "--upto", upto,
+                        "--format", fmt, *chain]
+                assert _run_in_process(argv) == (0, _former_bratteli(argv), ""), argv
 
 
 def test_tensor_subcommand(tmp_path, gm_file, gm2, capsys):

@@ -514,10 +514,10 @@ def test_shape_arguments_are_checked(gm2, name, shape, message):
         _SHAPE_ARGUMENTS[name](gm2, shape)
 
 
-@pytest.mark.parametrize("corner", [(1.5, 0), ("1", 0)])
+@pytest.mark.parametrize("corner", [(1.5, 0), ("1", 0), (True, 0), (1.0, 0)])
 def test_restrict_rounds_no_corner(gm2, corner):
-    """restrict takes its corners as they are: a float or str corner fails
-    where it is used, not as the sub-box at its integer part."""
+    """restrict takes int corners only: a float, str or bool corner raises
+    TypeError, not the sub-box at its integer part or at the int it equals."""
     w = next(words_of_shape(gm2, (2, 2)))
     with pytest.raises(TypeError):
         restrict(w, corner, (2, 2))

@@ -9,7 +9,7 @@ import pytest
 from rankshift import (Alphabet, TileSystem, WitnessSearchError, load_system,
                        validate_word, verify)
 from rankshift.builders import from_rank1, random_system
-from rankshift.completion import iter_grid_completions, words_of_shape
+from rankshift.completion import iter_grid_completions, word_from_path, words_of_shape
 from rankshift.core import (
     absv,
     box_cells,
@@ -591,6 +591,32 @@ def test_h3_star_witness_word_revalidates(gm2):
     result, _ = check_h3_star(gm2, 2)
     w = result.witness["word"]
     validate_word(gm2, w["cells"], shape=w["shape"])
+
+
+@pytest.mark.parametrize("seed, j, cap, status, witness", [
+    # 4 letters: a singleton fiber derived by one transfer step
+    (16, 1, verify.H3_STAR_CAP, Status.FAIL,
+     {"origin": "1", "fiber": ["0"], "word": {"shape": [0, 1], "cells": ["1", "2"]}}),
+    # 5 letters: the sixth fiber set is a transferred one
+    (11, 2, 5, Status.CAP_HIT, {"sets_discovered": 6}),
+])
+def test_h3_star_ends_inside_the_transfer_loop(seed, j, cap, status, witness):
+    """A fail at a derived fiber and a cap hit both end the run from inside
+    the transfer loop, past seeding; the fail's word is the one its recorded
+    staircase builds.  The fixed point runs without (H1)."""
+    rng = random.Random(seed)
+    ts = random_system(rng, rng.randint(2, 5), 2, 0.5)
+    result, family = check_h3_star(ts, j, max_sets=cap)
+    assert (result.status, result.witness) == (status, witness)
+    assert len(family.provenance) == len(ts.alphabet) + 1
+    if status is Status.FAIL:
+        origin = ts.alphabet.resolve(witness["origin"])
+        fiber = sum(1 << ts.alphabet.resolve(a) for a in witness["fiber"])
+        path = family.witness_path(origin, fiber)
+        assert path  # derived, not a seed
+        w = word_from_path(ts, origin, path)
+        assert witness["word"] == {"shape": list(w.shape),
+                                   "cells": [ts.alphabet.name(a) for a in w.letters]}
 
 
 # --- bounded (H3) --------------------------------------------------------------

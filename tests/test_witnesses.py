@@ -1,6 +1,7 @@
 import itertools
 import os
 import random
+import re
 
 import pytest
 
@@ -199,6 +200,24 @@ def test_separate_translates_shape_mismatch(gm):
                             validate_word(gm, ["0", "1"]))
 
 
+def test_separate_translates_wrong_rank_p(fs2):
+    w = letter_word(2, 0)
+    with pytest.raises(ValueError, match=r"^translate has wrong rank$"):
+        separate_translates(fs2, (1,), w, w)
+
+
+@pytest.mark.parametrize("p", [(True, 0), (1.0, 0), (1, False)])
+def test_translates_take_ints_only(fs2, p):
+    """A bool or float component is no translate: each entry point raises
+    TypeError, also after the int translate it equals has a cached row plan."""
+    w = next(words_of_shape(fs2, (2, 2)))
+    is_periodic(w, tuple(map(int, p)))
+    for call in (lambda: translates_agree(w, w, p), lambda: is_periodic(w, p),
+                 lambda: separate_translates(fs2, p, w, w)):
+        with pytest.raises(TypeError, match=r"^translate .* is not an integer$"):
+            call()
+
+
 @pytest.mark.parametrize("m", [(1, 1), (2, 2)])
 def test_separating_family_contract(fs2, gm2, m):
     """The quantified family conditions, verified exhaustively."""
@@ -276,6 +295,22 @@ def test_projection_support_brute_force_cross_check(gm2, fs2):
                  if restrict(dw.word, m, hi) in members]
         assert support == naive, (ts, total, duplicate)
         assert len(set(support)) == len(support)
+
+
+def test_projection_support_checks_total_and_family(fs2):
+    """A total below m + l, or a member of another shape, is rejected before
+    any search."""
+    dmap = DecorationMap.identity(fs2.alphabet)
+    m = (1, 1)
+    l, family = separating_family(fs2, m)
+    total = add(m, l)
+    low = sub(total, unit(2, 2))
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"total shape {low} must dominate m + l = {total}") + "$"):
+        projection_support(fs2, dmap, m, l, family, total=low)
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"family members must all have the common shape {l}") + "$"):
+        projection_support(fs2, dmap, m, l, {**family, 1: letter_word(2, 1)})
 
 
 def test_projection_support_refinement(fs2):
