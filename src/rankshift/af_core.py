@@ -102,12 +102,13 @@ class BratteliDiagram:
                 if (target := add(m, unit(rank, j))) in self.nodes:
                     yield m, j, target
 
-    def edge_multiplicity(self, m: Shape, j: int, a: int, b: int) -> int:
+    def edge_multiplicity(self, m: Shape, j: int, a: int | str, b: int | str) -> int:
         m = tuple(m)
         if not (all(type(c) is int for c in m) and m in self.nodes
                 and add(m, unit(len(m), j)) in self.nodes):
             raise ValueError(f"no level {m} + e_{j} inside [0, {self.upto}]")
-        return self.system.matrices[j - 1][b][a]
+        resolve = self.system.alphabet.resolve
+        return self.system.matrices[j - 1][resolve(b)][resolve(a)]
 
     def diagonal(self) -> list[tuple[Shape, tuple[int, ...]]]:
         """The chain of levels along multiples of (1, ..., 1)."""

@@ -44,8 +44,6 @@ def tensor(systems: Sequence[TileSystem]) -> TileSystem:
     for k, s in enumerate(systems, start=1):
         if s.rank != 1:
             raise ValueError(f"tensor factor {k} has rank {s.rank}, expected 1")
-    if len(systems) == 1:
-        return TileSystem(systems[0].alphabet, systems[0].matrices)
 
     factor_letters = [s.alphabet.letters for s in systems]
     plain = all(len(name) == 1 for letters in factor_letters for name in letters)

@@ -78,7 +78,7 @@ def zero(rank: int) -> Shape:
 
 def unit(rank: int, j: int) -> Shape:
     """The unit vector e_j (directions are 1-based)."""
-    if not 1 <= j <= rank:
+    if type(j) is not int or not 1 <= j <= rank:
         raise ValueError(f"direction {j} out of range 1..{rank}")
     return tuple(1 if i == j - 1 else 0 for i in range(rank))
 

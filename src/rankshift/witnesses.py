@@ -11,6 +11,7 @@ graded with declaration-order tie-breaks, so outputs are deterministic.
 from __future__ import annotations
 
 from collections import deque
+from functools import reduce
 from itertools import chain
 from typing import Iterable, Iterator
 
@@ -92,20 +93,22 @@ def _span(rank: int, steps: list[tuple[int, int]]) -> Shape:
     return tuple(sum(j == k for j, _ in steps) for k in range(1, rank + 1))
 
 
-def _greedy_steps(ts: TileSystem, shape: Shape, c: int, target: Shape
+def _greedy_steps(ts: TileSystem, shape: Shape, c: int, *targets: Shape
                   ) -> Iterator[tuple[int, int]]:
-    """Steps from shape and terminus c to target, each to the least allowed
-    letter, direction 1 first.  Under (H0)-(H2) every letter has a successor
-    in every direction, so the walk cannot get stuck."""
-    for j in range(1, ts.rank + 1):
-        for _ in range(target[j - 1] - shape[j - 1]):
-            succ = ts.successors(j, c)
-            if not succ:
-                raise WitnessSearchError(
-                    f"letter {ts.alphabet.name(c)} has no successor "
-                    f"in direction {j}; the system fails (H2)")
-            c = succ[0]
-            yield j, c
+    """Steps from shape and terminus c to each target in turn, each leg from
+    where the last ended, direction 1 first, each to the least allowed letter.
+    Under (H0)-(H2) every letter has a successor, so the walk cannot stick."""
+    for target in targets:
+        for j in range(1, ts.rank + 1):
+            for _ in range(target[j - 1] - shape[j - 1]):
+                succ = ts.successors(j, c)
+                if not succ:
+                    raise WitnessSearchError(
+                        f"letter {ts.alphabet.name(c)} has no successor "
+                        f"in direction {j}; the system fails (H2)")
+                c = succ[0]
+                yield j, c
+        shape = target
 
 
 def grow_to_shape(ts: TileSystem, w: Word, target: Shape) -> Word:
@@ -145,54 +148,56 @@ def distinct_pair(ts: TileSystem) -> tuple[Word, Word]:
 def nonperiodic_all(ts: TileSystem, m: Shape, a: int) -> Word:
     """A word from letter a that is non-p-periodic for every p != 0, |p| <= m.
 
-    Per-p witnesses are found by the bounded (H3) search, one at shape |p|
-    each, and joined by spacers into a core p_0 s_0 ... p_k, which a
-    connector from a precedes; a word containing a non-p-periodic sub-box is
-    itself non-p-periodic.  m = 0 has nothing to defeat: the letter word.
-    The word is one fill (see :func:`_nonperiodic_words`).
+    Per-p witnesses of the bounded (H3) search (shape |p| each) are joined by
+    spacers into p_0 s_0 ... p_k behind a connector from a; a word containing
+    a non-p-periodic sub-box is non-p-periodic.  m = 0 gives the letter word.
+    The word is one fill, with no greedy step (see :func:`_nonperiodic_words`).
     """
     return _nonperiodic_words(ts, m, [a])[a]
 
 
 def _nonperiodic_words(ts: TileSystem, m: Shape, letters: Iterable[int]
                        ) -> dict[int, Word]:
-    """:func:`nonperiodic_all` for each letter, from one core p_0 s_0 ... p_k.
+    """:func:`nonperiodic_all` for each letter, grown to the join l of them.
 
-    One :func:`extend_along` fill per word, along its factors' staircases:
-    the core from p_0 along each spacer path and p_{i+1}'s staircase, a
-    letter's word from the letter along its connector path and the core's
-    staircase.  A fill forces each cell from filled ones, so filling along
-    s1 + s2 is filling along s1, then s2.  Spacer paths are all searched
-    first, so on input failing (H1) and (H2) the (H2) error may come first
-    (the CLI checks (H0)-(H2) before any witness command).
+    Each word is one :func:`extend_along` fill from its letter along its
+    connector path, the tail (p_0's staircase, then each spacer path and
+    p_{i+1}'s staircase; no core word is built) and the greedy steps to l.
+    Under (H1) a word is the only fill of any staircase through it, and a
+    fill along s1 + s2 is one along s1, then s2: this is the connector times
+    p_0 s_0 ... p_k, grown.  All paths are searched before any fill, so on
+    input failing (H1) and (H2) the (H2) error may come first (the CLI
+    checks (H0)-(H2) before any witness command).
     """
     m = check_shape(ts, m, "p bound")
     if is_zero(m):
         return {a: letter_word(ts.rank, a) for a in letters}
     parts = list(h3_bounded_witnesses(ts, m).values())
-    steps: list[tuple[int, int]] = []
+    tail = staircase_steps(parts[0])
     for prev, part in zip(parts, parts[1:]):
-        steps += _connect_steps(ts, prev.terminus, part.origin, zero(ts.rank))
-        steps += staircase_steps(part)
-    core = extend_along(ts, parts[0], add(parts[0].shape, _span(ts.rank, steps)), steps)
-    tail, origin = staircase_steps(core), core.origin
-    return {a: word_from_path(ts, a, _connect_steps(ts, a, origin, zero(ts.rank)) + tail)
-            for a in letters}
+        tail += _connect_steps(ts, prev.terminus, part.origin, zero(ts.rank))
+        tail += staircase_steps(part)
+    paths = {a: _connect_steps(ts, a, parts[0].origin, zero(ts.rank)) + tail for a in letters}
+    spans = {a: _span(ts.rank, path) for a, path in paths.items()}
+    l = reduce(join, spans.values())
+    return {a: extend_along(ts, letter_word(ts.rank, a), l, chain(
+                path, _greedy_steps(ts, spans[a], path[-1][1], l)))
+            for a, path in paths.items()}
 
 
 def separate_translates(ts: TileSystem, p: Translate, w1: Word, w2: Word
                         ) -> tuple[Word, Word]:
     """Extend w1, w2 to a common shape on which tau_p(w1') differs from w2'.
 
-    A distinct pair (u, v) with equal shape and origin is spliced onto w1
-    behind a spacer s chosen so that the spliced box lands at
-    p + shape(w1) + shape(s) >= 0 inside w2'; whichever of u, v differs from
-    what w2' shows there forces the disagreement, which then survives any
-    further padding.  The overlap of the two extensions is never empty.  The
-    pair has a unit shape e_j (see :func:`distinct_pair`): if any two words
-    of one shape and origin differ, two of shape e_j already do.  w1' is one
-    :func:`extend_along` fill along the spacer path, the pick's staircase
-    and the greedy steps; w2 is grown twice, as what it shows is read between.
+    A distinct pair (u, v) of unit shape e_j and equal origin (see
+    :func:`distinct_pair`: if any two words of one shape and origin differ,
+    two of shape e_j do) is spliced onto w1 behind a spacer s chosen so that
+    the spliced box lands at p + shape(w1 s) >= 0 inside w2'; whichever of
+    u, v differs from what w2' shows there forces the disagreement, which
+    survives any further padding, on an overlap that is never empty.  Each
+    is one :func:`extend_along` fill: w1' along s, the pick's staircase and
+    greedy steps; w2' along greedy legs to seen = join(shape(w2), upper),
+    then to common, and what it shows is read inside [0, seen].
     """
     p = _ints(p, "translate")
     if w1.shape != w2.shape:
@@ -205,13 +210,12 @@ def separate_translates(ts: TileSystem, p: Translate, w1: Word, w2: Word
     spliced = add(w1.shape, _span(ts.rank, s))  # the shape of w1 s
     reach = add(spliced, u.shape)  # the shape of w1 s u, and of w1 s v
     base, upper = add(p, spliced), add(p, reach)
-    w2pp = grow_to_shape(ts, w2, join(w2.shape, upper))
-    shown = restrict(w2pp, base, upper)
-    pick = v if shown == u else u
-    common = join(reach, w2pp.shape)
+    seen = join(w2.shape, upper)
+    common = join(reach, seen)
+    w2p = extend_along(ts, w2, common, _greedy_steps(ts, w2.shape, w2.terminus, seen, common))
+    pick = v if restrict(w2p, base, upper) == u else u
     w1p = extend_along(ts, w1, common, chain(
         s, staircase_steps(pick), _greedy_steps(ts, reach, pick.terminus, common)))
-    w2p = grow_to_shape(ts, w2pp, common)
     return w1p, w2p
 
 
@@ -221,21 +225,17 @@ def separating_family(ts: TileSystem, m: Shape) -> tuple[Shape, dict[int, Word]]
     Returns (l, family) where family[a] is a word of shape l with origin a,
     and for all letters a, b and every p != 0 with |p| <= m the words w_a and
     tau_p(w_b) disagree somewhere on their overlap.  Starts from the
-    :func:`nonperiodic_all` words, one connector each before one shared core,
-    then repairs violating (a, b, p) triples with :func:`separate_translates`;
-    established disagreements persist under extension, so one pass over the
-    triples suffices.  The result is re-verified before returning.  All
-    members have shape l, so each p has one row plan for :func:`rows_agree`,
-    taken again whenever a repair grows l.
+    :func:`nonperiodic_all` words, grown to l in their one fill each, and
+    repairs violating (a, b, p) triples with :func:`separate_translates`;
+    disagreements persist under extension, so one pass suffices, and the
+    result is re-verified.  Members share shape l, so each p has one row plan
+    for :func:`rows_agree`, renewed when l grows.  n letters and R repairs
+    make n(R + 1) fills: each member once, then once per repair, by it or a regrow.
     """
     m = check_shape(ts, m, "p bound")
     n = ts.n_letters
     family = _nonperiodic_words(ts, m, range(n))
-    l = zero(ts.rank)
-    for w in family.values():
-        l = join(l, w.shape)
-    family = {a: grow_to_shape(ts, w, l) for a, w in family.items()}
-
+    l = family[0].shape
     translates = [q for p in translate_reps(m) for q in (p, neg(p))]
     plans = [overlap_rows(l, l, q) for q in translates]
     for a in range(n):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from rankshift import DecorationMap, bratteli, dim_vector
+from rankshift import DecorationMap, UnknownLetterError, bratteli, dim_vector
 from rankshift.af_core import _step
 from rankshift.builders import random_system
 from rankshift.completion import decorated_words_of_shape
@@ -259,6 +259,29 @@ def test_bratteli_gm_chain(gm):
     for m in [(3,), (True,), (1.0,)]:
         with pytest.raises(KeyError):
             d.dims(m)
+
+
+def test_edge_multiplicity_checks_letters_and_direction(gm):
+    """Letters go through Alphabet.resolve and the direction through unit: a
+    negative index does not wrap to the last letter, an index past the end
+    is no bare IndexError, and True is no direction; names give the same
+    entries as indices."""
+    d = bratteli(gm, DecorationMap.identity(gm.alphabet), (2,))
+    for bad in (-1, 2, True, 1.0):
+        with pytest.raises(UnknownLetterError, match=r"^letter index .* out of range$"):
+            d.edge_multiplicity((0,), 1, bad, 0)
+        with pytest.raises(UnknownLetterError, match=r"^letter index .* out of range$"):
+            d.edge_multiplicity((0,), 1, 0, bad)
+    with pytest.raises(UnknownLetterError, match=r"^unknown letter '2'$"):
+        d.edge_multiplicity((0,), 1, "2", 0)
+    for j in (True, 1.0, 0, 2):
+        with pytest.raises(ValueError, match=rf"^direction {j} out of range 1\.\.1$"):
+            d.edge_multiplicity((0,), j, 0, 1)
+    for a, b in itertools.product(range(2), repeat=2):
+        entry = gm.matrices[0][b][a]
+        assert d.edge_multiplicity((1,), 1, a, b) == entry
+        assert d.edge_multiplicity((1,), 1, str(a), str(b)) == entry
+        assert d.edge_multiplicity((1,), 1, gm.alphabet.name(a), b) == entry
 
 
 def test_bratteli_commuting_squares(corpus):

@@ -1,8 +1,9 @@
+import random
 import re
 
 import pytest
 
-from rankshift import DecorationMap, from_rank1, tensor
+from rankshift import DecorationMap, from_rank1, full_shift, tensor
 from rankshift.builders import random_system, redecorate_by_shape
 from rankshift.af_core import dim_vector
 from rankshift.verify import Status, check_h0, check_h1_local, check_h2
@@ -47,8 +48,14 @@ def test_tensor_gm2_passes_h1(gm2):
 
 
 def test_tensor_single_factor_identity(gm):
-    out = tensor([gm])
-    assert out == gm
+    """One factor, through the general path, is the factor itself: its names
+    (single- or multi-character) and its matrix."""
+    rng = random.Random(27)
+    factors = [gm, full_shift(3), from_rank1(["aa", "b"], [[1, 1], [1, 0]])]
+    factors += [random_system(rng, rng.randint(1, 5), 1) for _ in range(20)]
+    for factor in factors:
+        out = tensor([factor])
+        assert out == factor, factor.matrices
 
 
 def test_tensor_rejects_higher_rank(gm2):

@@ -150,6 +150,15 @@ def test_count_on_loosely_typed_file_exits_2(tmp_path, capsys):
     assert captured.out == "" and "'rank'" in captured.err
 
 
+@pytest.mark.parametrize("matrices", [[5], [[[1, 1]]], [[[1, 1], [1, 1], [1, 1]]]])
+def test_a_matrix_that_is_not_a_list_of_rows_exits_2(tmp_path, matrices, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"rank": 1, "alphabet": ["0", "1"], "matrices": matrices}))
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "matrices[0] is not 2x2" in captured.err
+
+
 @pytest.mark.parametrize("name", ["", "a,b", "a b", "a\tb", "b\n"])
 def test_letter_names_that_break_the_word_format_exit_2(tmp_path, name, capsys):
     path = tmp_path / "bad.json"
@@ -1041,13 +1050,15 @@ def test_python_m_rankshift_runs_cli_without_warning():
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "rankshift", "count",
-         os.path.join(SAMPLES, "gm.json"), "--shape", "3"],
-        capture_output=True, env=env, timeout=60)
-    assert proc.returncode == 0
-    assert proc.stdout.decode().strip() == "total:8"
-    assert proc.stderr == b""
+    for argv, head in [(["count", os.path.join(SAMPLES, "gm.json"), "--shape", "3"],
+                        "total:8\n"),
+                       (["verify", os.path.join(SAMPLES, "fs2.json")], "H0: pass\n")]:
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "rankshift", *argv],
+                              capture_output=True, env=env, timeout=60)
+        assert proc.returncode == 0, argv
+        assert proc.stdout.decode() == _run_in_process(argv)[1]
+        assert proc.stdout.decode().startswith(head)
+        assert proc.stderr == b""
 
 
 def _run_in_process(argv):

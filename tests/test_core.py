@@ -33,6 +33,7 @@ from rankshift.core import (
     strides,
     sub,
     translate_reps,
+    unit,
     word_violations,
 )
 from rankshift.builders import from_rank1, redecorate_by_shape
@@ -204,6 +205,53 @@ def test_alphabet_resolve_bounds(gm):
     with pytest.raises(UnknownLetterError):
         gm.alphabet.resolve("2")
 
+
+
+def test_equal_alphabets_and_systems_hash_alike(gm, gm2):
+    """Alphabets and systems key dicts and sets by value; their reprs name
+    the rank and the letters."""
+    alphabet = Alphabet(["0", "1"])
+    copy = TileSystem(alphabet, [[[1, 1], [1, 0]]])
+    assert hash(alphabet) == hash(gm.alphabet) and hash(copy) == hash(gm)
+    assert {gm: "gm", gm2: "gm2"}[copy] == "gm"
+    assert len({gm.alphabet, alphabet, gm2.alphabet}) == 2
+    assert repr(alphabet) == "Alphabet(['0', '1'])"
+    assert repr(gm) == "TileSystem(rank=1, letters=['0', '1'])"
+    assert repr(gm2) == "TileSystem(rank=2, letters=['00', '01', '10', '11'])"
+
+
+@pytest.mark.parametrize("matrix", [5, None, "01", [[1, 1]], [[1, 1]] * 3,
+                                    {0: [1, 1], 1: [1, 1]}])
+def test_a_matrix_that_is_not_n_rows_is_rejected(matrix):
+    with pytest.raises(ValueError, match=r"^matrices\[1\] is not 2x2$"):
+        TileSystem(Alphabet(["0", "1"]), [[[1, 1], [1, 1]], matrix])
+
+
+def test_decoration_map_resolves_names_and_indices():
+    from rankshift import UnknownLetterError
+    dmap = DecorationMap(("x", "y", "z"), (0, 1, 1))
+    assert [dmap.resolve(d) for d in ("x", "y", "z", 0, 1, 2)] == [0, 1, 2, 0, 1, 2]
+    for name in ("w", "0", "X", ""):
+        with pytest.raises(UnknownLetterError, match=rf"^unknown decoration {name!r}$"):
+            dmap.resolve(name)
+
+
+def test_decorated_word_shape_is_its_word_shape(gm2):
+    dmap = DecorationMap.identity(gm2.alphabet)
+    for w in itertools.islice(words_of_shape(gm2, (2, 1)), 5):
+        dw = dmap.attach(w.origin, w)
+        assert dw.shape == w.shape == (2, 1)
+
+
+@pytest.mark.parametrize("cells, message", [
+    ([], "empty axis in letter grid"),
+    ([[]], "empty axis in letter grid"),
+    ([["00", "01"], []], "ragged letter grid"),
+    ([["00", "01"], ["10", ["11"]]], "ragged letter grid"),
+])
+def test_validate_word_rejects_malformed_grids(gm2, cells, message):
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        validate_word(gm2, cells)
 
 @pytest.mark.parametrize("index", [1.9, 1.0, 0.0, True, False])
 def test_resolve_takes_int_indices_only(gm, index):
@@ -474,6 +522,15 @@ def test_check_shape(gm2):
         check_shape(gm2, (1,), "bound")
     with pytest.raises(ValueError, match=r"^bound \(1, -1\) has a negative component$"):
         check_shape(gm2, (1, -1), "bound")
+
+
+
+@pytest.mark.parametrize("j", [True, False, 1.0, "1", 0, 3])
+def test_unit_takes_int_directions_in_range(j):
+    """A direction is an int in 1..rank, not a bool or a float equal to one."""
+    assert unit(2, 1) == (1, 0) and unit(2, 2) == (0, 1)
+    with pytest.raises(ValueError, match=rf"^direction {j} out of range 1\.\.2$"):
+        unit(2, j)
 
 
 _SHAPE_ARGUMENTS = {

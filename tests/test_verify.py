@@ -773,6 +773,25 @@ def test_report_gm2_h3_star_fails_but_h3_bounded_passes(gm2):
     assert report["H2"].status is Status.PASS
 
 
+def test_report_lookup_of_a_condition_not_in_the_report(gm, jj):
+    """A report is looked up by condition name; a name it lacks is a KeyError
+    carrying that name, also for a condition of a higher rank."""
+    for ts in (gm, jj):
+        report = verify_report(ts)
+        for condition in ("H4", "h0", f"H3* (j={ts.rank + 1})"):
+            with pytest.raises(KeyError) as err:
+                report[condition]
+            assert err.value.args == (condition,)
+
+
+@pytest.mark.parametrize("name", ["gm", "gm2", "fs3"])
+def test_h3_star_rejects_a_direction_out_of_range(request, name):
+    ts = request.getfixturevalue(name)
+    for j in (0, ts.rank + 1):
+        with pytest.raises(ValueError, match=rf"^direction {j} out of range 1\.\.{ts.rank}$"):
+            check_h3_star(ts, j)
+
+
 def test_report_jj_gates_downstream(jj):
     report = verify_report(jj)
     assert not report.ok

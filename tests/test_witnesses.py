@@ -39,6 +39,7 @@ from rankshift.core import (
 )
 from rankshift.completion import extend_along, list_extensions, product, words_of_shape
 from rankshift.verify import check_h0, check_h1_local, check_h2, h3_bounded_witnesses
+from rankshift import completion, witnesses
 from rankshift.witnesses import grow_to_shape
 
 SAMPLES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "samples")
@@ -637,6 +638,49 @@ def test_single_fill_witnesses_match_the_product_chains(fs3):
     assert outcomes["family"] >= 40 and outcomes["error"] >= 5, outcomes
     assert outcomes["repairs"] >= 100, outcomes
 
+
+
+def _counting(monkeypatch, module, name, counts):
+    """Replace module.name by a wrapper that counts its calls under name."""
+    original = getattr(module, name)
+
+    def counted(*args):
+        counts[name] += 1
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_separating_family_fills_each_member_once_per_repair(monkeypatch, fs2, gm2, fs3):
+    """n letters and R repairs make n(R + 1) extend_along fills: each member
+    is filled once from its letter, then once per repair (by the repair or by
+    the regrow after it); a nonperiodic word is one fill."""
+    counts = dict.fromkeys(("extend_along", "separate_translates"), 0)
+    # each wrapper calls the kernel itself, so a fill counts once
+    for module, name in [(witnesses, "extend_along"), (completion, "extend_along"),
+                         (witnesses, "separate_translates")]:
+        _counting(monkeypatch, module, name, counts)
+    cases = [(fs2, (2, 2)), (gm2, (1, 1)), (fs3, (1, 1, 1))]
+    cases += [(ts, (1,) * ts.rank) for rank, count, seed in [(2, 24, 15), (3, 4, 16)]
+              for ts in _seeded_family_inputs(rank, count, seed)]
+    families = 0
+    for ts, m in cases:
+        counts.update(dict.fromkeys(counts, 0))
+        try:
+            separating_family(ts, m)
+        except WitnessSearchError:
+            continue
+        n, repairs = ts.n_letters, counts["separate_translates"]
+        assert counts["extend_along"] == n * (repairs + 1), (ts.matrices, m, repairs)
+        families += 1
+        for a in {0, n - 1}:
+            counts["extend_along"] = 0
+            nonperiodic_all(ts, m, a)
+            assert counts["extend_along"] == 1, (ts.matrices, m, a)
+    assert families >= 25, families
+    counts["extend_along"] = 0
+    assert separating_family(fs2, (2, 2))[0] == (29, 19)
+    assert counts["extend_along"] == 20
 
 def test_grow_to_shape_at_its_own_shape_is_the_word(fs2, gm2):
     """A target equal to shape(w) returns w itself; a target that does not
