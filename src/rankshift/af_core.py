@@ -20,7 +20,6 @@ first direction with a nonzero bound), at once: n q tuple sums per column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterator
 
@@ -28,6 +27,7 @@ from .core import (
     DecorationMap,
     Shape,
     TileSystem,
+    _Value,
     add,
     box_cells,
     check_shape,
@@ -68,8 +68,7 @@ def _dot_quote(text: str) -> str:
     return '"%s"' % text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-@dataclass(frozen=True)
-class BratteliDiagram:
+class BratteliDiagram(_Value):
     """Graded diagram of the filtration blocks on the box [0, upto].
 
     Nodes are pairs (level shape m, letter a) carrying the count of decorated
@@ -77,10 +76,12 @@ class BratteliDiagram:
     (m + e_j, b) is M_j(b, a).
     """
 
-    system: TileSystem
-    decorations: DecorationMap
-    upto: Shape
-    nodes: dict[Shape, tuple[int, ...]] = field(compare=False)
+    __slots__ = ("system", "decorations", "upto", "nodes")
+    _compared = 3  # nodes, a function of the other three, is left out
+
+    def __init__(self, system: TileSystem, decorations: DecorationMap, upto: Shape,
+                 nodes: dict[Shape, tuple[int, ...]]):
+        _Value.__init__(self, system, decorations, upto, nodes)
 
     def dims(self, m: Shape) -> tuple[int, ...]:
         m = tuple(m)

@@ -347,9 +347,19 @@ def _cmd_bratteli(args) -> int:
             names = ts.alphabet.letters
             doc["chain"] = [{"shape": list(m), "dims": dict(zip(names, d))}
                             for m, d in chain]
+        encoder = json.JSONEncoder(indent=2, sort_keys=True)
+        # each direction's rows are encoded once, at an edge's depth (3 levels), and
+        # cut in 1 KiB pieces, so that a block of 4096 chunks stays small
+        blocks = {}
+        for edge in doc["edges"]:
+            holder = f"rows of direction {edge['direction']}"  # no name or key has a space
+            if (quoted := encoder.encode(holder)) not in blocks:
+                text = encoder.encode(edge["multiplicities"]).replace("\n", "\n      ")
+                blocks[quoted] = [text[i:i + 1024] for i in range(0, len(text), 1024)]
+            edge["multiplicities"] = holder
         # encoded as written, in blocks: an unbuffered stdout (python -u) would
         # otherwise take one write per number
-        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)
+        chunks = (p for c in encoder.iterencode(doc) for p in blocks.get(c, (c,)))
         while block := "".join(islice(chunks, 4096)):
             sys.stdout.write(block)
         sys.stdout.write("\n")
@@ -358,10 +368,11 @@ def _cmd_bratteli(args) -> int:
         comments = "".join(f"  // chain {_format_shape(m)}: ({_format_shape(d)})\n"
                            for m, d in chain)
         print(diagram.to_dot().removesuffix("}") + comments + "}")
-    else:  # bratteli fills nodes in canonical order
-        _write_blocks(f"level {_format_shape(m)}: dims ({_format_shape(d)}) total {sum(d)}"
-                      for m, d in diagram.nodes.items())
-        _write_blocks(f"chain {_format_shape(m)}: ({_format_shape(d)})" for m, d in chain)
+    else:  # bratteli fills nodes in canonical order; one template per line kind
+        shape, dims = ",".join(["%d"] * ts.rank), ",".join(["%d"] * ts.n_letters)
+        level, link = f"level {shape}: dims ({dims}) total %d", f"chain {shape}: ({dims})"
+        _write_blocks(level % (*m, *d, sum(d)) for m, d in diagram.nodes.items())
+        _write_blocks(link % (*m, *d) for m, d in chain)
     return 0
 
 

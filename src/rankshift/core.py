@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
 Shape = tuple[int, ...]
@@ -371,8 +370,44 @@ def _mask(indices: Iterable[int]) -> int:
 # words
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Word:
+class _Value:
+    """Frozen values whose fields are their ``__slots__``: ``==`` (same class
+    only) and ``hash`` use the first ``_compared`` fields (all if None), and
+    copy and pickle rebuild an instance through its constructor."""
+
+    __slots__ = ()
+    _compared = None
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self, stop=None):
+        return tuple([getattr(self, name) for name in self.__slots__[:stop]])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self._compared) == other._fields(self._compared)
+
+    def __hash__(self):
+        return hash(self._fields(self._compared))
+
+    def __repr__(self):
+        return "%s(%s)" % (self.__class__.__qualname__, ", ".join(
+            [f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields())]))
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+
+class Word(_Value):
     """A letter assignment on the box [0, shape], stored row-major.
 
     Letters are alphabet indices.  Instances are plain values: two words are
@@ -380,10 +415,10 @@ class Word:
     system.  Transition validity is checked by :func:`validate_word`.
     """
 
-    shape: Shape
-    letters: tuple[int, ...]
+    __slots__ = ("shape", "letters")
 
-    def __post_init__(self):
+    def __init__(self, shape: Shape, letters: tuple[int, ...]):
+        _Value.__init__(self, shape, letters)
         if any(m < 0 for m in self.shape):
             raise ValueError(f"negative shape {self.shape}")
         if len(self.letters) != box_size(self.shape):
@@ -421,18 +456,17 @@ def letter_word(rank: int, a: int) -> Word:
     return Word(zero(rank), (a,))
 
 
-@dataclass(frozen=True)
-class DecorationMap:
+class DecorationMap(_Value):
     """A finite ordered decoration set D with delta: D -> A.
 
     ``delta[i]``, the letter index of decoration ``names[i]``, is checked
     against a system by :meth:`by_letter`; a name is nonempty with no whitespace.
     """
 
-    names: tuple[str, ...]
-    delta: tuple[int, ...]
+    __slots__ = ("names", "delta")
 
-    def __post_init__(self):
+    def __init__(self, names: tuple[str, ...], delta: tuple[int, ...]):
+        _Value.__init__(self, names, delta)
         if not self.names or not all(isinstance(d, str) for d in self.names):
             raise ValueError("decorations.names must be a nonempty string list")
         for i, d in enumerate(self.names):
@@ -483,12 +517,13 @@ class DecorationMap:
         return [tuple(g) for g in groups]
 
 
-@dataclass(frozen=True)
-class DecoratedWord:
+class DecoratedWord(_Value):
     """A pair (d, w); ``decoration`` is an index into a DecorationMap."""
 
-    decoration: int
-    word: Word
+    __slots__ = ("decoration", "word")
+
+    def __init__(self, decoration: int, word: Word):
+        _Value.__init__(self, decoration, word)
 
     @property
     def shape(self) -> Shape:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterator, Optional
 
@@ -34,6 +33,7 @@ from .core import (
     Translate,
     WitnessSearchError,
     Word,
+    _Value,
     absv,
     box_cells,
     box_offsets,
@@ -66,18 +66,18 @@ class Status(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Value):
     """Outcome of one condition check.
 
     A fail always carries a checkable witness payload; params records the
-    bounds the check ran with.
+    bounds the check ran with (a fresh ``{}`` when none are given).
     """
 
-    condition: str
-    status: Status
-    witness: object = None
-    params: dict = field(default_factory=dict)
+    __slots__ = ("condition", "status", "witness", "params")
+
+    def __init__(self, condition: str, status: Status, witness: object = None,
+                 params: dict | None = None):
+        _Value.__init__(self, condition, status, witness, {} if params is None else params)
 
     @property
     def ok(self) -> bool:
@@ -91,9 +91,11 @@ class CheckResult:
         return out
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    checks: tuple[CheckResult, ...]
+class VerificationReport(_Value):
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: tuple[CheckResult, ...]):
+        _Value.__init__(self, checks)
 
     @property
     def ok(self) -> bool:
@@ -329,8 +331,7 @@ def check_h2(ts: TileSystem) -> CheckResult:
 H3_STAR_CAP = 100_000  # fiber sets an (H3*) run may find before it reports cap-hit
 
 
-@dataclass
-class FiberFamily:
+class FiberFamily(_Value):
     """All distinct direction-j extension fiber sets, grouped by origin.
 
     For a word w whose shape has component zero in direction j, its fiber is
@@ -342,9 +343,12 @@ class FiberFamily:
     rebuilt as actual words.
     """
 
-    direction: int
-    sets_by_origin: dict[int, list[int]]
-    provenance: dict[tuple[int, int], tuple]
+    __slots__ = ("direction", "sets_by_origin", "provenance")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None  # mutable
+
+    def __init__(self, direction: int, sets_by_origin: dict[int, list[int]],
+                 provenance: dict[tuple[int, int], tuple]):
+        _Value.__init__(self, direction, sets_by_origin, provenance)
 
     def all_sets(self) -> Iterator[tuple[int, int]]:
         for c in sorted(self.sets_by_origin):

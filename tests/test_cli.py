@@ -699,12 +699,18 @@ def _former_to_dot(d):
 
 
 def _former_bratteli(argv):
-    """stdout of the former ``rankshift bratteli --format json|dot``: the
-    whole JSON text built by json.dumps, then printed."""
+    """stdout of the former ``rankshift bratteli``: the whole JSON text built
+    by json.dumps, then printed, and text lines joined per level and chain
+    link from two formatted shapes each."""
     args = cli._build_parser().parse_args(argv)
     ts, dmap = load_system(args.system)
     diagram = af_core.bratteli(ts, dmap, cli._parse_shape(args.upto, ts, "--upto"))
     chain = _former_diagonal(diagram) if args.chain else []
+    if args.format == "text":
+        fmt = cli._format_shape
+        return "".join([f"level {fmt(m)}: dims ({fmt(diagram.nodes[m])}) "
+                         f"total {sum(diagram.nodes[m])}\n" for m in _former_levels(diagram)]
+                        + [f"chain {fmt(m)}: ({fmt(c)})\n" for m, c in chain])
     if args.format == "json":
         doc = _former_to_json(diagram)
         if args.chain:
@@ -737,15 +743,17 @@ def bratteli_files(tmp_path_factory, enumerate_files):
 
 
 _BRATTELI_BOUNDS = {1: ["0", "1", "4"], 2: ["0,0", "2,0", "0,3", "2,3"],
-                    3: ["0,0,0", "1,2,0", "2,1,2"]}
+                    3: ["0,0,0", "1,2,0", "2,0,1", "2,1,2"]}
 
 
 @pytest.mark.parametrize("system", ["gm", "gm2", "fs2", "fs3", "gm2-redecorated", "dotted",
                                     *(f"random{k}" for k in range(9))])
 def test_bratteli_exports_match_the_former_walks(bratteli_files, system):
-    """levels, diagonal, to_json, to_dot and the CLI's json and dot output,
-    --chain included, equal the former sorted levels, per-edge matrix copies,
-    n^2 DOT scan and whole-text JSON writer at several bounds."""
+    """levels, diagonal, to_json, to_dot and the CLI's text, json and dot
+    output, --chain included, equal the former sorted levels, per-edge matrix
+    copies, n^2 DOT scan, per-line shape joins and whole-text JSON writer at
+    several bounds, of rank 1 to 3 (a bound with a zero component gives a
+    direction no edge, whose rows the JSON writer never encodes)."""
     ts, dmap = load_system(bratteli_files[system])
     for upto in _BRATTELI_BOUNDS[ts.rank]:
         d = af_core.bratteli(ts, dmap, cli._parse_shape(upto, ts, "--upto"))
@@ -753,7 +761,7 @@ def test_bratteli_exports_match_the_former_walks(bratteli_files, system):
         assert d.diagonal() == _former_diagonal(d)
         assert d.to_json() == _former_to_json(d)
         assert d.to_dot() == _former_to_dot(d)
-        for fmt in ("json", "dot"):
+        for fmt in ("text", "json", "dot"):
             for chain in ([], ["--chain"]):
                 argv = ["bratteli", bratteli_files[system], "--upto", upto,
                         "--format", fmt, *chain]

@@ -1,7 +1,10 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and
+importing the package loads no module it does not need."""
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -45,3 +48,16 @@ def test_unused_imports_finds_them():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_a_command_loads_neither_dataclasses_nor_inspect():
+    """A fresh interpreter with no site module, so that nothing is imported
+    beforehand, imports rankshift and runs one command without loading
+    dataclasses or inspect (which pulls in ast, dis and tokenize): a shell
+    call of rankshift pays for every module its import loads."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import rankshift; "
+            "code = rankshift.cli.main(['count', 'samples/gm.json', '--shape', '3']); "
+            "print(code, sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-S", "-I", "-c", code, str(SRC.parent)],
+                         cwd=SRC.parent.parent, capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "total:8\n0 []\n", "")
