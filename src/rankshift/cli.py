@@ -37,6 +37,7 @@ from .core import (
     TileSystem,
     UnknownLetterError,
     Word,
+    check_floor,
     check_shape,
     validate_word,
 )
@@ -156,12 +157,6 @@ def _parse_shape(text: str | None, ts: TileSystem, what: str) -> Shape | None:
     return check_shape(ts, parts, what)
 
 
-def _check_floor(value: int | None, floor: int, what: str) -> None:
-    """Reject a search bound given to flag ``what`` that is below ``floor``."""
-    if value is not None and value < floor:
-        raise SystemFileError(f"{what} must be at least {floor}, not {value}")
-
-
 def _format_shape(s: Sequence[int]) -> str:
     return ",".join(map(str, s))
 
@@ -185,13 +180,15 @@ def _word_arg(ts: TileSystem, shape_text: str, cells_text: str, what: str) -> Wo
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    _check_floor(args.h3_star_cap, 1, "--h3-star-cap")
+    check_floor(args.h3_star_cap, 1, "--h3-star-cap")
     ts, _ = load_system(args.system)
     h1_bound = _parse_shape(args.h1_oracle_bound, ts, "--h1-oracle-bound")
     p_bound = _parse_shape(args.h3_p_bound, ts, "--h3-p-bound")
     # bounds that admit no split, or no p != 0, would pass vacuously
-    _check_floor(h1_bound and sum(h1_bound), 2, "the grade of --h1-oracle-bound")
-    _check_floor(p_bound and max(p_bound), 1, "the largest component of --h3-p-bound")
+    if h1_bound is not None:
+        check_floor(sum(h1_bound), 2, "the grade of --h1-oracle-bound")
+    if p_bound is not None:
+        check_floor(max(p_bound), 1, "the largest component of --h3-p-bound")
     report = verify.verify_report(
         ts,
         h1_oracle_bound=h1_bound,
@@ -238,7 +235,8 @@ def _write_blocks(lines) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    _check_floor(args.limit, 0, "--limit")
+    if args.limit is not None:
+        check_floor(args.limit, 0, "--limit")
     ts, dmap = load_system(args.system)
     shape = _parse_shape(args.shape, ts, "--shape")
     fixed = end_placements(ts, shape, args.origin, args.terminus)
@@ -562,15 +560,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(_attach_negative_values(argv))
     try:
         return args.func(args)
-    except (SystemFileError, UnknownLetterError) as exc:
+    except (SystemFileError, UnknownLetterError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SubshiftError as exc:
         print(f"failed: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def console_main() -> None:

@@ -45,10 +45,12 @@ from .core import (
     box_cells,
     box_offsets,
     box_size,
+    check_direction,
     check_shape,
     dominates,
     letter_word,
     strides,
+    unit,
     zero,
 )
 
@@ -91,8 +93,7 @@ def extend_along(ts: TileSystem, w: Word, target: Shape,
     pred = [(*ts.predecessor_masks(k), full) for k in range(1, rank + 1)]
     shape, t, last = list(w.shape), w.terminus, 0
     for j, a in steps:
-        if not 1 <= j <= rank:
-            raise ValueError(f"direction {j} out of range 1..{rank}")
+        check_direction(rank, j)
         if not ts.transition(j, t, a):
             raise TransitionError(
                 f"M_{j}({ts.alphabet.name(a)}, {ts.alphabet.name(t)}) = 0: "
@@ -134,8 +135,7 @@ def extend_along(ts: TileSystem, w: Word, target: Shape,
 def extend_unit(ts: TileSystem, w: Word, j: int, a: int) -> Word:
     """The word of shape m + e_j extending w with terminus a: one step of
     :func:`extend_along`."""
-    target = tuple(c + (k == j - 1) for k, c in enumerate(w.shape))
-    return extend_along(ts, w, target, [(j, a)])
+    return extend_along(ts, w, add(w.shape, unit(ts.rank, j)), [(j, a)])
 
 
 def word_from_path(ts: TileSystem, a0: int, steps: Sequence[tuple[int, int]]) -> Word:
@@ -149,8 +149,7 @@ def word_from_path(ts: TileSystem, a0: int, steps: Sequence[tuple[int, int]]) ->
     prev = a0
     target = list(zero(ts.rank))
     for i, (j, a) in enumerate(steps):
-        if not 1 <= j <= ts.rank:
-            raise ValueError(f"step {i}: direction {j} out of range 1..{ts.rank}")
+        check_direction(ts.rank, j, f"step {i}: direction")
         if not ts.transition(j, prev, a):
             raise TransitionError(
                 f"step {i}: M_{j}({ts.alphabet.name(a)}, {ts.alphabet.name(prev)}) = 0")

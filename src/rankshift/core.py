@@ -77,8 +77,7 @@ def zero(rank: int) -> Shape:
 
 def unit(rank: int, j: int) -> Shape:
     """The unit vector e_j (directions are 1-based)."""
-    if type(j) is not int or not 1 <= j <= rank:
-        raise ValueError(f"direction {j} out of range 1..{rank}")
+    check_direction(rank, j)
     return tuple(1 if i == j - 1 else 0 for i in range(rank))
 
 
@@ -183,15 +182,9 @@ def translate_reps(bound: Shape) -> list[Translate]:
     The representative has its first nonzero component positive.  Sorted by
     grade of |p|, then canonically.
     """
-    reps = []
-    for p in itertools.product(*(range(-b, b + 1) for b in bound)):
-        if is_zero(p):
-            continue
-        first = next(c for c in p if c != 0)
-        if first > 0:
-            reps.append(p)
-    reps.sort(key=lambda p: (sum(absv(p)), tuple(reversed(absv(p))), tuple(reversed(p))))
-    return reps
+    z = zero(len(bound))  # p > z iff the first nonzero component of p is positive
+    reps = [p for p in itertools.product(*(range(-b, b + 1) for b in bound)) if p > z]
+    return sorted(reps, key=lambda p: (shape_key(absv(p)), p[::-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +343,20 @@ def check_shape(ts: TileSystem, shape: Iterable[int], what: str) -> Shape:
     return shape
 
 
+def check_direction(rank: int, j: int, what: str = "direction") -> None:
+    """:class:`ValueError` unless the direction ``what`` is an ``int`` in 1..rank,
+    not a bool or a float equal to one."""
+    if type(j) is not int or not 1 <= j <= rank:
+        raise ValueError(f"{what} {j} out of range 1..{rank}")
+
+
+def check_floor(value: int, floor: int, what: str) -> None:
+    """:class:`ValueError` unless the search bound ``what`` is an ``int`` of at
+    least ``floor``, not a bool or None."""
+    if type(value) is not int or value < floor:
+        raise ValueError(f"{what} must be at least {floor}, not {value}")
+
+
 def _ints(v: Iterable[int], what: str) -> tuple[int, ...]:
     """The corner or translate ``what`` as a tuple; TypeError unless its
     components are ints, not bools (1.0 and True pass as 1 in a cache key)."""
@@ -440,10 +447,11 @@ class Word(_Value):
         return self.letters[-1]
 
     def at(self, cell: Sequence[int]) -> int:
+        cell = _ints(cell, "cell")
         if len(cell) != len(self.shape):
             raise ValueError(f"cell {cell} has wrong rank")
         if any(not 0 <= c <= m for c, m in zip(cell, self.shape)):
-            raise ValueError(f"cell {tuple(cell)} outside box [0, {self.shape}]")
+            raise ValueError(f"cell {cell} outside box [0, {self.shape}]")
         return self.letters[box_offsets(self.shape, cell, cell)[0]]
 
     def render(self, alphabet: Alphabet) -> str:

@@ -38,6 +38,8 @@ from .core import (
     box_cells,
     box_offsets,
     box_size,
+    check_direction,
+    check_floor,
     check_shape,
     is_periodic,
     shapes_upto,
@@ -222,9 +224,8 @@ def check_h1_oracle(ts: TileSystem, shape_bound: Shape) -> CheckResult:
     An independent oracle for :func:`check_h1_local`; never calls the forced fill.
     """
     shape_bound = check_shape(ts, shape_bound, "shape bound")
-    if sum(shape_bound) < 2:
-        raise ValueError(f"shape bound {shape_bound} has no split into two "
-                         f"nonzero shapes; its grade must be at least 2")
+    check_floor(sum(shape_bound), 2, f"shape bound {shape_bound} has no split "
+                                     f"into two nonzero shapes; its grade")
     params = {"shape_bound": list(shape_bound)}
     # per shape: its grids, as strings with one code point per letter (far less
     # memory than tuples; the search forms each slab once and joins them), and
@@ -382,9 +383,8 @@ def check_h3_star(ts: TileSystem, j: int, max_sets: int = H3_STAR_CAP
     cap hit is reported as its own status.  Both checks run as each new
     fiber is recorded.
     """
-    if not 1 <= j <= ts.rank:
-        raise ValueError(f"direction {j} out of range 1..{ts.rank}")
-    _check_cap(max_sets, "max_sets")
+    check_direction(ts.rank, j)
+    check_floor(max_sets, 1, "max_sets")
     params = {"direction": j, "max_sets": max_sets}
     family = FiberFamily(j, {c: [] for c in range(ts.n_letters)}, {})
     provenance = family.provenance
@@ -445,12 +445,6 @@ def nonperiodic_witness(ts: TileSystem, p: Translate) -> Optional[Word]:
         if not is_periodic(w, p):
             return w
     return None
-
-
-def _check_cap(max_sets: int, what: str) -> None:
-    """Reject an (H3*) cap, given as ``what``, below 1."""
-    if max_sets < 1:
-        raise ValueError(f"{what} must be at least 1, not {max_sets}")
 
 
 def _h3_bounds(ts: TileSystem, p_bound: Shape) -> Shape:
@@ -528,7 +522,7 @@ def verify_report(ts: TileSystem,
     r = ts.rank
     h1_oracle_bound = (2,) * r if h1_oracle_bound is None else h1_oracle_bound
     h3_p_bound = _h3_bounds(ts, (2,) * r if h3_p_bound is None else h3_p_bound)
-    _check_cap(h3_star_cap, "h3_star_cap")
+    check_floor(h3_star_cap, 1, "h3_star_cap")
 
     checks = [check_h0(ts)]
     h1 = check_h1_local(ts)

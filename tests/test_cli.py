@@ -16,8 +16,8 @@ from rankshift import (Alphabet, DecorationMap, TileSystem, af_core, builders, c
                        load_system, save_system, verify)
 from rankshift.cli import SystemFileError, main, parse_system
 from rankshift.completion import decorated_words_of_shape, words_of_shape
-from rankshift.core import (UnknownLetterError, add, dominates, shape_key, unit,
-                            zero)
+from rankshift.core import (UnknownLetterError, add, check_floor, dominates, shape_key,
+                            unit, zero)
 
 
 @pytest.fixture()
@@ -481,7 +481,8 @@ def _former_enumerate(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         try:
-            cli._check_floor(args.limit, 0, "--limit")
+            if args.limit is not None:
+                check_floor(args.limit, 0, "--limit")
             ts, dmap = load_system(args.system)
             shape = cli._parse_shape(args.shape, ts, "--shape")
             origin = ts.alphabet.resolve(args.origin) if args.origin is not None else None

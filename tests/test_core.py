@@ -39,7 +39,9 @@ from rankshift.core import (
 from rankshift.builders import from_rank1, redecorate_by_shape
 from rankshift.af_core import bratteli, dim_vector
 from rankshift.cli import save_system
-from rankshift.completion import extend_along, list_extensions, words_of_shape
+from rankshift.completion import (extend_along, extend_unit, list_extensions,
+                                  word_from_path, words_of_shape)
+from rankshift.verify import check_h3_star
 from rankshift.witnesses import (connect, nonperiodic_all, projection_support,
                                  separating_family)
 
@@ -290,6 +292,16 @@ def test_word_at_rejects_bad_cells(gm):
         w.at((1, 0))
 
 
+@pytest.mark.parametrize("cell", [(True, 0), (1.0, 0), ("1", 0)])
+def test_word_at_takes_int_cells(cell):
+    """A cell is a tuple of ints: a bool or a float equal to one is not read
+    as the cell of that int."""
+    w = Word((1, 1), (0, 1, 2, 3))
+    assert w.at((1, 0)) == 2
+    with pytest.raises(TypeError, match=r"^cell \(.*\) has a component that is not an integer$"):
+        w.at(cell)
+
+
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_validate_agrees_with_naive_scan(gm2, data):
@@ -531,6 +543,30 @@ def test_unit_takes_int_directions_in_range(j):
     assert unit(2, 1) == (1, 0) and unit(2, 2) == (0, 1)
     with pytest.raises(ValueError, match=rf"^direction {j} out of range 1\.\.2$"):
         unit(2, j)
+
+
+_DIRECTION_ARGUMENTS = {
+    "unit": lambda ts, j: unit(ts.rank, j),
+    "check_h3_star": lambda ts, j: check_h3_star(ts, j),
+    "extend_unit": lambda ts, j: extend_unit(ts, letter_word(ts.rank, 0), j, 0),
+    "extend_along step": lambda ts, j: extend_along(ts, letter_word(ts.rank, 0), (1, 1),
+                                                    [(1, 0), (j, 0)]),
+    "word_from_path step": lambda ts, j: word_from_path(ts, 0, [(1, 0), (j, 0)]),
+    "edge_multiplicity": lambda ts, j: bratteli(
+        ts, DecorationMap.identity(ts.alphabet), (1, 1)).edge_multiplicity((0, 0), j, 0, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DIRECTION_ARGUMENTS))
+@pytest.mark.parametrize("j", [True, 1.0, 0, 3])
+def test_direction_arguments_are_checked(fs2, name, j):
+    """Every direction argument meets the one check: a bool, a float equal to
+    a direction or a direction out of 1..rank raises its ValueError, not the
+    answer for direction 1 or a bare TypeError.  A step's message names it."""
+    step = "step 1: " if name == "word_from_path step" else ""
+    message = re.escape(f"{step}direction {j} out of range 1..{fs2.rank}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _DIRECTION_ARGUMENTS[name](fs2, j)
 
 
 _SHAPE_ARGUMENTS = {

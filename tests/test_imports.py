@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and
-importing the package loads no module it does not need."""
+"""Every name a package module imports is used in that module, importing
+the package loads no module it does not need, and no module but core
+checks a rule that core owns."""
 
 import ast
 import pathlib
@@ -48,6 +49,42 @@ def test_unused_imports_finds_them():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def rule_copies(source: str) -> list[tuple[int, str]]:
+    """(line, rule) of each check of a rule that ``core`` owns: a direction
+    compared against its range (``1 <= j ...`` or the message ``out of range
+    1..``, both ``core.check_direction``'s) or a search floor (the message
+    ``must be at least``, ``core.check_floor``'s)."""
+    copies = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Compare) and isinstance(node.left, ast.Constant)
+                and node.left.value == 1 and isinstance(node.ops[0], ast.LtE)):
+            copies.append((node.lineno, "direction"))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if "out of range 1.." in node.value:
+                copies.append((node.lineno, "direction"))
+            if "must be at least" in node.value:
+                copies.append((node.lineno, "floor"))
+    return copies
+
+
+def test_rule_copies_finds_them():
+    source = ("def f(ts, j, cap):\n"
+              "    if not 1 <= j <= ts.rank:\n"
+              "        raise ValueError(f'direction {j} out of range 1..{ts.rank}')\n"
+              "    if cap < 1:\n"
+              "        raise ValueError(f'cap must be at least 1, not {cap}')\n"
+              "    return [k for k in range(1, ts.rank + 1) if 0 <= k - j <= 1]\n")
+    assert rule_copies(source) == [(2, "direction"), (3, "direction"), (5, "floor")]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "core.py"],
+                         ids=lambda p: p.name)
+def test_direction_and_floor_rules_live_in_core(path):
+    """core.check_direction and core.check_floor are the only checks of their
+    rules; any other module calls them."""
+    assert rule_copies(path.read_text()) == []
 
 
 def test_a_command_loads_neither_dataclasses_nor_inspect():

@@ -1,6 +1,7 @@
 import itertools
 import os
 import random
+import re
 from collections import Counter
 from operator import itemgetter
 
@@ -743,6 +744,17 @@ def test_report_checks_the_h3_star_cap_before_any_check(jj, fs2):
     for ts, cap in ((jj, -5), (fs2, 0)):
         with pytest.raises(ValueError, match=f"^h3_star_cap must be at least 1, not {cap}$"):
             verify_report(ts, h3_star_cap=cap)
+
+
+@pytest.mark.parametrize("cap", [True, 2.5, None, 0])
+def test_h3_star_caps_are_ints_of_at_least_1(fs2, cap):
+    """The (H3*) cap is an int of at least 1: True is not read as 1, and 2.5
+    is not a cap that the run compares its count against."""
+    for run, what in ((lambda: check_h3_star(fs2, 1, max_sets=cap), "max_sets"),
+                      (lambda: verify_report(fs2, h3_star_cap=cap), "h3_star_cap")):
+        with pytest.raises(ValueError, match=f"^{what} must be at least 1, not "
+                                             f"{re.escape(str(cap))}$"):
+            run()
 
 
 def test_report_empty_bounds_are_not_defaults(gm):
