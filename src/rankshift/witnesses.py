@@ -225,41 +225,63 @@ def separating_family(ts: TileSystem, m: Shape) -> tuple[Shape, dict[int, Word]]
     Returns (l, family) where family[a] is a word of shape l with origin a,
     and for all letters a, b and every p != 0 with |p| <= m the words w_a and
     tau_p(w_b) disagree somewhere on their overlap.  Starts from the
-    :func:`nonperiodic_all` words, grown to l in their one fill each, and
+    :func:`nonperiodic_all` words, all of the first common shape l0, and
     repairs violating (a, b, p) triples with :func:`separate_translates`;
     disagreements persist under extension, so one pass suffices, and the
-    result is re-verified.  Members share shape l, so each p has one row plan
-    for :func:`rows_agree`, renewed when l grows.  n letters and R repairs
-    make n(R + 1) fills: each member once, then once per repair, by it or a regrow.
+    result is re-verified.  A triple is compared with :func:`rows_agree` only
+    if w_a and w_b match on the first row of their overlap at l0, taken at
+    l0's width: that row starts at cell max(p, 0), lies in every later
+    overlap, and repairs only extend words, so no other triple can agree.
+    The re-check rebuilds this index from the final words.  A member is not
+    regrown after each repair: it is filled to the current shape when a
+    compare reads it, or at the end, in one fill along the greedy legs
+    through the common shapes it missed, so n letters and R repairs make at
+    most n(R + 1) fills.
     """
     m = check_shape(ts, m, "p bound")
     n = ts.n_letters
     family = _nonperiodic_words(ts, m, range(n))
-    l = family[0].shape
+    ls = [family[0].shape]  # the common shapes, one more per repair
     translates = [q for p in translate_reps(m) for q in (p, neg(p))]
-    plans = [overlap_rows(l, l, q) for q in translates]
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            for k, p in enumerate(translates):
-                if not rows_agree(family[a].letters, family[b].letters, plans[k]):
-                    continue
-                family[b], family[a] = separate_translates(ts, p, family[b], family[a])
-                l = family[a].shape
-                family = {c: grow_to_shape(ts, w, l) for c, w in family.items()}
-                plans = [overlap_rows(l, l, q) for q in translates]
+    plans = [overlap_rows(ls[0], ls[0], q) for q in translates]
+    widths = [width for width, _ in plans]
 
-    for a in range(n):
+    def read(c: int) -> Word:
+        w = family[c]
+        if w.shape != ls[-1]:
+            family[c] = w = extend_along(ts, w, ls[-1], _greedy_steps(
+                ts, w.shape, w.terminus, *ls[ls.index(w.shape) + 1:]))
+        return w
+
+    def candidates(plans) -> list[list[tuple[int, int]]]:
+        """Per letter a, the (b, k) in order whose first overlap rows match."""
+        firsts = [(rows[0], width) for (_, rows), width in zip(plans, widths)]
+        buckets = [{} for _ in plans]
+        for b in range(n):
+            for ((_, j), width), bucket in zip(firsts, buckets):
+                bucket.setdefault(family[b].letters[j:j + width], []).append(b)
+        return [sorted((b, k) for k, ((i, _), width) in enumerate(firsts)
+                       for b in buckets[k].get(family[a].letters[i:i + width], ()))
+                for a in range(n)]
+
+    for a, pairs in enumerate(candidates(plans)):
+        for b, k in pairs:
+            if a != b and rows_agree(read(a).letters, read(b).letters, plans[k]):
+                family[b], family[a] = separate_translates(ts, translates[k], family[b], family[a])
+                ls.append(family[a].shape)
+                plans = [overlap_rows(ls[-1], ls[-1], q) for q in translates]
+
+    for c in range(n):
+        read(c)
+    for a, pairs in enumerate(candidates(plans)):
         if family[a].origin != a:
             raise WitnessSearchError("separating family lost an origin")
-        for b in range(n):
-            for p, plan in zip(translates, plans):
-                if rows_agree(family[a].letters, family[b].letters, plan):
-                    raise WitnessSearchError(
-                        f"separating family failed for letters "
-                        f"({ts.alphabet.name(a)}, {ts.alphabet.name(b)}), p={p}")
-    return l, family
+        for b, k in pairs:
+            if rows_agree(family[a].letters, family[b].letters, plans[k]):
+                raise WitnessSearchError(
+                    f"separating family failed for letters "
+                    f"({ts.alphabet.name(a)}, {ts.alphabet.name(b)}), p={translates[k]}")
+    return ls[-1], family
 
 
 def projection_support(ts: TileSystem, dmap: DecorationMap, m: Shape,

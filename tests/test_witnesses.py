@@ -21,8 +21,6 @@ from rankshift import (
 )
 from rankshift.builders import random_system
 from rankshift.core import (
-    Alphabet,
-    TileSystem,
     add,
     compositions,
     dominates,
@@ -41,6 +39,8 @@ from rankshift.completion import extend_along, list_extensions, product, words_o
 from rankshift.verify import check_h0, check_h1_local, check_h2, h3_bounded_witnesses
 from rankshift import completion, witnesses
 from rankshift.witnesses import grow_to_shape
+
+from conftest import circulant
 
 SAMPLES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "samples")
 
@@ -390,13 +390,6 @@ def _chain_separating_family(ts, m):
     return l, family
 
 
-def _circulant(n, gens):
-    """Z_n, letter a stepping to a + s for each s in S_j (rows = target)."""
-    return TileSystem(Alphabet([str(a) for a in range(n)]),
-                      [[[1 if (b - a) % n in s else 0 for a in range(n)]
-                        for b in range(n)] for s in gens])
-
-
 def _family_inputs():
     systems = [(name, load_system(os.path.join(SAMPLES, f"{name}.json"))[0])
                for name in ("gm", "full2", "gm2", "fs2")]
@@ -409,7 +402,7 @@ def _family_inputs():
     for n, gens in [(5, ((0, 1), (0, 2))), (6, ((0, 1), (0, 2))),
                     (7, ((0, 1), (0, 3))), (8, ((1, 2), (0, 3))),
                     (9, ((0, 1), (0, 3)))]:
-        ts = _circulant(n, gens)
+        ts = circulant(n, gens)
         assert all(c.ok for c in (check_h0(ts), check_h1_local(ts), check_h2(ts)))
         systems.append((f"circ{n}", ts))
     return systems
@@ -438,12 +431,15 @@ def test_separating_family_matches_per_letter_chain():
 
 
 # ---------------------------------------------------------------------------
-# separating_family's row plans against the former triple loop, which called
-# the public translates_agree on every (a, b, p)
+# separating_family's candidate index against the former triple loop, which
+# called the public translates_agree on every (a, b, p) and regrew every
+# member after each repair
 # ---------------------------------------------------------------------------
 
 def _triple_loop_separating_family(ts, m):
-    """The former separating_family, and the number of repairs it made."""
+    """The former separating_family, and the number of repairs it made.  It
+    repairs through ``witnesses.separate_translates``, so a test that
+    replaces that function replaces it here too."""
     n = ts.n_letters
     family = {a: nonperiodic_all(ts, m, a) for a in range(n)}
     l = zero(ts.rank)
@@ -459,11 +455,14 @@ def _triple_loop_separating_family(ts, m):
             for p in translates:
                 if not translates_agree(family[a], family[b], p):
                     continue
-                family[b], family[a] = separate_translates(ts, p, family[b], family[a])
+                family[b], family[a] = witnesses.separate_translates(
+                    ts, p, family[b], family[a])
                 repairs += 1
                 l = family[a].shape
                 family = {c: grow_to_shape(ts, w, l) for c, w in family.items()}
     for a in range(n):
+        if family[a].origin != a:
+            raise WitnessSearchError("separating family lost an origin")
         for b in range(n):
             for p in translates:
                 if translates_agree(family[a], family[b], p):
@@ -483,19 +482,41 @@ def _seeded_family_inputs(rank, count, seed):
                          for _ in range(rank)])
         else:
             n = rng.randint(4, 11 - rank)
-            ts = _circulant(n, [set(rng.sample(range(n), 2)) for _ in range(rank)])
+            ts = circulant(n, [set(rng.sample(range(n), 2)) for _ in range(rank)])
         if all(c.ok for c in (check_h0(ts), check_h1_local(ts), check_h2(ts))):
             systems.append(ts)
     return systems
 
 
-@pytest.mark.parametrize("rank, count, seed", [(2, 24, 15), (3, 4, 16)])
-def test_separating_family_matches_the_triple_loop(rank, count, seed):
-    """One row plan per (l, p), renewed after each repair, gives the family
-    (or the search error) that translates_agree on every triple gave."""
+# (n, generator sets, p bound): circulants on Z_16..Z_48 passing (H0)-(H2),
+# the benchmark's Z_24 pair first, one of rank 3 and two of rank 1
+_LARGER_ALPHABETS = [
+    (24, [(1, 2), (8, 11)], (1, 1)), (24, [(1, 2), (8, 11)], (2, 2)),
+    (16, [(0, 1), (0, 3)], (1, 1)), (16, [(0, 1), (0, 3)], (2, 2)),
+    (28, [(3, 4), (0, 9)], (1, 1)), (48, [(1, 2), (8, 11)], (1, 1)),
+    (16, [(1, 2), (8, 11), (0, 5)], (1, 1, 1)),
+    (16, [(0, 1)], (1,)), (32, [(1, 2)], (3,)),
+]
+
+
+def _triple_loop_inputs(inputs):
+    """(system, p bound) pairs, and the repair count half the families reach:
+    the larger alphabets, or seeded systems named rank-count-seed at p = 1."""
+    if inputs == "larger":
+        return [(circulant(n, gens), m) for n, gens, m in _LARGER_ALPHABETS], 5
+    rank, count, seed = map(int, inputs.split("-"))
+    return [(ts, (1,) * rank) for ts in _seeded_family_inputs(rank, count, seed)], 2
+
+
+@pytest.mark.parametrize("inputs", ["2-24-15", "3-4-16", "larger"])
+def test_separating_family_matches_the_triple_loop(inputs):
+    """Comparing only the triples whose first overlap rows at l0 match, and
+    filling a member only when it is read, gives the family (or the search
+    error) that translates_agree on every triple, with every member regrown
+    after each repair, gave."""
+    cases, deep = _triple_loop_inputs(inputs)
     repairs = []
-    for ts in _seeded_family_inputs(rank, count, seed):
-        m = (1,) * rank
+    for ts, m in cases:
         try:
             want, made = _triple_loop_separating_family(ts, m)
         except WitnessSearchError as exc:
@@ -505,8 +526,28 @@ def test_separating_family_matches_the_triple_loop(rank, count, seed):
             continue
         assert separating_family(ts, m) == want, ts.matrices
         repairs.append(made)
-    assert len(repairs) >= count // 2, repairs
-    assert sum(r >= 2 for r in repairs) >= len(repairs) // 2, repairs
+    assert len(repairs) >= len(cases) // 2, repairs
+    assert sum(r >= deep for r in repairs) >= len(repairs) // 2, repairs
+
+
+def test_separating_family_recheck_sees_an_unspliced_repair(monkeypatch, fs2, gm2):
+    """With repairs that extend both words but splice nothing, the final
+    re-check still finds the triple left agreeing, as the triple loop does:
+    it rebuilds the candidate index from the final words, a = b included."""
+
+    def unspliced(ts, p, w1, w2):
+        common = add(w1.shape, (1,) * ts.rank)
+        return grow_to_shape(ts, w1, common), grow_to_shape(ts, w2, common)
+
+    monkeypatch.setattr(witnesses, "separate_translates", unspliced)
+    cases = [(fs2, (2, 2)), (gm2, (1, 1)), (circulant(28, [(3, 4), (0, 9)]), (1, 1)),
+             (circulant(16, [(0, 1)]), (1,)), (circulant(32, [(1, 2)]), (3,))]
+    for ts, m in cases:
+        with pytest.raises(WitnessSearchError) as want:
+            _triple_loop_separating_family(ts, m)
+        with pytest.raises(WitnessSearchError) as got:
+            separating_family(ts, m)
+        assert str(got.value) == str(want.value), (ts.matrices, m)
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +641,7 @@ def _single_fill_inputs(fs3):
     rng = random.Random(2626)
     while len(cases) < 2 * len(_family_inputs()) + 3:
         n = rng.randint(6, 10)
-        ts = _circulant(n, [set(rng.sample(range(n), 2)) for _ in range(2)])
+        ts = circulant(n, [set(rng.sample(range(n), 2)) for _ in range(2)])
         if all(c.ok for c in (check_h0(ts), check_h1_local(ts), check_h2(ts))):
             cases.append((f"circulant {ts.matrices}", ts, (1, 1)))
     return cases
@@ -652,35 +693,51 @@ def _counting(monkeypatch, module, name, counts):
 
 
 def test_separating_family_fills_each_member_once_per_repair(monkeypatch, fs2, gm2, fs3):
-    """n letters and R repairs make n(R + 1) extend_along fills: each member
-    is filled once from its letter, then once per repair (by the repair or by
-    the regrow after it); a nonperiodic word is one fill."""
-    counts = dict.fromkeys(("extend_along", "separate_translates"), 0)
-    # each wrapper calls the kernel itself, so a fill counts once
-    for module, name in [(witnesses, "extend_along"), (completion, "extend_along"),
-                         (witnesses, "separate_translates")]:
-        _counting(monkeypatch, module, name, counts)
+    """n letters and R repairs make at most n(R + 1) extend_along fills and
+    fill no member twice to one shape: each member is filled from its letter,
+    by each repair of it, and to the common shape only when a compare reads
+    it or at the end; a nonperiodic word is one fill.  Only the triples whose
+    first overlap rows at l0 match are compared."""
+    fills = []
+    counts = dict.fromkeys(("separate_translates", "rows_agree"), 0)
+    # each wrapper calls the kernel itself, so a fill is recorded once
+    for module in (witnesses, completion):
+        def recorded(*args, kernel=module.extend_along):
+            fills.append((args[1].origin, tuple(args[2])))
+            return kernel(*args)
+
+        monkeypatch.setattr(module, "extend_along", recorded)
+    for name in counts:
+        _counting(monkeypatch, witnesses, name, counts)
     cases = [(fs2, (2, 2)), (gm2, (1, 1)), (fs3, (1, 1, 1))]
     cases += [(ts, (1,) * ts.rank) for rank, count, seed in [(2, 24, 15), (3, 4, 16)]
               for ts in _seeded_family_inputs(rank, count, seed)]
     families = 0
     for ts, m in cases:
+        fills.clear()
         counts.update(dict.fromkeys(counts, 0))
         try:
             separating_family(ts, m)
         except WitnessSearchError:
             continue
         n, repairs = ts.n_letters, counts["separate_translates"]
-        assert counts["extend_along"] == n * (repairs + 1), (ts.matrices, m, repairs)
+        assert len(fills) <= n * (repairs + 1), (ts.matrices, m, repairs)
+        assert len(set(fills)) == len(fills), (ts.matrices, m, fills)
         families += 1
         for a in {0, n - 1}:
-            counts["extend_along"] = 0
+            fills.clear()
             nonperiodic_all(ts, m, a)
-            assert counts["extend_along"] == 1, (ts.matrices, m, a)
+            assert len(fills) == 1, (ts.matrices, m, a)
     assert families >= 25, families
-    counts["extend_along"] = 0
+    fills.clear()
     assert separating_family(fs2, (2, 2))[0] == (29, 19)
-    assert counts["extend_along"] == 20
+    assert len(fills) == 18
+    # the benchmark's Z_24 pair: 9,024 compares when every triple was compared
+    ts, m = circulant(24, [(1, 2), (8, 11)]), (1, 1)
+    counts["rows_agree"] = 0
+    separating_family(ts, m)
+    assert counts["rows_agree"] < 2 * ts.n_letters * 2 * len(translate_reps(m)) == 384
+
 
 def test_grow_to_shape_at_its_own_shape_is_the_word(fs2, gm2):
     """A target equal to shape(w) returns w itself; a target that does not
