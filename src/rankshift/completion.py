@@ -160,14 +160,21 @@ def word_from_path(ts: TileSystem, a0: int, steps: Sequence[tuple[int, int]]) ->
 
 def staircase_offsets(shape: Shape, corners: Iterable[Shape]) -> list[tuple[int, int]]:
     """(direction, row-major position in [0, shape]) of each step of the
-    staircase from 0 through each corner in turn, direction 1 first on each leg."""
-    steps, lo = [], [0] * len(shape)
+    staircase from 0 through each corner in turn, direction 1 first on each
+    leg, each step a stride past the one before.  Corners must increase: each
+    dominates the last (0 first) and lies in [0, shape], else ValueError."""
+    st = strides(shape)
+    steps, lo, i = [], zero(len(shape)), 0
     for corner in corners:
-        for j in range(len(shape)):
-            hi = [*corner[:j + 1], *lo[j + 1:]]
-            first = [*hi[:j], lo[j] + 1, *lo[j + 1:]]
-            steps += [(j + 1, i) for i in box_offsets(shape, first, hi)]
-            lo = hi
+        if len(corner) != len(shape):
+            raise ValueError(f"rank mismatch: {tuple(shape)} vs {tuple(corner)}")
+        for j, (a, b, m, s) in enumerate(zip(lo, corner, shape, st), start=1):
+            if not a <= b <= m:
+                raise ValueError(f"staircase corner {tuple(corner)} does not dominate "
+                                 f"{tuple(lo)} or leaves [0, {tuple(shape)}]")
+            steps += [(j, i + k * s) for k in range(1, b - a + 1)]
+            i += (b - a) * s
+        lo = corner
     return steps
 
 

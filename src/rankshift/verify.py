@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
+from itertools import groupby
 from operator import itemgetter
 from typing import Iterator, Optional
 
@@ -251,7 +252,7 @@ def check_h1_oracle(ts: TileSystem, shape_bound: Shape) -> CheckResult:
             composable = sum(k * starts[n][c] for c, k in ends[m].items())
             if composable == len(grids) and i not in settled:
                 stair = [0, *(x for _, x in staircase_offsets(total, (m, total)))]
-                if len(set(map("".join, map(itemgetter(*stair), grids)))) == len(grids):
+                if len(set(map(itemgetter(*stair), grids))) == len(grids):
                     settled.update(stair)
             if composable == len(grids) and i in settled:
                 continue
@@ -433,18 +434,30 @@ def check_h3_star(ts: TileSystem, j: int, max_sets: int = H3_STAR_CAP
 def nonperiodic_witness(ts: TileSystem, p: Translate) -> Optional[Word]:
     """First word (canonical order) of any shape that is not p-periodic.
 
-    One grid search, at shape |p|, decides it.  Only shapes l >= |p| can carry
-    a witness, as smaller boxes have empty overlap with their p-translate.  A
-    word of shape l that differs at x and x + p restricts, on the box spanned
-    by those two cells, to a word of shape |p| that differs at two of its
-    corners; and |p| is the first shape in canonical order dominating |p|.
-    So the first witness of any shape is the first of shape |p|, and None
-    means every word is p-periodic.
+    One grid search, at shape |p|, decides it, and translates that share |p|
+    share that search (:func:`_first_nonperiodic`).  Only shapes l >= |p| can
+    carry a witness, as smaller boxes have empty overlap with their
+    p-translate.  A word of shape l that differs at x and x + p restricts, on
+    the box spanned by those two cells, to a word of shape |p| that differs at
+    two of its corners; and |p| is the first shape in canonical order
+    dominating |p|.  So the first witness of any shape is the first of shape
+    |p|, and None means every word is p-periodic.
     """
-    for w in words_of_shape(ts, absv(p)):
-        if not is_periodic(w, p):
-            return w
-    return None
+    return _first_nonperiodic(ts, [p]).get(p)
+
+
+def _first_nonperiodic(ts: TileSystem, ps: list[Translate]) -> dict[Translate, Word]:
+    """The first word of shape |p| that is not p-periodic, per p of ps, which
+    share |p|: one grid search tests each word against the p still open and
+    stops once none is.  A p whose every word is p-periodic has no entry."""
+    first: dict[Translate, Word] = {}
+    for w in words_of_shape(ts, absv(ps[0])):
+        for p in ps:
+            if p not in first and not is_periodic(w, p):
+                first[p] = w
+        if len(first) == len(ps):
+            break
+    return first
 
 
 def _h3_bounds(ts: TileSystem, p_bound: Shape) -> Shape:
@@ -457,15 +470,14 @@ def _h3_bounds(ts: TileSystem, p_bound: Shape) -> Shape:
 
 def _h3_search(ts: TileSystem, p_bound: Shape
                ) -> tuple[dict[Translate, Word], list[Translate]]:
-    """Witnesses by canonical p with |p| <= p_bound, and the p left without."""
-    found = {}
-    missing = []
-    for p in translate_reps(p_bound):
-        w = nonperiodic_witness(ts, p)
-        if w is None:
-            missing.append(p)
-        else:
-            found[p] = w
+    """Witnesses by canonical p with |p| <= p_bound, and the p left without, in
+    translate_reps order, which sorts by |p|: one search per run of equal |p|."""
+    found, missing = {}, []
+    for _, run in groupby(translate_reps(p_bound), key=absv):
+        ps = list(run)
+        first = _first_nonperiodic(ts, ps)
+        found.update((p, first[p]) for p in ps if p in first)
+        missing += [p for p in ps if p not in first]
     return found, missing
 
 
@@ -473,10 +485,10 @@ def check_h3_bounded(ts: TileSystem, p_bound: Shape) -> CheckResult:
     """Search for a non-p-periodic word for every p with |p| <= p_bound.
 
     p ranges over representatives modulo p <-> -p (periodicity is symmetric).
-    Each p is decided by one search at shape |p| (see
-    :func:`nonperiodic_witness`).  Bounded-pass lists one witness per p; a
-    fail lists the p for which every word, of any shape, is p-periodic, so
-    (H3) fails.  An all-zero p_bound, which admits no p, raises
+    Each p is decided by one search at shape |p|, which the translates sharing
+    |p| share (see :func:`nonperiodic_witness`).  Bounded-pass lists one
+    witness per p; a fail lists the p for which every word, of any shape, is
+    p-periodic, so (H3) fails.  An all-zero p_bound, which admits no p, raises
     :class:`ValueError`, as does a bad rank or a negative component.
     """
     p_bound = _h3_bounds(ts, p_bound)

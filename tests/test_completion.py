@@ -19,6 +19,7 @@ from rankshift.completion import (
     iter_grid_completions,
     list_extensions,
     product,
+    staircase_offsets,
     staircase_steps,
     word_from_path,
     words_of_shape,
@@ -824,3 +825,50 @@ def test_fill_along_a_concatenated_staircase_fails_at_the_same_cell(jj):
         errors.append((str(err.value), err.value.cell, err.value.candidates))
     assert errors[0] == errors[1]
     assert errors[0][1] == (1, 1) and len(errors[0][2]) == 2
+
+
+# ---------------------------------------------------------------------------
+# staircase positions: a stride walk, checked against the sub-box version
+# ---------------------------------------------------------------------------
+
+def _former_staircase_offsets(shape, corners):
+    """The former staircase_offsets: each leg in direction j is the sub-box of
+    its cells, listed by box_offsets."""
+    steps, lo = [], [0] * len(shape)
+    for corner in corners:
+        for j in range(len(shape)):
+            hi = [*corner[:j + 1], *lo[j + 1:]]
+            first = [*hi[:j], lo[j] + 1, *lo[j + 1:]]
+            steps += [(j + 1, i) for i in box_offsets(shape, first, hi)]
+            lo = hi
+    return steps
+
+
+def test_staircase_offsets_match_the_sub_box_version():
+    """The whole list, on every shape up to (5,), (4,4), (3,3,3) and (2,2,2,2),
+    for the empty chain and every increasing chain of one or two corners."""
+    chains = 0
+    for top in [(5,), (4, 4), (3, 3, 3), (2, 2, 2, 2)]:
+        for shape in box_cells(top):
+            cells = list(box_cells(shape))
+            for corners in [[], *([c] for c in cells),
+                            *([c, d] for c in cells for d in cells if dominates(d, c))]:
+                assert (staircase_offsets(shape, corners)
+                        == _former_staircase_offsets(shape, corners)), (shape, corners)
+                chains += 1
+    assert chains > 18_000
+
+
+def test_staircase_offsets_reject_corners_that_are_not_a_staircase():
+    # (1, 2) does not dominate (2, 0): the former version stepped back to (1, 1)
+    with pytest.raises(ValueError, match=r"corner \(1, 2\) does not dominate \(2, 0\)"):
+        staircase_offsets((2, 2), [(2, 0), (1, 2)])
+    # (3, 0) leaves the box: the former version gave position 9 of 9 cells
+    with pytest.raises(ValueError, match=r"corner \(3, 0\) .* leaves \[0, \(2, 2\)\]"):
+        staircase_offsets((2, 2), [(3, 0)])
+    with pytest.raises(ValueError, match="corner"):
+        staircase_offsets((2, 2), [(-1, 1)])
+    with pytest.raises(ValueError, match="rank mismatch"):
+        staircase_offsets((2, 2), [(1,)])
+    # a repeated corner is an empty leg
+    assert staircase_offsets((2, 2), [(1, 1), (1, 1)]) == [(1, 3), (2, 4)]

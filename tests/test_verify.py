@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import random
 import re
@@ -7,7 +8,7 @@ from operator import itemgetter
 
 import pytest
 
-from rankshift import (Alphabet, TileSystem, WitnessSearchError, load_system,
+from rankshift import (Alphabet, TileSystem, WitnessSearchError, load_system, tensor,
                        validate_word, verify)
 from rankshift.builders import from_rank1, random_system
 from rankshift.completion import iter_grid_completions, word_from_path, words_of_shape
@@ -680,6 +681,73 @@ def test_nonperiodic_witness_matches_the_shape_walk():
 
 def test_h3_bounded_fs2(fs2):
     assert check_h3_bounded(fs2, (1, 1)).status is Status.BOUNDED_PASS
+
+
+def _former_h3_search(ts, p_bound):
+    """The former bounded (H3) search: one grid search per translate p, in
+    translate_reps order."""
+    found, missing = {}, []
+    for p in translate_reps(p_bound):
+        w = next((w for w in words_of_shape(ts, absv(p)) if not is_periodic(w, p)), None)
+        if w is None:
+            missing.append(p)
+        else:
+            found[p] = w
+    return found, missing
+
+
+def _h3_outcomes(ts, p_bound):
+    """check_h3_bounded's result and JSON text (key order kept), and
+    h3_bounded_witnesses' (p, word) list or error text."""
+    result = check_h3_bounded(ts, p_bound)
+    try:
+        witnesses = list(h3_bounded_witnesses(ts, p_bound).items())
+    except WitnessSearchError as err:
+        witnesses = str(err)
+    return result, json.dumps(result.to_json()), witnesses
+
+
+def test_h3_bounded_matches_the_per_p_search(monkeypatch, fs3):
+    """One search per |p| gives the per-p search's whole results, witnesses and
+    their order included, on the samples, fs3 and random systems of rank 1-3."""
+    samples = [load_system(os.path.join(SAMPLES, name))[0]
+               for name in sorted(os.listdir(SAMPLES))]
+    cases = [(ts, (2,) * ts.rank) for ts in [*samples, fs3]]
+    rng = random.Random(3131)
+    for _ in range(300):
+        rank = rng.randint(1, 3)
+        ts = random_system(rng, rng.randint(1, 4), rank, rng.choice([0.3, 0.5, 0.8]))
+        cases.append((ts, tuple(rng.randint(1, (3, 2, 1)[rank - 1]) for _ in range(rank))))
+    failing = 0
+    for ts, p_bound in cases:
+        got = _h3_outcomes(ts, p_bound)
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "_h3_search", _former_h3_search)
+            assert got == _h3_outcomes(ts, p_bound), (ts.matrices, p_bound)
+        failing += got[0].status is Status.FAIL
+    assert failing >= 50, failing
+
+
+def test_h3_bounded_searches_each_shape_once(monkeypatch, fs3, gm2, single):
+    """One words_of_shape call per distinct |p|, in translate_reps order, when
+    every p has a witness and when none has."""
+    searched = []
+
+    def counting(ts, shape, origin=None, terminus=None):
+        searched.append(tuple(shape))
+        return words_of_shape(ts, shape, origin, terminus)
+
+    monkeypatch.setattr(verify, "words_of_shape", counting)
+    # fs3 has 62 translates at (2,2,2), the others 12 at (2,2); a one-letter
+    # system has a witness for none of them
+    for ts, p_bound, status, shapes in [
+            (fs3, (2, 2, 2), Status.BOUNDED_PASS, 26),
+            (gm2, (2, 2), Status.BOUNDED_PASS, 8),
+            (tensor([single, single]), (2, 2), Status.FAIL, 8)]:
+        searched.clear()
+        assert check_h3_bounded(ts, p_bound).status is status
+        assert searched == list(dict.fromkeys(absv(p) for p in translate_reps(p_bound)))
+        assert len(searched) == shapes
 
 
 def test_vacuous_bounds_raise(gm, fs2):
