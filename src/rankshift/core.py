@@ -153,11 +153,16 @@ def strides(shape: Shape) -> tuple[int, ...]:
 
 
 def box_offsets(shape: Shape, lo: Sequence[int], hi: Sequence[int]) -> list[int]:
-    """Row-major positions in [0, shape] of the cells of [lo, hi], in order."""
-    offsets = [0]
+    """Row-major positions in [0, shape] of the cells of [lo, hi], in order.
+    No position costs a multiply: a varying direction steps through range(lo·s,
+    hi·s + 1, s), and the directions with lo = hi add their lo·s in one last pass."""
+    offsets, fixed = [0], 0
     for a, b, s in zip(lo, hi, strides(shape)):
-        offsets = [o + c * s for o in offsets for c in range(a, b + 1)]
-    return offsets
+        if a != b:
+            offsets = [o + c for o in offsets for c in range(a * s, b * s + 1, s)]
+        else:
+            fixed += a * s
+    return [o + fixed for o in offsets] if fixed else offsets
 
 
 def shapes_upto(bound: Shape) -> list[Shape]:
@@ -452,7 +457,7 @@ class Word(_Value):
             raise ValueError(f"cell {cell} has wrong rank")
         if any(not 0 <= c <= m for c, m in zip(cell, self.shape)):
             raise ValueError(f"cell {cell} outside box [0, {self.shape}]")
-        return self.letters[box_offsets(self.shape, cell, cell)[0]]
+        return self.letters[sum(c * s for c, s in zip(cell, strides(self.shape)))]
 
     def render(self, alphabet: Alphabet) -> str:
         names = alphabet.letters

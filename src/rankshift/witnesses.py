@@ -34,6 +34,7 @@ from .core import (
     overlap_rows,
     restrict,
     rows_agree,
+    strides,
     translate_reps,
     unit,
     zero,
@@ -232,19 +233,21 @@ def separating_family(ts: TileSystem, m: Shape) -> tuple[Shape, dict[int, Word]]
     if w_a and w_b match on the first row of their overlap at l0, taken at
     l0's width: that row starts at cell max(p, 0), lies in every later
     overlap, and repairs only extend words, so no other triple can agree.
-    The re-check rebuilds this index from the final words.  A member is not
-    regrown after each repair: it is filled to the current shape when a
-    compare reads it, or at the end, in one fill along the greedy legs
-    through the common shapes it missed, so n letters and R repairs make at
-    most n(R + 1) fills.
+    At a common shape l with s = strides(l), that row starts at sum
+    max(p, 0)·s in w_a and sum max(-p, 0)·s in w_b; its width at l0 is
+    l0_r - |p_r| + 1.  The re-check rebuilds the index at the final l.  The
+    :func:`overlap_rows` plan of (l, p) is taken only for a compare.  A
+    member is not regrown after each repair: it is filled to the current
+    shape when a compare reads it, or at the end, in one fill along the
+    greedy legs through the common shapes it missed, so n letters and R
+    repairs make at most n(R + 1) fills.
     """
     m = check_shape(ts, m, "p bound")
     n = ts.n_letters
     family = _nonperiodic_words(ts, m, range(n))
     ls = [family[0].shape]  # the common shapes, one more per repair
     translates = [q for p in translate_reps(m) for q in (p, neg(p))]
-    plans = [overlap_rows(ls[0], ls[0], q) for q in translates]
-    widths = [width for width, _ in plans]
+    widths = [ls[0][-1] - abs(q[-1]) + 1 for q in translates]
 
     def read(c: int) -> Word:
         w = family[c]
@@ -253,31 +256,35 @@ def separating_family(ts: TileSystem, m: Shape) -> tuple[Shape, dict[int, Word]]
                 ts, w.shape, w.terminus, *ls[ls.index(w.shape) + 1:]))
         return w
 
-    def candidates(plans) -> list[list[tuple[int, int]]]:
-        """Per letter a, the (b, k) in order whose first overlap rows match."""
-        firsts = [(rows[0], width) for (_, rows), width in zip(plans, widths)]
-        buckets = [{} for _ in plans]
+    def candidates(l: Shape) -> list[list[tuple[int, int]]]:
+        """Per letter a, the (b, k) in order whose first overlap rows at l match."""
+        st = strides(l)
+        firsts = [(sum(max(c, 0) * s for c, s in zip(q, st)),
+                   sum(max(-c, 0) * s for c, s in zip(q, st)), width)
+                  for q, width in zip(translates, widths)]
+        buckets = [{} for _ in firsts]
         for b in range(n):
-            for ((_, j), width), bucket in zip(firsts, buckets):
+            for (_, j, width), bucket in zip(firsts, buckets):
                 bucket.setdefault(family[b].letters[j:j + width], []).append(b)
-        return [sorted((b, k) for k, ((i, _), width) in enumerate(firsts)
+        return [sorted((b, k) for k, (i, _, width) in enumerate(firsts)
                        for b in buckets[k].get(family[a].letters[i:i + width], ()))
                 for a in range(n)]
 
-    for a, pairs in enumerate(candidates(plans)):
+    for a, pairs in enumerate(candidates(ls[0])):
         for b, k in pairs:
-            if a != b and rows_agree(read(a).letters, read(b).letters, plans[k]):
+            if a != b and rows_agree(read(a).letters, read(b).letters,
+                                     overlap_rows(ls[-1], ls[-1], translates[k])):
                 family[b], family[a] = separate_translates(ts, translates[k], family[b], family[a])
                 ls.append(family[a].shape)
-                plans = [overlap_rows(ls[-1], ls[-1], q) for q in translates]
 
     for c in range(n):
         read(c)
-    for a, pairs in enumerate(candidates(plans)):
+    for a, pairs in enumerate(candidates(ls[-1])):
         if family[a].origin != a:
             raise WitnessSearchError("separating family lost an origin")
         for b, k in pairs:
-            if rows_agree(family[a].letters, family[b].letters, plans[k]):
+            if rows_agree(family[a].letters, family[b].letters,
+                          overlap_rows(ls[-1], ls[-1], translates[k])):
                 raise WitnessSearchError(
                     f"separating family failed for letters "
                     f"({ts.alphabet.name(a)}, {ts.alphabet.name(b)}), p={translates[k]}")

@@ -28,6 +28,7 @@ from rankshift.core import (
     join,
     meet,
     neg,
+    overlap_rows,
     shape_key,
     shapes_upto,
     strides,
@@ -330,6 +331,13 @@ def test_validate_agrees_with_naive_scan(gm2, data):
             validate_word(gm2, names, shape=shape)
 
 
+def _stride_sum_offsets(shape, lo, hi):
+    """The stride sums of the cells of [lo, hi], in row-major order."""
+    st_ = strides(shape)
+    cells = itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+    return [sum(c * s for c, s in zip(cell, st_)) for cell in cells]
+
+
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_box_offsets_match_stride_sums(data):
@@ -339,12 +347,53 @@ def test_box_offsets_match_stride_sums(data):
     # lo and hi are drawn independently, so hi < lo (an empty sub-box) occurs
     lo = tuple(data.draw(st.integers(0, m)) for m in shape)
     hi = tuple(data.draw(st.integers(0, m)) for m in shape)
-    st_ = strides(shape)
-    cells = itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
-    reference = [sum(c * s for c, s in zip(cell, st_)) for cell in cells]
-    assert box_offsets(shape, lo, hi) == reference
+    assert box_offsets(shape, lo, hi) == _stride_sum_offsets(shape, lo, hi)
     assert box_offsets(shape, (0,) * rank, shape) == list(range(len(list(box_cells(shape)))))
     assert box_offsets((2, 2), (1, 2), (1, 1)) == []
+
+
+@pytest.mark.parametrize("shape, lo, hi", [
+    # row starts: lo = hi = 0 in the last direction, ranks 1-4
+    ((5,), (0,), (0,)), ((30, 21), (0, 0), (30, 0)), ((3, 21), (1, 0), (2, 0)),
+    ((20, 16, 5), (0, 0, 0), (20, 16, 0)), ((29, 14, 12), (0, 1, 0), (28, 14, 0)),
+    ((3, 4, 2, 5), (0, 1, 0, 0), (3, 4, 2, 0)),
+    # lo = hi != 0 in a middle direction of rank 3
+    ((4, 5, 3), (0, 2, 0), (4, 2, 3)), ((4, 5, 3), (1, 5, 2), (3, 5, 3)),
+    ((4, 5, 3), (0, 3, 3), (4, 3, 3)),
+    # empty in one direction only, after a fixed direction
+    ((4, 5), (1, 3), (1, 2)), ((4, 5, 3), (2, 3, 1), (2, 2, 3)),
+    ((4, 5, 3), (0, 2, 3), (4, 2, 1)), ((3, 4, 5, 2), (1, 2, 4, 0), (3, 2, 3, 2)),
+])
+def test_box_offsets_pinned_cases(shape, lo, hi):
+    """Fixed directions (lo = hi), zero or not, and an empty direction behind
+    one give the stride-sum positions; the empty cases give no position."""
+    want = _stride_sum_offsets(shape, lo, hi)
+    assert box_offsets(shape, lo, hi) == want
+    assert (want == []) == any(a > b for a, b in zip(lo, hi))
+
+
+def test_word_at_reads_the_row_major_letter():
+    """Word.at(cell) is the letter at the cell's stride sum, on every cell."""
+    for shape in [(0,), (4,), (2, 3), (1, 0, 2), (2, 1, 3)]:
+        w = Word(shape, tuple(range(box_size(shape))))
+        assert [w.at(cell) for cell in box_cells(shape)] == list(w.letters)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_first_overlap_row_from_stride_sums(data):
+    """The first row of the overlap of [0, l] and [q, q + l] starts at the
+    stride sums of max(q, 0) in the first box and max(-q, 0) in the second,
+    and has width l_r - |q_r| + 1: the three numbers separating_family's
+    candidate index reads without a plan."""
+    rank = data.draw(st.integers(1, 3))
+    l = tuple(data.draw(st.integers(0, 4 - rank // 3)) for _ in range(rank))
+    st_ = strides(l)
+    for q in itertools.product(*(range(-b, b + 1) for b in l)):
+        first = (sum(max(c, 0) * s for c, s in zip(q, st_)),
+                 sum(max(-c, 0) * s for c, s in zip(q, st_)))
+        width, rows = overlap_rows(l, l, q)
+        assert (rows[0], width) == (first, l[-1] - abs(q[-1]) + 1), (l, q)
 
 
 def test_render_matches_joined_names():

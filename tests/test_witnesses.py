@@ -28,6 +28,8 @@ from rankshift.core import (
     is_zero,
     join,
     neg,
+    overlap_rows,
+    rows_agree,
     sub,
     translate_reps,
     translates_agree,
@@ -548,6 +550,95 @@ def test_separating_family_recheck_sees_an_unspliced_repair(monkeypatch, fs2, gm
         with pytest.raises(WitnessSearchError) as got:
             separating_family(ts, m)
         assert str(got.value) == str(want.value), (ts.matrices, m)
+
+
+# ---------------------------------------------------------------------------
+# overlap plans taken only for compared triples, against the former family,
+# which built the plan of every (l, p) at l0 and again after each repair
+# ---------------------------------------------------------------------------
+
+def _eager_plan_separating_family(ts, m):
+    """The former separating_family: all 2|T| plans built up front and after
+    each repair, and the candidate index read off their first rows."""
+    n = ts.n_letters
+    family = witnesses._nonperiodic_words(ts, m, range(n))
+    ls = [family[0].shape]
+    translates = [q for p in translate_reps(m) for q in (p, neg(p))]
+    plans = [overlap_rows(ls[0], ls[0], q) for q in translates]
+    widths = [width for width, _ in plans]
+
+    def read(c):
+        w = family[c]
+        if w.shape != ls[-1]:
+            family[c] = w = extend_along(ts, w, ls[-1], witnesses._greedy_steps(
+                ts, w.shape, w.terminus, *ls[ls.index(w.shape) + 1:]))
+        return w
+
+    def candidates(plans):
+        firsts = [(rows[0], width) for (_, rows), width in zip(plans, widths)]
+        buckets = [{} for _ in plans]
+        for b in range(n):
+            for ((_, j), width), bucket in zip(firsts, buckets):
+                bucket.setdefault(family[b].letters[j:j + width], []).append(b)
+        return [sorted((b, k) for k, ((i, _), width) in enumerate(firsts)
+                       for b in buckets[k].get(family[a].letters[i:i + width], ()))
+                for a in range(n)]
+
+    for a, pairs in enumerate(candidates(plans)):
+        for b, k in pairs:
+            if a != b and rows_agree(read(a).letters, read(b).letters, plans[k]):
+                family[b], family[a] = witnesses.separate_translates(
+                    ts, translates[k], family[b], family[a])
+                ls.append(family[a].shape)
+                plans = [overlap_rows(ls[-1], ls[-1], q) for q in translates]
+    for c in range(n):
+        read(c)
+    for a, pairs in enumerate(candidates(plans)):
+        if family[a].origin != a:
+            raise WitnessSearchError("separating family lost an origin")
+        for b, k in pairs:
+            if rows_agree(family[a].letters, family[b].letters, plans[k]):
+                raise WitnessSearchError(
+                    f"separating family failed for letters "
+                    f"({ts.alphabet.name(a)}, {ts.alphabet.name(b)}), p={translates[k]}")
+    return ls[-1], family
+
+
+@pytest.mark.parametrize("rank, count, seed, bound", [(2, 24, 15, 1), (2, 8, 17, 2), (3, 4, 16, 1)])
+def test_separating_family_matches_the_eager_plans(rank, count, seed, bound):
+    """First rows found by stride sums, and a plan taken only for a compare,
+    give the family (or the search error text) the eager plans gave."""
+    families = 0
+    for ts in _seeded_family_inputs(rank, count, seed):
+        m = (bound,) * rank
+        try:
+            want = _eager_plan_separating_family(ts, m)
+        except WitnessSearchError as exc:
+            with pytest.raises(WitnessSearchError) as err:
+                separating_family(ts, m)
+            assert str(err.value) == str(exc), ts.matrices
+            continue
+        assert separating_family(ts, m) == want, ts.matrices
+        families += 1
+    assert families >= count // 2, families
+
+
+def test_separating_family_builds_a_plan_only_for_a_compare(monkeypatch, fs2, fs3):
+    """Each overlap_rows call is the plan of a rows_agree compare: none is
+    built up front or rebuilt after a repair, so there are no more plans
+    than compares.  fs2 at (2, 2) made 120 plans when all 24 translates'
+    plans were built at l0 and after each of its 4 repairs, for 64 compares."""
+    counts = dict.fromkeys(("overlap_rows", "rows_agree"), 0)
+    for name in counts:
+        _counting(monkeypatch, witnesses, name, counts)
+    cases = [(fs2, (2, 2)), (fs3, (1, 1, 1)), (circulant(24, [(1, 2), (8, 11)]), (1, 1))]
+    plans = []
+    for ts, m in cases:
+        counts.update(dict.fromkeys(counts, 0))
+        separating_family(ts, m)
+        assert 0 < counts["overlap_rows"] <= counts["rows_agree"], (ts.matrices, m, counts)
+        plans.append(counts["overlap_rows"])
+    assert plans[0] < 120, plans
 
 
 # ---------------------------------------------------------------------------
