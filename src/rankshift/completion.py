@@ -13,7 +13,9 @@ enumeration (:func:`iter_grid_completions`, :func:`words_of_shape`), which
 never uses the forced-fill path and therefore serves as its oracle.
 :func:`iter_grid_completions` is the package's only grid search.  It runs
 along direction 1 one slab at a time and finds the slabs that can follow a
-given slab once, as the transfer-matrix view of the subshift allows.  The (H1)
+given slab once, as the transfer-matrix view of the subshift allows; in a box
+of five or more slabs, the far half is one memoised tail per slab before it,
+so it is searched once per such slab and not once per prefix.  The (H1)
 oracle searches each shape of one or two slabs up to its bound once, appends
 slabs to build the longer ones, and decides each split from the count of its
 words and their letters along one staircase, walking its pairs for a witness
@@ -240,17 +242,22 @@ def iter_grid_completions(ts: TileSystem, shape: Shape,
     list further than it was read.  Slabs are consecutive row-major blocks
     and each list is lexicographic, so the grids and their order are those
     of the cell search on the whole box.  The lists hold one entry per
-    distinct (mask class, previous slab, slab) visited: they grow with the
-    search's work, not with the grids it yields.  In a box of one or two
-    slabs every previous slab is new and a list only adds cost, so such a
-    box is searched cell by cell.
+    distinct (mask class, previous slab, slab) visited.  In a box of one or
+    two slabs every previous slab is new and a list only adds cost, so such a
+    box is searched cell by cell.  A box of five or more slabs (m_1 >= 4)
+    takes slabs h + 1 .. m_1, h = m_1 // 2, from a tail per distinct slab h:
+    a lazily filled list, least first, of their formed values (:func:`_chains`).
+    A tail holds one formed suffix per (slab h, suffix) read, so the lists
+    grow with the search's work and the tails with the grids yielded.  In a
+    box of three or four slabs a tail's key would seldom recur, so the last
+    slab's list is a flat loop instead.
 
     ``form`` maps a row-major letter tuple to the value yielded for it.  It
     must satisfy ``form(s + t) == form(s) + form(t)`` (a tuple, a string of
     one code point per letter, comma-terminated names), so the grids are
     ``form`` of the letter tuples above.  It is applied once per slab-list
-    entry, and a grid is the sum of its slabs' formed values; a box of one or
-    two slabs applies it to each grid.
+    entry, and a grid is the sum of its slabs' formed values (a tail entry is
+    such a sum too); a box of one or two slabs applies it to each grid.
     """
     shape = check_shape(ts, shape, "shape")
     st = strides(shape)
@@ -296,23 +303,56 @@ def iter_grid_completions(ts: TileSystem, shape: Shape,
             found = memo[x][prev] = tee(map(entry, _cell_search(masks, inner)), 1)[0]
         return found.__copy__()
 
-    # iterative DFS over slabs 0 .. last - 1; the last slab is a flat loop.
-    # head[x] is the formed value of slabs 0 .. x; a grid adds the last two slabs' values
-    its = [map(entry, _cell_search(allowed[:width], inner))] + [iter(())] * (last - 1)
-    head: list = [None] * last
+    # a box of five or more slabs takes slabs top + 1 .. last from tails[slab top]
+    top, tails = (last // 2, {}) if last >= 4 else (last - 1, None)
+
+    def tail(s: tuple[int, ...]) -> Iterator[T]:
+        found = tails.get(s)
+        if found is None:
+            found = tails[s] = tee(_chains(slabs, top + 1, last, s), 1)[0]
+        return found.__copy__()
+
+    # iterative DFS over slabs 0 .. top; the last slab, or a tail, is a flat loop.
+    # head[x] is the formed value of slabs 0 .. x; a grid adds slab top's and the rest's
+    its = [map(entry, _cell_search(allowed[:width], inner))] + [iter(())] * top
+    head: list = [None] * top
     x = 0
     while x >= 0:
         for s, f in its[x]:
-            if x + 1 < last:
+            if x < top:
                 head[x] = head[x - 1] + f if x else f
                 x += 1
                 its[x] = slabs(x, s)
                 break
             grid = head[x - 1] + f
-            for _, t in slabs(last, s):
-                yield grid + t
+            if tails is None:
+                for _, t in slabs(last, s):
+                    yield grid + t
+            else:
+                for t in tail(s):
+                    yield grid + t
         else:
             x -= 1
+
+
+def _chains(slabs: Callable[[int, tuple[int, ...]], Iterator[tuple[tuple[int, ...], T]]],
+            x: int, last: int, prev: tuple[int, ...]) -> Iterator[T]:
+    """The sum of the formed values of each chain of slabs x .. last after slab
+    x - 1 = prev, least first: an iterative DFS over ``slabs(y, s)``, the
+    (slab, formed value) entries that can follow slab s at y."""
+    its, acc, y = [iter(())] * (last + 1), [None] * (last + 1), x
+    its[x] = slabs(x, prev)
+    while y >= x:
+        for s, f in its[y]:
+            acc[y] = acc[y - 1] + f if y > x else f
+            if y == last:
+                yield acc[y]
+                continue
+            y += 1
+            its[y] = slabs(y, s)
+            break
+        else:
+            y -= 1
 
 
 def _cell_search(allowed: list[int], plan: list[tuple]) -> Iterator[tuple[int, ...]]:

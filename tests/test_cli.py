@@ -546,6 +546,10 @@ def enumerate_files(tmp_path_factory, fs3, gm2):
     ("gm2-redecorated", "--shape 3,1 --decorated --origin 00"),
     ("dotted", "--shape 2,1"), ("dotted", "--shape 2,2 --decorated"),
     ("dotted", "--shape 3,0 --decorated --terminus y1.0"),
+    # boxes of six to thirteen slabs: the far half of each box comes from a tail
+    ("gm", "--shape 12 --terminus 1"), ("gm2", "--shape 8,2 --origin 01"),
+    ("gm2", "--shape 6,3 --terminus 11"), ("gm2-redecorated", "--shape 6,1 --decorated"),
+    ("dotted", "--shape 6,1"), ("fs3", "--shape 5,1,1"),
     # no words, and an unknown letter (exit 2)
     ("gm2", "--shape 0,1 --origin 11 --terminus 11"), ("gm", "--shape 2 --origin 7"),
 ])
@@ -840,6 +844,9 @@ GOLDEN = [
      "6efa5eef9107c9b1083e90e91cad86da1600c2d5965923d109026ae024b35669"),
     ("enumerate gm2.json --shape 3,3 --terminus 11", 0,
      "6c3b6d1cfe28e5daa1997fced0cf97b3699ac9049738c19445dc3cff78f8d14e"),
+    # the benchmark's slowest enumerate command: ten slabs, the last five from tails
+    ("enumerate gm2.json --shape 9,9 --terminus 11", 0,
+     "fb4dfce49b1a6349aa907d9356d4500af494ae2fc53995e5c63911abbbbf0387"),
     ("bratteli gm2.json --upto 3,3 --format json", 0,
      "76047f8c43983571e82dd43d6a0dbbcf09eac700ea84ee8abf7e5be38d998971"),
     ("bratteli gm2.json --upto 3,3", 0,

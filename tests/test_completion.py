@@ -447,18 +447,31 @@ def test_sparse_grid_search_matches_reference():
     assert nonempty >= 150
 
 
+@pytest.fixture(scope="module")
+def seeded_circulant():
+    """A circulant on Z_8 that passes (H1), with 8,192 grids at (9, 1)."""
+    rng = random.Random(0)
+    n = rng.randint(5, 8)
+    ts = circulant(n, [rng.sample(range(n), 2), rng.sample(range(n), 2)])
+    assert check_h1_local(ts).ok
+    return ts
+
+
 @pytest.mark.parametrize("name,shapes", [
-    ("gm", [(0,), (1,), (2,), (5,), (12,)]),
+    ("gm", [(0,), (1,), (2,), (5,), (12,), (3,), (4,), (6,), (7,), (8,), (9,), (20,)]),
     ("jj", [(0, 3), (1, 3), (2, 3), (5, 1)]),
-    ("gm2", [(0, 4), (1, 4), (2, 4), (5, 3)]),
-    ("fs3", [(0, 1, 1), (1, 1, 1), (2, 2, 1), (5, 1, 1)]),
+    ("gm2", [(0, 4), (1, 4), (2, 4), (5, 3), *((m, 3) for m in (3, 4, 6, 7, 8, 9))]),
+    ("fs3", [(0, 1, 1), (1, 1, 1), (2, 2, 1), (5, 1, 1), (6, 1, 1)]),
+    ("seeded_circulant", [(m, 1) for m in range(10)]),
 ])
 def test_slab_search_matches_reference(name, shapes, request):
     """Whole lists, so the order too, equal the cell-by-cell reference on
-    boxes of one, two, three and six slabs along direction 1 (one-cell slabs
-    in rank 1, rows in rank 2, planes in rank 3): unplaced, with a placed
-    terminus, and with a placed word across two slabs, so that slabs differ
-    in their mask class."""
+    boxes of one to twenty-one slabs along direction 1 (one-cell slabs in rank
+    1, rows in rank 2, planes in rank 3): unplaced, with a placed terminus,
+    with a placed word across slabs h and h + 1 (h = m_1 // 2, where a box of
+    five or more slabs splits into a searched head and a memoised tail), and
+    with a placed word inside the tail, so that slabs differ in their mask
+    class."""
     ts = request.getfixturevalue(name)
     rng = random.Random(1717)
     nonempty = 0
@@ -469,7 +482,9 @@ def test_slab_search_matches_reference(name, shapes, request):
             sub = (1, *(min(1, m) for m in shape[1:]))
             word = Word(sub, rng.choice(list(_reference_grid_completions(ts, sub))))
             across = ((shape[0] // 2, *zero(ts.rank - 1)), word)
-            placements += [[across], [across, terminus]]
+            word = Word(sub, rng.choice(list(_reference_grid_completions(ts, sub))))
+            inside = ((shape[0] - 1, *(m - c for m, c in zip(shape[1:], sub[1:]))), word)
+            placements += [[across], [across, terminus], [inside]]
         for fixed in placements:
             got = list(iter_grid_completions(ts, shape, fixed))
             assert got == list(_reference_grid_completions(ts, shape, fixed)), \
@@ -556,6 +571,36 @@ def test_slab_lists_fill_only_as_far_as_read(jj, monkeypatch):
     assert next(grids) == (0,) * 52
     assert next(grids) == (0,) * 51 + (1,)
     assert len(pulled) < 10
+
+
+def test_tail_search_is_lazy(jj):
+    """Six slabs of 201 cells, 2^1206 grids: slabs 3 .. 5 come from a tail
+    that fills only as far as the search reads it, so the first grids come at
+    once."""
+    grids = iter_grid_completions(jj, (5, 200))
+    assert next(grids) == (0,) * 1206
+    assert next(grids) == (0,) * 1205 + (1,)
+
+
+def test_tails_fill_only_as_far_as_read(jj, monkeypatch):
+    """Two grids of a six-slab box read a few entries of one tail, not the
+    2^39 chains of slabs 3 .. 5 that an eagerly filled tail would hold.  The
+    count fails at its eleventh entry, so an eager tail fails this test where
+    the test above would hang."""
+    from rankshift import completion
+    chains, pulled = completion._chains, []
+
+    def counting(*args):
+        for entry in chains(*args):
+            pulled.append(entry)
+            assert len(pulled) <= 10, "a tail filled further than the search read it"
+            yield entry
+
+    monkeypatch.setattr(completion, "_chains", counting)
+    grids = iter_grid_completions(jj, (5, 12))
+    assert next(grids) == (0,) * 78
+    assert next(grids) == (0,) * 77 + (1,)
+    assert 0 < len(pulled) < 10
 
 
 def _random_word_from(ts, rng, origin):
