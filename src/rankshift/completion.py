@@ -11,11 +11,13 @@ so do the witness words, one box per word along its factors' staircases.
 Independently of any of that, this module also provides brute-force grid
 enumeration (:func:`iter_grid_completions`, :func:`words_of_shape`), which
 never uses the forced-fill path and therefore serves as its oracle.
-:func:`iter_grid_completions` is the package's only grid search.  It runs
-along direction 1 one slab at a time and finds the slabs that can follow a
-given slab once, as the transfer-matrix view of the subshift allows; in a box
-of five or more slabs, the far half is one memoised tail per slab before it,
-so it is searched once per such slab and not once per prefix.  The (H1)
+:func:`iter_grid_completions` is the package's only grid search: one walk
+over chains of slabs along direction 1 (:func:`_chains`), which finds the
+slabs that can follow a given slab once, as the transfer-matrix view of the
+subshift allows; in a box of five or more slabs, the far half is one
+memoised tail per slab before it, walked the same way, so it is searched once
+per such slab and not once per prefix.  It checks its arguments when called
+and returns a generator on every path.  The (H1)
 oracle searches each shape of one or two slabs up to its bound once, appends
 slabs to build the longer ones, and decides each split from the count of its
 words and their letters along one staircase, walking its pairs for a witness
@@ -235,22 +237,22 @@ def iter_grid_completions(ts: TileSystem, shape: Shape,
     nothing.
 
     A box of three or more slabs x_1 = 0, ..., m_1 is searched one slab at a
-    time.  The slabs that can stand at x_1 = x + 1 depend only on slab x and
-    on the allowed masks there (the slab's mask class), so the cell search
-    runs once per such pair and a lazily filled list keeps its slabs: a
-    visit past the list's end pulls the next one, so an early exit fills no
-    list further than it was read.  Slabs are consecutive row-major blocks
-    and each list is lexicographic, so the grids and their order are those
-    of the cell search on the whole box.  The lists hold one entry per
-    distinct (mask class, previous slab, slab) visited.  In a box of one or
-    two slabs every previous slab is new and a list only adds cost, so such a
-    box is searched cell by cell.  A box of five or more slabs (m_1 >= 4)
-    takes slabs h + 1 .. m_1, h = m_1 // 2, from a tail per distinct slab h:
-    a lazily filled list, least first, of their formed values (:func:`_chains`).
-    A tail holds one formed suffix per (slab h, suffix) read, so the lists
-    grow with the search's work and the tails with the grids yielded.  In a
-    box of three or four slabs a tail's key would seldom recur, so the last
-    slab's list is a flat loop instead.
+    time by one walk, :func:`_chains`.  The slabs that can stand at x_1 = x + 1
+    depend only on slab x and on the allowed masks there (the slab's mask
+    class), so the cell search runs once per such pair and a lazily filled
+    list keeps its slabs: a visit past the list's end pulls the next one, so
+    an early exit fills no list further than it was read.  Slabs are
+    consecutive row-major blocks and each list is lexicographic, so the grids
+    and their order are those of the cell search on the whole box.  The lists
+    hold one entry per distinct (mask class, previous slab, slab) visited.  In
+    a box of one or two slabs every previous slab is new and a list only adds
+    cost, so such a box is searched cell by cell.  A box of five or more slabs
+    (m_1 >= 4) takes slabs h + 1 .. m_1, h = m_1 // 2, from a tail per
+    distinct slab h: a lazily filled list, least first, of their formed
+    values, walked by the same :func:`_chains`.  A tail holds one formed suffix
+    per (slab h, suffix) read, so the lists grow with the search's work and
+    the tails with the grids yielded.  In a box of three or four slabs a
+    tail's key would seldom recur, so the walk runs to slab m_1 with no tail.
 
     ``form`` maps a row-major letter tuple to the value yielded for it.  It
     must satisfy ``form(s + t) == form(s) + form(t)`` (a tuple, a string of
@@ -258,6 +260,11 @@ def iter_grid_completions(ts: TileSystem, shape: Shape,
     ``form`` of the letter tuples above.  It is applied once per slab-list
     entry, and a grid is the sum of its slabs' formed values (a tail entry is
     such a sum too); a box of one or two slabs applies it to each grid.
+
+    The arguments are checked when the function is called, before any grid
+    is read.  Every box returns a generator, which a caller may ``close()``;
+    the function is not one itself, as a ``yield from`` the walk costs each
+    grid a frame switch.
     """
     shape = check_shape(ts, shape, "shape")
     st = strides(shape)
@@ -280,8 +287,7 @@ def iter_grid_completions(ts: TileSystem, shape: Shape,
                 allowed[p] &= sum(1 << a for a, m in enumerate(masks) if m & allowed[i])
     last = shape[0]
     if last < 2:
-        yield from map(form, _cell_search(allowed, plan))
-        return
+        return (form(g) for g in _cell_search(allowed, plan))
     width, succ_1 = st[0], succ[0]
     # slab 0's plan holds exactly the constraints inside a slab, by index
     inner = plan[:width]
@@ -303,54 +309,45 @@ def iter_grid_completions(ts: TileSystem, shape: Shape,
             found = memo[x][prev] = tee(map(entry, _cell_search(masks, inner)), 1)[0]
         return found.__copy__()
 
-    # a box of five or more slabs takes slabs top + 1 .. last from tails[slab top]
-    top, tails = (last // 2, {}) if last >= 4 else (last - 1, None)
+    first = map(entry, _cell_search(allowed[:width], inner))
+    if last < 4:
+        return _chains(slabs, first, 0, last)
+    h, tails = last // 2, {}
 
     def tail(s: tuple[int, ...]) -> Iterator[T]:
         found = tails.get(s)
         if found is None:
-            found = tails[s] = tee(_chains(slabs, top + 1, last, s), 1)[0]
+            found = tails[s] = tee(_chains(slabs, slabs(h + 1, s), h + 1, last), 1)[0]
         return found.__copy__()
 
-    # iterative DFS over slabs 0 .. top; the last slab, or a tail, is a flat loop.
-    # head[x] is the formed value of slabs 0 .. x; a grid adds slab top's and the rest's
-    its = [map(entry, _cell_search(allowed[:width], inner))] + [iter(())] * top
-    head: list = [None] * top
-    x = 0
-    while x >= 0:
-        for s, f in its[x]:
-            if x < top:
-                head[x] = head[x - 1] + f if x else f
-                x += 1
-                its[x] = slabs(x, s)
-                break
-            grid = head[x - 1] + f
-            if tails is None:
-                for _, t in slabs(last, s):
-                    yield grid + t
-            else:
-                for t in tail(s):
-                    yield grid + t
-        else:
-            x -= 1
+    return _chains(slabs, first, 0, h, tail)
 
 
 def _chains(slabs: Callable[[int, tuple[int, ...]], Iterator[tuple[tuple[int, ...], T]]],
-            x: int, last: int, prev: tuple[int, ...]) -> Iterator[T]:
-    """The sum of the formed values of each chain of slabs x .. last after slab
-    x - 1 = prev, least first: an iterative DFS over ``slabs(y, s)``, the
-    (slab, formed value) entries that can follow slab s at y."""
-    its, acc, y = [iter(())] * (last + 1), [None] * (last + 1), x
-    its[x] = slabs(x, prev)
+            first: Iterator[tuple[tuple[int, ...], T]], x: int, last: int,
+            tail: Callable[[tuple[int, ...]], Iterator[T]] | None = None) -> Iterator[T]:
+    """The summed formed values of each chain of slabs x .. last, least first:
+    slab x from the (slab, formed value) entries ``first``, slab y > x from
+    ``slabs(y, s)`` after slab s, and, with a ``tail``, every value of
+    ``tail(r)`` after each slab-``last`` entry r; x < last.  The grid search's
+    one walk over slabs: an iterative DFS to slab last - 1, then a flat loop."""
+    its, acc, y = [first] * last, [None] * last, x
     while y >= x:
         for s, f in its[y]:
             acc[y] = acc[y - 1] + f if y > x else f
-            if y == last:
-                yield acc[y]
-                continue
-            y += 1
-            its[y] = slabs(y, s)
-            break
+            if y < last - 1:
+                y += 1
+                its[y] = slabs(y, s)
+                break
+            grid = acc[y]
+            if tail is None:
+                for _, g in slabs(last, s):
+                    yield grid + g
+            else:
+                for r, g in slabs(last, s):
+                    g = grid + g
+                    for t in tail(r):
+                        yield g + t
         else:
             y -= 1
 

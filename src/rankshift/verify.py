@@ -463,8 +463,8 @@ def _first_nonperiodic(ts: TileSystem, ps: list[Translate]) -> dict[Translate, W
 def _h3_bounds(ts: TileSystem, p_bound: Shape) -> Shape:
     """The p bound of a bounded (H3) search, checked; see :func:`check_h3_bounded`."""
     p_bound = check_shape(ts, p_bound, "p bound")
-    if not any(p_bound):
-        raise ValueError(f"p bound {p_bound} admits no translate p != 0")
+    check_floor(max(p_bound), 1, f"p bound {p_bound} admits no translate p != 0; "
+                                 f"its largest component")
     return p_bound
 
 

@@ -279,6 +279,16 @@ def test_iter_grid_completions_rejects_bad_input(gm2):
             next(iter_grid_completions(gm2, (1, 1), [(k, u)]))
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (3, 1), (5, 1)], ids=str)
+def test_iter_grid_completions_checks_when_called(gm2, shape):
+    """A bad shape or placement raises at the call, before any ``next``, on
+    boxes searched cell by cell, by the slab walk and with tails."""
+    with pytest.raises(ValueError, match="negative"):
+        iter_grid_completions(gm2, (shape[0], -1))
+    with pytest.raises(ValueError, match="outside"):
+        iter_grid_completions(gm2, shape, [((shape[0] + 1, 0), letter_word(2, 0))])
+
+
 def _brute_grids(ts, shape, placed):
     """Every letter grid on [0, shape], filtered by the matrices and placements."""
     cells = list(itertools.product(*(range(m + 1) for m in shape)))
@@ -459,7 +469,7 @@ def seeded_circulant():
 
 @pytest.mark.parametrize("name,shapes", [
     ("gm", [(0,), (1,), (2,), (5,), (12,), (3,), (4,), (6,), (7,), (8,), (9,), (20,)]),
-    ("jj", [(0, 3), (1, 3), (2, 3), (5, 1)]),
+    ("jj", [(0, 3), (1, 3), (2, 3), (3, 2), (5, 1)]),
     ("gm2", [(0, 4), (1, 4), (2, 4), (5, 3), *((m, 3) for m in (3, 4, 6, 7, 8, 9))]),
     ("fs3", [(0, 1, 1), (1, 1, 1), (2, 2, 1), (5, 1, 1), (6, 1, 1)]),
     ("seeded_circulant", [(m, 1) for m in range(10)]),
@@ -585,8 +595,9 @@ def test_tail_search_is_lazy(jj):
 def test_tails_fill_only_as_far_as_read(jj, monkeypatch):
     """Two grids of a six-slab box read a few entries of one tail, not the
     2^39 chains of slabs 3 .. 5 that an eagerly filled tail would hold.  The
-    count fails at its eleventh entry, so an eager tail fails this test where
-    the test above would hang."""
+    count covers every ``_chains`` walk, the head's (slabs 0 .. 2) as well as
+    the tail's, and keeps its bound of 10: it fails at its eleventh entry, so
+    an eager tail fails this test where the test above would hang."""
     from rankshift import completion
     chains, pulled = completion._chains, []
 
