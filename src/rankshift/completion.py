@@ -5,8 +5,11 @@ Under the local conditions (H1a)-(H1c) -- checked by
 layer at a time: the new far corner is chosen among allowed successors and
 every other new cell is forced by a commuting-square constraint.  The one
 kernel, :func:`extend_along`, fills a whole staircase of such layers in a
-single box; unit extension, staircase words and the product all call it, and
-so do the witness words, one box per word along its factors' staircases.
+single box, the word's own [0, target] with no padding layer, each layer
+walked in rows along the last other direction so that no unfilled cell is
+read, and the filled box is the word; unit extension, staircase words and the
+product all call it, and so do the witness words, one box per word along its
+factors' staircases.
 
 Independently of any of that, this module also provides brute-force grid
 enumeration (:func:`iter_grid_completions`, :func:`words_of_shape`), which
@@ -73,31 +76,35 @@ def extend_along(ts: TileSystem, w: Word, target: Shape,
 
     Step (j, a) of ``steps`` requires M_j(a, t) = 1 for the current terminus
     t and adds one unit layer in direction j with terminus a.  Steps are read
-    lazily, one per layer, and must end exactly at target.  The box
-    [0, target + 1] is allocated once; each layer is filled in place from its
-    far corner back, every cell forced by its filled neighbours, and a cell
-    with no letter or more than one raises :class:`CompletionError` (the
-    system violates (H1)).  A cell not filled holds the letter n, whose
-    predecessor mask allows every letter, so each neighbour x + e_k is one
-    test.  A layer in direction j is the cross-section x_j = 0 of the filled
-    box, shifted; it is rebuilt only when another direction has grown.
+    lazily, one per layer, and must end exactly at target.  The box [0, target]
+    is allocated once, with no padding, and the filled box is the word.  Each
+    layer is filled in place from its far corner back, every cell forced by
+    its filled neighbours, and a cell with no letter or more than one raises
+    :class:`CompletionError` (the system violates (H1)).  A layer in direction
+    j is walked in rows along l, the last other direction, far row and far
+    cell first, the mask of the filled x + e_l carried from the cell before;
+    rows are built once per run of steps in one direction and read no unfilled
+    cell.
     """
     target = check_shape(ts, target, "target")
     if not dominates(target, w.shape):
         raise ValueError(f"target {target} does not dominate shape {w.shape}")
-    rank, n = ts.rank, ts.n_letters
-    box = tuple(c + 1 for c in target)
-    st = strides(box)
-    letters = [n] * box_size(box)
-    width = w.shape[-1] + 1
-    for k, i in enumerate(box_offsets(box, zero(rank), (*w.shape[:-1], 0))):
+    rank, n, resolve = ts.rank, ts.n_letters, ts.alphabet.resolve
+    st = strides(target)
+    letters = [0] * box_size(target)
+    # w in blocks: one per cell of its directions before the last that target widens
+    d = max([k for k in range(rank) if w.shape[k] != target[k]], default=0)
+    starts = box_offsets(target, zero(rank), [c if k < d else 0 for k, c in enumerate(w.shape)])
+    width = len(w.letters) // len(starts)
+    for k, i in enumerate(starts):
         letters[i:i + width] = w.letters[k * width:(k + 1) * width]
     full = (1 << n) - 1
     succ = [ts.successor_masks(j) for j in range(1, rank + 1)]
-    pred = [(*ts.predecessor_masks(k), full) for k in range(1, rank + 1)]
+    pred = [ts.predecessor_masks(k) for k in range(1, rank + 1)]
     shape, t, last = list(w.shape), w.terminus, 0
     for j, a in steps:
         check_direction(rank, j)
+        a = resolve(a)
         if not ts.transition(j, t, a):
             raise TransitionError(
                 f"M_{j}({ts.alphabet.name(a)}, {ts.alphabet.name(t)}) = 0: "
@@ -105,35 +112,37 @@ def extend_along(ts: TileSystem, w: Word, target: Shape,
         if shape[j - 1] == target[j - 1]:
             raise ValueError(f"a step in direction {j} leaves the target {target}")
         if j != last:
-            last, sj, succ_j = j, st[j - 1], succ[j - 1]
-            # far corner first: the section's offsets in reverse row-major order
-            section = box_offsets(box, zero(rank), [0 if k == j - 1 else c
-                                                    for k, c in enumerate(shape)])
-            section.reverse()
-            others = [(pred[k], st[k]) for k in range(rank) if k != j - 1]
+            # rows along l, the last direction other than j (rank 1: one cell), as
+            # (far end, one past the near end, (pred_k, s_k) of each filled x + e_k)
+            l = rank - 1 if j < rank else rank - 2
+            last, sj, succ_j, sl, pred_l = j, st[j - 1], succ[j - 1], st[l], pred[l]
+            rows = [(shape[l] * sl if rank > 1 else 0, -sl, ())]
+            for k in range(rank):
+                if k != j - 1 and k != l:
+                    sk = st[k]
+                    rows = [(hi + x * sk, lo + x * sk,
+                             others + ((pred[k], sk),) if x < shape[k] else others)
+                            for hi, lo, others in rows for x in range(shape[k], -1, -1)]
         shape[j - 1] += 1
-        base, want = shape[j - 1] * sj, 1 << a
-        for o in section:
-            i = base + o
-            mask = succ_j[letters[i - sj]] & want
-            want = full
-            for pred_k, sk in others:
-                mask &= pred_k[letters[i + sk]]
-            if mask == 0 or mask & (mask - 1):
-                x = tuple(i // s % (c + 1) for s, c in zip(st, box))
-                cands = [b for b in range(n) if mask >> b & 1]
-                raise CompletionError(
-                    f"cell {x}: {len(cands)} consistent letters while extending in "
-                    f"direction {j}; the system violates (H1)", cell=x, candidates=cands)
-            letters[i] = mask.bit_length() - 1
+        base, nb = shape[j - 1] * sj, 1 << a
+        for hi, lo, others in rows:
+            for i in range(base + hi, base + lo, -sl):
+                mask = succ_j[letters[i - sj]] & nb
+                for pred_k, sk in others:
+                    mask &= pred_k[letters[i + sk]]
+                if mask == 0 or mask & (mask - 1):
+                    x = tuple(i // s % (c + 1) for s, c in zip(st, target))
+                    cands = [b for b in range(n) if mask >> b & 1]
+                    raise CompletionError(
+                        f"cell {x}: {len(cands)} consistent letters while extending in "
+                        f"direction {j}; the system violates (H1)", cell=x, candidates=cands)
+                c = letters[i] = mask.bit_length() - 1
+                nb = pred_l[c]
+            nb = full
         t = a
     if tuple(shape) != target:
         raise ValueError(f"the steps end at {tuple(shape)}, not at the target {target}")
-    width = target[-1] + 1
-    out: list[int] = []
-    for i in box_offsets(box, zero(rank), (*target[:-1], 0)):
-        out += letters[i:i + width]
-    return Word(target, tuple(out))
+    return Word(target, tuple(letters))
 
 
 def extend_unit(ts: TileSystem, w: Word, j: int, a: int) -> Word:
@@ -150,10 +159,11 @@ def word_from_path(ts: TileSystem, a0: int, steps: Sequence[tuple[int, int]]) ->
     passing through every staircase value.  The index of the first invalid
     step is reported on failure.
     """
-    prev = a0
+    prev = a0 = ts.alphabet.resolve(a0)
     target = list(zero(ts.rank))
     for i, (j, a) in enumerate(steps):
         check_direction(ts.rank, j, f"step {i}: direction")
+        a = ts.alphabet.resolve(a)
         if not ts.transition(j, prev, a):
             raise TransitionError(
                 f"step {i}: M_{j}({ts.alphabet.name(a)}, {ts.alphabet.name(prev)}) = 0")

@@ -52,6 +52,7 @@ def connect(ts: TileSystem, a: int, b: int, n_min: Shape) -> Word:
     """A word w with o(w) = a, t(w) = b and shape(w) >= n_min, through the
     steps of :func:`_connect_steps`, which the witness words fill in place."""
     n_min = check_shape(ts, n_min, "minimum shape")
+    a, b = ts.alphabet.resolve(a), ts.alphabet.resolve(b)
     return word_from_path(ts, a, _connect_steps(ts, a, b, n_min))
 
 
@@ -154,6 +155,7 @@ def nonperiodic_all(ts: TileSystem, m: Shape, a: int) -> Word:
     a non-p-periodic sub-box is non-p-periodic.  m = 0 gives the letter word.
     The word is one fill, with no greedy step (see :func:`_nonperiodic_words`).
     """
+    a = ts.alphabet.resolve(a)
     return _nonperiodic_words(ts, m, [a])[a]
 
 

@@ -780,6 +780,89 @@ def test_forced_fill_matches_unit_at_a_time():
     assert min(seen.values()) >= 20, seen
 
 
+def _unit_extend_along(ts, w, target, steps, failed):
+    """extend_along one unit layer at a time; ``failed`` gets the shape of the
+    layer whose fill raised CompletionError."""
+    if not dominates(target, w.shape):
+        raise ValueError(f"target {target} does not dominate shape {w.shape}")
+    for j, a in steps:
+        if (1 <= j <= ts.rank and ts.transition(j, w.terminus, a)
+                and w.shape[j - 1] == target[j - 1]):
+            raise ValueError(f"a step in direction {j} leaves the target {target}")
+        try:
+            w = _unit_extend(ts, w, j, a)
+        except CompletionError:
+            failed.append((j, add(w.shape, unit(ts.rank, j))))
+            raise
+    if w.shape != target:
+        raise ValueError(f"the steps end at {w.shape}, not at the target {target}")
+    return w
+
+
+def test_row_walk_matches_unit_at_a_time():
+    """extend_along's row walk gives the word, or the error (type, message,
+    cell, candidates), of unit-at-a-time filling in ranks 1-4: from words
+    narrower than the target in no direction, only in direction 1, only in
+    the last or in several (every block of the copy-in), along greedy steps
+    and along alternating staircases whose every step turns.  (H1)-failing
+    systems of rank 3 and 4 fail at cells whose x + e_k is unfilled for some
+    k other than the row direction l, away from the layer's far corner."""
+    rng = random.Random(2024)
+    seen = {"word": 0, "no letter": 0, "two letters": 0, "TransitionError": 0,
+            "ValueError": 0, "alternating word": 0, "far face": 0}
+    blocks = set()
+    for _ in range(1500):
+        rank = rng.randint(1, 4)
+        if rng.random() < 0.5:
+            ts = random_system(rng, rng.randint(2, 3), rank, rng.choice([0.5, 0.8]))
+        else:
+            ts = tensor([random_system(rng, rng.randint(1, 3), 1, 0.7) for _ in range(rank)])
+        u = _some_word(ts, rng, tuple(rng.randint(0, 2 if rank < 3 else 1) for _ in range(rank)))
+        if u is None:
+            continue
+        assert extend_along(ts, u, u.shape, []) == u
+        mode = rng.choice(["none", "first", "last", "several", "alternating"])
+        grow = [0] * rank
+        if mode == "first":
+            grow[0] = rng.randint(1, 3)
+        elif mode == "last":
+            grow[-1] = rng.randint(1, 3)
+        elif mode == "several":
+            for k in rng.sample(range(rank), rng.randint(min(2, rank), rank)):
+                grow[k] = rng.randint(1, 3)
+        elif mode == "alternating":
+            grow = [rng.randint(2, 4)] * rank
+        target = add(u.shape, grow)
+        widened = [k for k in range(rank) if grow[k]]
+        blocks.add((rank, widened[-1] if widened else None))
+        # greedy steps from the current terminus, or one turn per step
+        todo = [j for k in range(max(grow)) for j in range(1, rank + 1) if k < grow[j - 1]]
+        if mode != "alternating":
+            rng.shuffle(todo)
+        steps, t = [], u.terminus
+        for j in todo + ([rng.randint(1, rank)] if rng.random() < 0.05 else []):
+            t = rng.choice(ts.successors(j, t) or [rng.randrange(ts.n_letters)])
+            steps.append((j, t))
+        failed = []
+        got = _outcome(extend_along, ts, u, target, steps)
+        assert got == _outcome(_unit_extend_along, ts, u, target, steps, failed), (
+            ts.matrices, u, target, steps)
+        if isinstance(got, Word):
+            seen["alternating word" if mode == "alternating" and rank > 1 else "word"] += 1
+        elif got[0] is CompletionError:
+            seen["two letters" if got[3] else "no letter"] += 1
+            j, shape = failed[-1]
+            l = rank - 1 if j < rank else rank - 2
+            x = got[2]
+            if rank >= 3 and x != shape and any(
+                    x[k] == shape[k] for k in range(rank) if k not in (j - 1, l)):
+                seen["far face"] += 1
+        else:
+            seen[got[0].__name__] += 1
+    assert blocks == {(r, d) for r in range(1, 5) for d in [None, *range(r)]}, blocks
+    assert min(seen.values()) >= 20, seen
+
+
 def test_early_layer_error_comes_before_a_later_dead_step():
     """Steps are read lazily: the first layer's ambiguous fill is reported, not
     the second step's missing successor, which an eager walk would meet first."""

@@ -10,6 +10,7 @@ from rankshift import (
     DecorationMap,
     InvalidWordError,
     TileSystem,
+    UnknownLetterError,
     Word,
     full_shift,
     is_periodic,
@@ -616,6 +617,31 @@ def test_direction_arguments_are_checked(fs2, name, j):
     message = re.escape(f"{step}direction {j} out of range 1..{fs2.rank}")
     with pytest.raises(ValueError, match=f"^{message}$"):
         _DIRECTION_ARGUMENTS[name](fs2, j)
+
+
+_LETTER_ARGUMENTS = {
+    "word_from_path origin": lambda ts, a: word_from_path(ts, a, []),
+    "word_from_path step": lambda ts, a: word_from_path(ts, 0, [(1, 0), (2, a)]),
+    "extend_unit": lambda ts, a: extend_unit(ts, letter_word(ts.rank, 0), 1, a),
+    "extend_along step": lambda ts, a: extend_along(ts, letter_word(ts.rank, 0), (1, 1),
+                                                    [(1, 0), (2, a)]),
+    "connect a": lambda ts, a: connect(ts, a, 3, (1, 1)),
+    "connect b": lambda ts, a: connect(ts, 0, a, (1, 1)),
+    "nonperiodic_all": lambda ts, a: nonperiodic_all(ts, (1, 1), a),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LETTER_ARGUMENTS))
+@pytest.mark.parametrize("a", [-1, 4, True, 1.0])
+def test_letter_arguments_are_checked(gm2, name, a):
+    """Every letter argument goes through ``Alphabet.resolve``: -1, the
+    alphabet's size, a bool or a float equal to a letter raises its
+    UnknownLetterError, not a word holding it, a wrapped letter's error or a
+    bare IndexError."""
+    assert gm2.n_letters == 4
+    message = re.escape(f"letter index {a!r} out of range")
+    with pytest.raises(UnknownLetterError, match=f"^{message}$"):
+        _LETTER_ARGUMENTS[name](gm2, a)
 
 
 _SHAPE_ARGUMENTS = {
