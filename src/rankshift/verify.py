@@ -187,15 +187,35 @@ def _code_points(letters: tuple[int, ...]) -> str:
 
 
 def _slab_step(grids_of: dict[Shape, list[str]], total: Shape) -> list[str]:
-    """The grids of total = (m_1, c), m_1 >= 2, in order: each grid of (m_1 - 1, c)
-    followed by the second slab of each grid of (1, c) that starts with its last slab."""
-    m1, *c = total
-    size, links = box_size((0, *c)), grids_of[(1, *c)]
-    ranges: dict[str, list[int]] = {}
-    for i, h in enumerate(links):  # sorted, so links sharing a first slab are a run
-        ranges.setdefault(h[:size], [i, i])[1] = i + 1
-    return [g + h[size:] for g in grids_of[(m1 - 1, *c)]
-            for h in links[slice(*ranges.get(g[-size:], (0, 0)))]]
+    """The grids of total, in order, k the first direction with m_k >= 2: each grid
+    of total - e_k followed by the second slab along k of each grid of total with
+    m_k = 1 that starts with its last slab.  Every two adjacent cells lie in one of
+    the two boxes, so these are exactly the grids.  The cells of [0, (m_1..m_{k-1})]
+    cut a grid into row-major blocks, each with its slabs along k in a run; with
+    one block the joins are in order, and with more they are interleaved and
+    sorted, as one code point per letter makes string order the search's order."""
+    k = next(k for k, m in enumerate(total) if m >= 2)
+    size, blocks = box_size(total[k + 1:]), box_size(total[:k])
+    links = grids_of[(*total[:k], 1, *total[k + 1:])]
+    shorter = grids_of[(*total[:k], total[k] - 1, *total[k + 1:])]
+    if blocks == 1:
+        ranges: dict[str, list[int]] = {}
+        for i, h in enumerate(links):  # sorted, so links sharing a first slab are a run
+            ranges.setdefault(h[:size], [i, i])[1] = i + 1
+        return [g + h[size:] for g in shorter
+                for h in links[slice(*ranges.get(g[-size:], (0, 0)))]]
+    g_run, h_run = total[k] * size, 2 * size  # the length of one block of each
+    g_blocks = [slice(b, b + g_run) for b in range(0, g_run * blocks, g_run)]
+    h_seconds = [slice(b + size, b + h_run) for b in range(0, h_run * blocks, h_run)]
+    by_first: dict[str, list[str]] = {}
+    for h in links:
+        by_first.setdefault("".join([h[s.start - size:s.start] for s in h_seconds]),
+                            []).append(h)
+    grids = [
+        "".join([g[s] + h[t] for s, t in zip(g_blocks, h_seconds)]) for g in shorter
+        for h in by_first.get("".join([g[s.stop - size:s.stop] for s in g_blocks]), ())]
+    grids.sort()
+    return grids
 
 
 def check_h1_oracle(ts: TileSystem, shape_bound: Shape) -> CheckResult:
@@ -204,21 +224,24 @@ def check_h1_oracle(ts: TileSystem, shape_bound: Shape) -> CheckResult:
     For every shape total <= shape_bound and every split total = m + n, the
     restriction w -> (w|[0,m], w|[m,total]) must be a bijection from the
     words of shape total onto the composable pairs (u, v) of shapes m and n.
-    Each shape is enumerated once, grade first, by grid search if m_1 <= 1.
-    A grid of (m_1, c), c the other components, is m_1 + 1 row-major slabs,
-    valid iff every two in a row form a grid of (1, c): :func:`_slab_step`
-    builds it from the grids held of (m_1 - 1, c) and (1, c), of lower grade,
-    in the search's lexicographic order.  A
-    split passes when its words number sum_c #(u ending at c) * #(v starting
-    at c), the count of composable pairs, and differ on the staircase
-    0 -> m -> total; its cells lie in [0,m] and [m,total], so the restriction
-    pairs differ too, and a staircase that passes settles every split it
-    goes through.  A repeat there fails the split: the first failing split
-    ends the run, so by induction on grade every word of a smaller shape is
-    fixed by its letters on any staircase through it, and two words agreeing
-    on 0 -> m -> total agree on w|[0,m] and w|[m,total].  A failing split
-    walks its pairs in canonical order; the first with no extension, or with
-    two, is the witness.
+    Each shape is enumerated once, grade first: by grid search if it lies in
+    {0,1}^r, else by :func:`_slab_step` from the grids held of two shapes of
+    lower grade, in the search's lexicographic order.  A split passes when
+    its words number sum_c #(u ending at c) * #(v starting at c), the count of
+    composable pairs, and differ on a staircase 0 -> m -> total; its cells lie
+    in [0,m] and [m,total], so the restriction pairs differ too.  A repeat
+    there fails the split: the first failing split ends the run, so by
+    induction on grade every word of a smaller shape is fixed by its letters
+    on any staircase through it, and two words agreeing on 0 -> m -> total
+    agree on w|[0,m] and w|[m,total].  So one staircase, that of the first
+    split whose counts match, is tested per shape, and settles every split.
+    Any two staircases 0 -> total are joined by square flips, and a flip at x
+    in directions i and j lies in [0, x + e_i + e_j] or in [x, total], a box
+    of smaller shape unless total = e_i + e_j; the words of that box are
+    fixed by the part of either staircase inside it, so words that differ on
+    one staircase differ on the other.  A shape e_i + e_j tests both of its
+    staircases.  A failing split walks its pairs in canonical order; the
+    first with no extension, or with two, is the witness.
     Splits where u or v has shape 0 are trivial (the extension is the other
     word) and are skipped, so a bound of grade below 2 checks nothing and
     raises :class:`ValueError`, as does a bad rank or a negative component.
@@ -237,25 +260,26 @@ def check_h1_oracle(ts: TileSystem, shape_bound: Shape) -> CheckResult:
         return _word_json(ts, Word(shape, tuple(map(ord, text))))
 
     for total in shapes_upto(shape_bound):
-        if total[0] < 2:
+        if max(total) < 2:
             grids = list(iter_grid_completions(ts, total, form=_code_points))
         else:
             grids = _slab_step(grids_of, total)
         grids_of[total] = grids
         starts[total] = Counter(w[0] for w in grids)
         ends[total] = Counter(w[-1] for w in grids)
-        settled = set()  # positions on a staircase with distinct letters
-        for i, m in enumerate(box_cells(total)):
+        both = sum(total) == 2 and max(total) == 1  # total = e_i + e_j
+        distinct = None  # whether the words differ on the staircase tested
+        for m in box_cells(total):
             if not 0 < sum(m) < sum(total):
                 continue
             n = sub(total, m)
             composable = sum(k * starts[n][c] for c, k in ends[m].items())
-            if composable == len(grids) and i not in settled:
-                stair = [0, *(x for _, x in staircase_offsets(total, (m, total)))]
-                if len(set(map(itemgetter(*stair), grids))) == len(grids):
-                    settled.update(stair)
-            if composable == len(grids) and i in settled:
-                continue
+            if composable == len(grids):
+                if distinct is None or both:
+                    stair = itemgetter(0, *(x for _, x in staircase_offsets(total, (m, total))))
+                    distinct = len({"".join(stair(w)) for w in grids}) == len(grids)
+                if distinct:
+                    continue
             pair_of = itemgetter(*box_offsets(total, zero(ts.rank), m),
                                  *box_offsets(total, m, total))
             extensions: dict[str, list[str]] = {}

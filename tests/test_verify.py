@@ -11,7 +11,8 @@ import pytest
 from rankshift import (Alphabet, TileSystem, WitnessSearchError, load_system, tensor,
                        validate_word, verify)
 from rankshift.builders import from_rank1, random_system
-from rankshift.completion import iter_grid_completions, word_from_path, words_of_shape
+from rankshift.completion import (iter_grid_completions, staircase_offsets,
+                                  word_from_path, words_of_shape)
 from rankshift.core import (
     absv,
     box_cells,
@@ -280,7 +281,7 @@ def test_h1_oracle_matches_per_pair_search():
     assert kinds.count(0) >= 20 and kinds.count(">=2") >= 20
 
 
-def test_h1_oracle_searches_each_shape_with_m1_at_most_1_once(monkeypatch, fs3, gm):
+def test_h1_oracle_searches_each_shape_in_0_1_r_once(monkeypatch, fs3, gm):
     searched = []
 
     def counting(ts, shape, fixed=(), form=tuple):
@@ -289,11 +290,27 @@ def test_h1_oracle_searches_each_shape_with_m1_at_most_1_once(monkeypatch, fs3, 
 
     monkeypatch.setattr(verify, "iter_grid_completions", counting)
     assert check_h1_oracle(fs3, (2, 2, 2)).status is Status.PASS
-    assert searched == [s for s in shapes_upto((2, 2, 2)) if s[0] <= 1]
-    assert len(searched) == 18
+    assert searched == shapes_upto((1, 1, 1))
+    assert len(searched) == 8
     searched.clear()
     assert check_h1_oracle(gm, (6,)).status is Status.PASS
     assert searched == [(0,), (1,)]
+
+
+def test_h1_oracle_tests_one_staircase_per_shape(monkeypatch, fs3):
+    """One staircase per shape of grade >= 3 or 2e_i, and one per split of each
+    e_i + e_j: 17 + 3 + 2 * 3 on fs3 at (2,2,2), where every shape passes."""
+    calls = []
+
+    def counting(shape, corners):
+        calls.append(tuple(shape))
+        return staircase_offsets(shape, corners)
+
+    monkeypatch.setattr(verify, "staircase_offsets", counting)
+    assert check_h1_oracle(fs3, (2, 2, 2)).status is Status.PASS
+    assert len(calls) == 26
+    assert Counter(calls) == {s: 1 + (sum(s) == 2 and max(s) == 1)
+                              for s in shapes_upto((2, 2, 2)) if sum(s) >= 2}
 
 
 def _slab_step_cases(fs3):
@@ -301,6 +318,9 @@ def _slab_step_cases(fs3):
                 for name, bound in [("gm2.json", (4, 2)), ("fs2.json", (4, 2)),
                                     ("gm.json", (6,))])
     yield fs3, (3, 1, 1)
+    yield fs3, (1, 2, 2)
+    yield fs3, (0, 1, 2)
+    yield fs3, (1, 1, 2)
     rng = random.Random(0x51AB)
     n = rng.randrange(5, 9)
     yield circulant(n, [rng.sample(range(n), 2), rng.sample(range(n), 2)]), (3, 2)
@@ -308,27 +328,40 @@ def _slab_step_cases(fs3):
         for _ in range(15):
             yield random_system(rng, rng.choice([2, 3]), rank,
                                 density=rng.choice([0.2, 0.4, 0.6, 0.8])), bound
+    for bound in [(1, 3), (2, 3), (1, 1, 2), (1, 2, 2)]:
+        for _ in range(8):
+            n = rng.randrange(3, 7)
+            yield circulant(n, [rng.sample(range(n), rng.randint(1, 2))
+                                for _ in bound]), bound
+            yield random_system(rng, rng.choice([2, 3]), len(bound),
+                                density=rng.choice([0.2, 0.4, 0.6, 0.8])), bound
 
 
 def test_slab_step_matches_the_grid_search(fs3):
-    """Each shape (m_1, c) with m_1 >= 2, built from the grids of (m_1 - 1, c)
-    and (1, c), is the grid search's list in the grid search's order."""
-    built = no_links = dead_ends = 0
+    """Each shape with some m_k >= 2, k the first such direction, built from the
+    grids of total - e_k and of total with m_k = 1, is the grid search's list in
+    the grid search's order; with ones before k, the slabs along k are
+    interleaved in blocks."""
+    seen = Counter()
     for ts, bound in _slab_step_cases(fs3):
         for total in shapes_upto(bound):
-            if total[0] < 2:
+            if max(total) < 2:
                 continue
-            shorter, link = (total[0] - 1, *total[1:]), (1, *total[1:])
+            k = next(k for k, m in enumerate(total) if m >= 2)
+            shorter = (*total[:k], total[k] - 1, *total[k + 1:])
+            link = (*total[:k], 1, *total[k + 1:])
             held = {s: list(iter_grid_completions(ts, s, form=_code_points))
                     for s in (shorter, link)}
             got = _slab_step(held, total)
             assert got == list(iter_grid_completions(ts, total, form=_code_points)), \
                 (ts, total)
-            built += 1
-            no_links += not held[link]
-            dead_ends += not got and bool(held[shorter])
-    assert built >= 200 and no_links >= 5 and dead_ends >= 1, \
-        (built, no_links, dead_ends)
+            blocks = "interleaved" if any(total[:k]) else "runs"
+            seen[blocks] += 1
+            seen[blocks, "no links"] += not held[link]
+            seen[blocks, "dead end"] += not got and bool(held[shorter])
+    assert seen["runs"] >= 400 and seen["interleaved"] >= 200, seen
+    assert min(seen[blocks, kind] for blocks in ("runs", "interleaved")
+               for kind in ("no links", "dead end")) >= 1, seen
 
 
 def _former_h1_oracle(ts, shape_bound):
@@ -417,7 +450,7 @@ def _cells(walk, rank):
     return cells
 
 
-def test_h1_oracle_matches_the_former_all_splits_oracle(fs3):
+def test_h1_oracle_matches_the_former_all_splits_oracle(fs3, full2, gm):
     cases = [(load_system(os.path.join(SAMPLES, name))[0], bound)
              for name in sorted(os.listdir(SAMPLES)) for bound in (2, 3)]
     cases = [(ts, (bound,) * ts.rank) for ts, bound in cases]
@@ -425,6 +458,14 @@ def test_h1_oracle_matches_the_former_all_splits_oracle(fs3):
     rng = random.Random(0xC1C)
     cases.append((circulant(7, [rng.sample(range(7), 2), rng.sample(range(7), 2)]),
                   (3, 2)))
+    # passing shapes of grade >= 3 with some m_k >= 2, one staircase each
+    cases += [(tensor([gm, full2, gm]), (2, 1, 2)), (circulant(11, [[0, 1], [0, 3]]), (3, 3)),
+              (circulant(19, [[0, 1], [0, 3], [0, 9]]), (2, 2, 1))]
+    # rank-3 circulants with a repeated sum s + t, which fail, and one whose only
+    # repeat is a sum s + t + u, which passes the oracle
+    cases += [(circulant(6, [[0, 1], [0, 1], [0, 2]]), (1, 1, 1)),
+              (circulant(9, [[0, 2], [0, 3], [1, 4]]), (1, 2, 1)),
+              (circulant(7, [[0, 1], [0, 2], [0, 3]]), (2, 1, 1))]
     n_fixed = len(cases)
     rng = random.Random(0x5EED)
     for rank, bound, sizes in [(2, (2, 2), [2, 3, 4]), (3, (1, 1, 1), [2, 3])]:
