@@ -20,17 +20,17 @@ slabs that can follow a given slab once, as the transfer-matrix view of the
 subshift allows; in a box of five or more slabs, the far half is one
 memoised tail per slab before it, walked the same way, so it is searched once
 per such slab and not once per prefix.  It checks its arguments when called
-and returns a generator on every path.  The (H1)
-oracle searches each shape of one or two slabs up to its bound once, appends
-slabs to build the longer ones, and decides each split from the count of its
-words and their letters along one staircase, walking its pairs for a witness
-only when the split fails.  The search forms each slab once, with a ``form``
-that must satisfy ``form(s + t) == form(s) + form(t)``, and builds a grid by
-adding the formed slabs, so callers that want text (the CLI's lines, the
-oracle's code-point strings) get it with no per-grid conversion; the
-projection support constrains it by placing one family member as a word on the
-window, one search per member, rather than tracking patterns inside the
-search.  Placed words are propagated backwards before the search starts, so a
+and returns a generator on every path.  The (H1) oracle grid-searches only
+its shapes in {0,1}^r, builds each shape with some m_k >= 2 from the grids
+it holds of two shapes of lower grade (``verify._slab_step``), with no
+search, and tests one staircase per shape, walking a split's pairs for a
+witness only when the split fails.  The search forms each slab once, with a
+``form`` that must satisfy ``form(s + t) == form(s) + form(t)``, and builds
+a grid by adding the formed slabs, so callers that want text (the CLI's
+lines, the oracle's code-point strings) get it with no per-grid conversion;
+the projection support constrains it by placing one family member as a word
+on the window, one search per member, rather than tracking patterns inside
+the search.  Placed words are propagated backwards before the search starts, so a
 fixed terminus prunes from the first cell.
 """
 
@@ -42,7 +42,6 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 from .core import (
     CompletionError,
     DecoratedWord,
-    DecorationMap,
     Shape,
     TileSystem,
     TransitionError,
@@ -66,7 +65,7 @@ T = TypeVar("T")
 __all__ = [
     "extend_along", "extend_unit", "word_from_path", "product", "list_extensions",
     "iter_grid_completions", "end_placements", "words_of_shape",
-    "decorated_words_of_shape", "staircase_offsets", "staircase_steps",
+    "staircase_offsets", "staircase_steps",
 ]
 
 
@@ -438,15 +437,3 @@ def words_of_shape(ts: TileSystem, shape: Shape,
     for letters in iter_grid_completions(ts, shape, fixed):
         yield Word(shape, letters)
 
-
-def decorated_words_of_shape(ts: TileSystem, dmap: DecorationMap, shape: Shape,
-                             origin: int | None = None,
-                             terminus: int | None = None) -> Iterator[DecoratedWord]:
-    """All decorated words of the given shape, word-major canonical order.
-
-    No command uses it: ``rankshift enumerate --decorated`` writes the same
-    lines from text grids.  It stays as the tests' reference enumerator."""
-    groups = dmap.by_letter(ts.n_letters)
-    for w in words_of_shape(ts, shape, origin=origin, terminus=terminus):
-        for d in groups[w.origin]:
-            yield DecoratedWord(d, w)

@@ -171,16 +171,6 @@ def shapes_upto(bound: Shape) -> list[Shape]:
     return [c[::-1] for c in sorted(box_cells(bound[::-1]), key=sum)]
 
 
-def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Nonnegative integer vectors of the given length summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def translate_reps(bound: Shape) -> list[Translate]:
     """Canonical representatives of p <-> -p classes: p != 0, |p| <= bound.
 

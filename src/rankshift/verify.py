@@ -5,19 +5,20 @@
     (H2)   the combined transition graph on the alphabet is irreducible;
     (H3)   for every translate p != 0 some word is not p-periodic.
 
-(H1) is decided exactly by the local matrix conditions
+(H1) follows from the local matrix conditions
 
     (H1a)  M_i M_j = M_j M_i,
     (H1b)  M_i M_j has entries in {0,1} for i < j,
     (H1c)  M_i M_j M_k has entries in {0,1} for i < j < k,
 
 which :func:`check_h1_local` verifies; :func:`check_h1_oracle` independently
-brute-forces the unique-extension statement on bounded shapes.  (H3) has no
-known terminating decision procedure, but the strengthened condition (H3*)
--- every direction-j extension fiber has at least two letters -- is decidable
-by a fixed-point computation over fiber sets (:func:`check_h3_star`) and
-implies (H3).  :func:`check_h3_bounded` searches for explicit non-periodic
-witnesses within bounds.
+brute-forces that consequence, unique extension, on bounded shapes, so
+passing it does not imply (H1c).  (H3) has no known terminating decision
+procedure, but the strengthened condition (H3*) -- every direction-j
+extension fiber has at least two letters -- is decidable by a fixed-point
+computation over fiber sets (:func:`check_h3_star`) and implies (H3).
+:func:`check_h3_bounded` searches for explicit non-periodic witnesses within
+bounds.
 """
 
 from __future__ import annotations
@@ -245,7 +246,9 @@ def check_h1_oracle(ts: TileSystem, shape_bound: Shape) -> CheckResult:
     Splits where u or v has shape 0 are trivial (the extension is the other
     word) and are skipped, so a bound of grade below 2 checks nothing and
     raises :class:`ValueError`, as does a bad rank or a negative component.
-    An independent oracle for :func:`check_h1_local`; never calls the forced fill.
+    (H1a)-(H1c) imply what it checks, so it independently checks that
+    consequence of :func:`check_h1_local`; passing it does not imply (H1c).
+    It never calls the forced fill.
     """
     shape_bound = check_shape(ts, shape_bound, "shape bound")
     check_floor(sum(shape_bound), 2, f"shape bound {shape_bound} has no split "

@@ -23,7 +23,6 @@ from rankshift import (
 from rankshift.af_core import bratteli, dim_vector
 from rankshift.builders import random_system
 from rankshift.completion import (
-    decorated_words_of_shape,
     extend_unit,
     letter_word,
     list_extensions,
@@ -48,6 +47,7 @@ from rankshift.verify import (
     check_h3_bounded,
     check_h3_star,
 )
+from conftest import decorated_words_of_shape
 from test_fiber_oracle import fiber_transfer_round
 
 

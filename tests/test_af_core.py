@@ -4,12 +4,10 @@ import random
 import pytest
 
 from rankshift import DecorationMap, UnknownLetterError, bratteli, dim_vector
-from rankshift.af_core import _step
 from rankshift.builders import random_system
-from rankshift.completion import decorated_words_of_shape
 from rankshift.core import add, box_cells, shapes_upto, sub, unit, zero
 from rankshift.verify import Status, check_h1_local
-from conftest import circulant
+from conftest import circulant, decorated_words_of_shape
 
 
 def _enumerated_dims(ts, dmap, m):
@@ -88,23 +86,37 @@ def _mat_vec(mat, v):
 
 
 def _dense_counts(ts, dmap, upto):
-    """Every level of [0, upto] by dense matrix-vector products: dim_vector's
-    path for each shape, and bratteli's one step from m - e_j (j the last
-    direction with m_j > 0)."""
+    """Every level of [0, upto] by dense matrix-vector products, in
+    shapes_upto order: level m is one step from level m - e_j, j the last
+    direction with m_j > 0, as bratteli's columns step."""
     d0 = [0] * ts.n_letters
     for a in dmap.delta:
         d0[a] += 1
-    by_path, nodes = {}, {zero(ts.rank): tuple(d0)}
-    for m in shapes_upto(upto):
-        d = tuple(d0)
-        for j in range(1, ts.rank + 1):
-            for _ in range(m[j - 1]):
-                d = _mat_vec(ts.matrices[j - 1], d)
-        by_path[m] = d
-        if any(m):
-            j = max(i for i, c in enumerate(m, 1) if c)
-            nodes[m] = _mat_vec(ts.matrices[j - 1], nodes[sub(m, unit(ts.rank, j))])
-    return by_path, nodes
+    nodes = {zero(ts.rank): tuple(d0)}
+    for m in shapes_upto(upto)[1:]:
+        j = max(i for i, c in enumerate(m, 1) if c)
+        nodes[m] = _mat_vec(ts.matrices[j - 1], nodes[sub(m, unit(ts.rank, j))])
+    return nodes
+
+
+def _dense_path(ts, dmap, m):
+    """dim_vector(ts, dmap, m) by dense matrix-vector products along its path:
+    m_1 steps in direction 1, then m_2 in direction 2, and so on."""
+    d = [0] * ts.n_letters
+    for a in dmap.delta:
+        d[a] += 1
+    for j in range(1, ts.rank + 1):
+        for _ in range(m[j - 1]):
+            d = _mat_vec(ts.matrices[j - 1], d)
+    return tuple(d)
+
+
+def _assert_same_as_dense(ts, dmap, upto):
+    """bratteli's levels are the dense recursion's, in canonical order."""
+    nodes = bratteli(ts, dmap, upto).nodes
+    assert nodes == _dense_counts(ts, dmap, upto), (ts.matrices, dmap.delta, upto)
+    # library callers see the levels in canonical order
+    assert list(nodes) == shapes_upto(upto), upto
 
 
 def test_counts_match_dense_recursion():
@@ -116,31 +128,9 @@ def test_counts_match_dense_recursion():
         delta = [rng.randrange(ts.n_letters) for _ in range(rng.randint(1, 8))]
         dmap = DecorationMap(tuple(f"d{i}" for i in range(len(delta))), tuple(delta))
         upto = tuple(rng.randint(0, 3) for _ in range(rank))
-        by_path, nodes = _dense_counts(ts, dmap, upto)
-        diagram = bratteli(ts, dmap, upto)
-        assert diagram.nodes == nodes, (ts.matrices, upto)
-        # library callers see the levels in canonical order
-        assert list(diagram.nodes) == shapes_upto(upto)
-        for m, d in by_path.items():
-            assert dim_vector(ts, dmap, m) == d, (ts.matrices, m)
-
-
-def _per_level_bratteli(ts, dmap, upto):
-    """The per-level recursion bratteli used before it stepped whole columns:
-    each level in shapes_upto order is one _step from level m - e_j, j the
-    last direction with m_j > 0."""
-    nodes = {zero(ts.rank): dim_vector(ts, dmap, zero(ts.rank))}
-    for m in shapes_upto(upto)[1:]:  # grade first: m - e_j comes before m
-        j = max(i for i, c in enumerate(m, 1) if c)
-        nodes[m] = _step(ts, j, nodes[(*m[:j - 1], m[j - 1] - 1, *m[j:])])
-    return nodes
-
-
-def _assert_same_as_per_level(ts, dmap, upto):
-    nodes = bratteli(ts, dmap, upto).nodes
-    expected = _per_level_bratteli(ts, dmap, upto)
-    assert nodes == expected, (ts.matrices, dmap.delta, upto)
-    assert list(nodes) == list(expected), upto
+        _assert_same_as_dense(ts, dmap, upto)
+        for m in shapes_upto(upto):
+            assert dim_vector(ts, dmap, m) == _dense_path(ts, dmap, m), (ts.matrices, m)
 
 
 def test_column_step_matches_per_level_random():
@@ -159,21 +149,21 @@ def test_column_step_matches_per_level_random():
         rest = [rng.randint(0, 4 if rank < 4 else 2) for _ in range(rank - lead - 1)]
         for upto in [(0,) * rank, (*[0] * lead, u_k, *rest),
                      tuple(rng.randint(0, 3) for _ in range(rank))]:
-            _assert_same_as_per_level(ts, dmap, upto)
+            _assert_same_as_dense(ts, dmap, upto)
 
 
 @pytest.mark.parametrize("upto", [(0, 0), (0, 7), (5, 0), (1, 6), (12, 1), (3, 3)])
 def test_column_step_matches_per_level_rank2(gm2, upto):
-    _assert_same_as_per_level(gm2, DecorationMap(("x", "y", "z"), (3, 0, 3)), upto)
+    _assert_same_as_dense(gm2, DecorationMap(("x", "y", "z"), (3, 0, 3)), upto)
 
 
 @pytest.mark.parametrize("upto", [(0, 0, 0), (0, 0, 4), (0, 3, 2), (1, 0, 2), (6, 1, 1)])
 def test_column_step_matches_per_level_rank3(fs3, upto):
-    _assert_same_as_per_level(fs3, DecorationMap.identity(fs3.alphabet), upto)
+    _assert_same_as_dense(fs3, DecorationMap.identity(fs3.alphabet), upto)
 
 
 def test_column_step_matches_per_level_gm2_paper_scale(gm2):
-    _assert_same_as_per_level(gm2, DecorationMap.identity(gm2.alphabet), (60, 60))
+    _assert_same_as_dense(gm2, DecorationMap.identity(gm2.alphabet), (60, 60))
 
 
 def test_counts_at_paper_scale():

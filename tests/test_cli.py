@@ -15,9 +15,10 @@ from hypothesis import example, given, settings, strategies as st
 from rankshift import (Alphabet, DecorationMap, TileSystem, af_core, builders, cli,
                        load_system, save_system, verify)
 from rankshift.cli import SystemFileError, main, parse_system
-from rankshift.completion import decorated_words_of_shape, words_of_shape
+from rankshift.completion import words_of_shape
 from rankshift.core import (UnknownLetterError, add, check_floor, dominates, shape_key,
                             unit, zero)
+from conftest import decorated_words_of_shape
 
 
 @pytest.fixture()

@@ -13,7 +13,6 @@ from rankshift import (
     validate_word,
 )
 from rankshift.completion import (
-    decorated_words_of_shape,
     extend_along,
     extend_unit,
     iter_grid_completions,
@@ -44,7 +43,7 @@ from rankshift.core import (
 from rankshift.verify import check_h1_local
 from rankshift.witnesses import grow_to_shape
 
-from conftest import circulant
+from conftest import circulant, decorated_words_of_shape, unit_extend, unit_grow_to_shape
 
 
 def test_extend_unit_rank1(gm):
@@ -633,41 +632,8 @@ def _random_composable_pair(ts, rng):
 
 # ---------------------------------------------------------------------------
 # forced fill along a staircase: extend_along against grid search and against
-# the former unit-at-a-time path, which built and copied a word per step
+# the unit-at-a-time reference in conftest, which builds a new box per layer
 # ---------------------------------------------------------------------------
-
-def _unit_extend(ts, w, j, a):
-    """The former extend_unit: a new box per unit layer."""
-    if not 1 <= j <= ts.rank:
-        raise ValueError(f"direction {j} out of range 1..{ts.rank}")
-    if not ts.transition(j, w.terminus, a):
-        raise TransitionError(
-            f"M_{j}({ts.alphabet.name(a)}, {ts.alphabet.name(w.terminus)}) = 0: "
-            f"cannot extend in direction {j}")
-    new_shape = add(w.shape, unit(ts.rank, j))
-    new_st = strides(new_shape)
-    letters = [-1] * box_size(new_shape)
-    for i, b in zip(box_offsets(new_shape, zero(ts.rank), w.shape), w.letters):
-        letters[i] = b
-    layer_lo = tuple(c if k == j - 1 else 0 for k, c in enumerate(new_shape))
-    layer = zip(itertools.product(*(range(a, b + 1)
-                                    for a, b in zip(layer_lo, new_shape))),
-                box_offsets(new_shape, layer_lo, new_shape))
-    for x, i in reversed(list(layer)):
-        mask = ts.successor_mask(j, letters[i - new_st[j - 1]])
-        if x == new_shape:
-            mask &= 1 << a
-        for k in range(1, ts.rank + 1):
-            if k != j and x[k - 1] < new_shape[k - 1]:
-                mask &= ts.predecessor_mask(k, letters[i + new_st[k - 1]])
-        if mask == 0 or mask & (mask - 1):
-            cands = [b for b in range(ts.n_letters) if mask >> b & 1]
-            raise CompletionError(
-                f"cell {x}: {len(cands)} consistent letters while extending in "
-                f"direction {j}; the system violates (H1)", cell=x, candidates=cands)
-        letters[i] = mask.bit_length() - 1
-    return Word(new_shape, tuple(letters))
-
 
 def _unit_word_from_path(ts, a0, steps):
     prev = a0
@@ -680,7 +646,7 @@ def _unit_word_from_path(ts, a0, steps):
         prev = a
     w = letter_word(ts.rank, a0)
     for j, a in steps:
-        w = _unit_extend(ts, w, j, a)
+        w = unit_extend(ts, w, j, a)
     return w
 
 
@@ -691,23 +657,7 @@ def _unit_product(ts, u, v):
             f"o(v) = {ts.alphabet.name(v.origin)}: product undefined")
     w = u
     for j, a in staircase_steps(v):
-        w = _unit_extend(ts, w, j, a)
-    return w
-
-
-def _unit_grow_to_shape(ts, w, target):
-    if not dominates(target, w.shape):
-        raise ValueError(f"target {target} does not dominate shape {w.shape}")
-    while w.shape != target:
-        for j in range(1, ts.rank + 1):
-            if w.shape[j - 1] < target[j - 1]:
-                succ = ts.successors(j, w.terminus)
-                if not succ:
-                    raise WitnessSearchError(
-                        f"letter {ts.alphabet.name(w.terminus)} has no successor "
-                        f"in direction {j}; the system fails (H2)")
-                w = _unit_extend(ts, w, j, succ[0])
-                break
+        w = unit_extend(ts, w, j, a)
     return w
 
 
@@ -763,7 +713,7 @@ def test_forced_fill_matches_unit_at_a_time():
             if v is not None:
                 cases.append((product, _unit_product, (ts, u, v)))
             target = tuple(c + rng.randint(0, 2) for c in u.shape)
-            cases.append((grow_to_shape, _unit_grow_to_shape, (ts, u, target)))
+            cases.append((grow_to_shape, unit_grow_to_shape, (ts, u, target)))
         steps = [(rng.randint(1, rank + (rng.random() < 0.05)), rng.randrange(n))
                  for _ in range(rng.randint(0, 5))]
         cases.append((word_from_path, _unit_word_from_path,
@@ -790,7 +740,7 @@ def _unit_extend_along(ts, w, target, steps, failed):
                 and w.shape[j - 1] == target[j - 1]):
             raise ValueError(f"a step in direction {j} leaves the target {target}")
         try:
-            w = _unit_extend(ts, w, j, a)
+            w = unit_extend(ts, w, j, a)
         except CompletionError:
             failed.append((j, add(w.shape, unit(ts.rank, j))))
             raise
@@ -873,7 +823,7 @@ def test_early_layer_error_comes_before_a_later_dead_step():
         [[1, 0, 0], [0, 1, 1], [0, 0, 0]],
     ])
     w = Word((0, 1), (0, 0))
-    for grow in (grow_to_shape, _unit_grow_to_shape):
+    for grow in (grow_to_shape, unit_grow_to_shape):
         with pytest.raises(CompletionError) as err:
             grow(ts, w, (2, 1))
         assert err.value.cell == (1, 0) and err.value.candidates == (1, 2)

@@ -18,7 +18,7 @@ from rankshift.completion import (
     word_from_path,
     words_of_shape,
 )
-from rankshift.core import Word, add, compositions, unit, zero
+from rankshift.core import Word, add, unit, zero
 from rankshift.verify import (
     FiberFamily,
     Status,
@@ -26,6 +26,7 @@ from rankshift.verify import (
     check_h1_local,
     check_h3_star,
 )
+from conftest import compositions
 
 
 def brute_fiber(ts, j, w):

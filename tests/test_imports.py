@@ -1,4 +1,4 @@
-"""Every name a package module imports is used in that module, importing
+"""Every name a package or test module imports is used in that module, importing
 the package loads no module it does not need, and no module but core
 checks a rule that core owns."""
 
@@ -11,6 +11,7 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "rankshift"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(pathlib.Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -46,7 +47,7 @@ def test_unused_imports_finds_them():
     assert unused_imports(source) == ["os", "y"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -504,6 +504,8 @@ def test_h1_oracle_agreement_randomized():
 
 
 def test_h1_oracle_agreement_rank3_covers_h1c():
+    """The two checks agree on these draws; they need not (see
+    test_h1_oracle_passes_where_only_h1c_fails)."""
     rng = random.Random(777)
     h1c_seen = 0
     for _ in range(300):
@@ -514,6 +516,20 @@ def test_h1_oracle_agreement_rank3_covers_h1c():
         if local.status is Status.FAIL and local.witness.get("kind") == "H1c":
             h1c_seen += 1
     assert h1c_seen >= 1
+
+
+def test_h1_oracle_passes_where_only_h1c_fails():
+    """(H1a)-(H1c) imply unique extension, not the converse.  On this circulant
+    every pair sum s + t is distinct, so each face is fixed by either of its
+    staircases and every composable pair has one extension, but 3 = 0+0+3 =
+    1+2+0 puts an entry 2 in M_1 M_2 M_3."""
+    ts = circulant(7, [[0, 1], [0, 2], [0, 3]])
+    local = check_h1_local(ts)
+    assert local.status is Status.FAIL
+    assert local.witness == {"kind": "H1c", "i": 1, "j": 2, "k": 3,
+                             "b": "0", "a": "4", "value": 2}
+    for bound in [(1, 1, 1), (2, 1, 1), (2, 2, 2)]:
+        assert check_h1_oracle(ts, bound).status is Status.PASS, bound
 
 
 # --- (H2) --------------------------------------------------------------------
@@ -724,17 +740,12 @@ def test_h3_bounded_fs2(fs2):
     assert check_h3_bounded(fs2, (1, 1)).status is Status.BOUNDED_PASS
 
 
-def _former_h3_search(ts, p_bound):
-    """The former bounded (H3) search: one grid search per translate p, in
-    translate_reps order."""
-    found, missing = {}, []
-    for p in translate_reps(p_bound):
-        w = next((w for w in words_of_shape(ts, absv(p)) if not is_periodic(w, p)), None)
-        if w is None:
-            missing.append(p)
-        else:
-            found[p] = w
-    return found, missing
+def _walked_h3_search(ts, p_bound):
+    """The bounded (H3) search by the shape walk, one per translate p in
+    translate_reps order, at bound |p|."""
+    walked = {p: _walked_nonperiodic_witness(ts, p, absv(p)) for p in translate_reps(p_bound)}
+    return ({p: w for p, w in walked.items() if w is not None},
+            [p for p, w in walked.items() if w is None])
 
 
 def _h3_outcomes(ts, p_bound):
@@ -763,7 +774,7 @@ def test_h3_bounded_matches_the_per_p_search(monkeypatch, fs3):
     for ts, p_bound in cases:
         got = _h3_outcomes(ts, p_bound)
         with monkeypatch.context() as patch:
-            patch.setattr(verify, "_h3_search", _former_h3_search)
+            patch.setattr(verify, "_h3_search", _walked_h3_search)
             assert got == _h3_outcomes(ts, p_bound), (ts.matrices, p_bound)
         failing += got[0].status is Status.FAIL
     assert failing >= 50, failing

@@ -22,14 +22,11 @@ from rankshift import (
 from rankshift.builders import random_system
 from rankshift.core import (
     add,
-    compositions,
     dominates,
     is_periodic,
     is_zero,
     join,
     neg,
-    overlap_rows,
-    rows_agree,
     sub,
     translate_reps,
     translates_agree,
@@ -37,12 +34,12 @@ from rankshift.core import (
     validate_word,
     zero,
 )
-from rankshift.completion import extend_along, list_extensions, product, words_of_shape
+from rankshift.completion import list_extensions, product, words_of_shape
 from rankshift.verify import check_h0, check_h1_local, check_h2, h3_bounded_witnesses
 from rankshift import completion, witnesses
 from rankshift.witnesses import grow_to_shape
 
-from conftest import circulant
+from conftest import circulant, compositions, decorated_words_of_shape, unit_grow_to_shape
 
 SAMPLES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "samples")
 
@@ -280,7 +277,6 @@ def test_projection_support_brute_force_cross_check(gm2, fs2):
     Covers both systems, totals at and above m + l, a family with a member
     listed twice, and a decoration map with two decorations on one letter.
     """
-    from rankshift.completion import decorated_words_of_shape
     m, l = (1, 0), (1, 1)
     hi = add(m, l)
     dmap = DecorationMap(("a", "b", "c", "d", "e"), (0, 2, 0, 1, 3))
@@ -352,33 +348,52 @@ def test_no_word_carries_two_family_windows(fs2):
 
 
 # ---------------------------------------------------------------------------
-# one aperiodic core per family against the former per-letter chain
+# the separating family against its reference, which shares nothing with the
+# library's single fills, candidate index or lazy growth: product chains,
+# translates_agree on every triple (a, b, p), and every member regrown after
+# each repair
 # ---------------------------------------------------------------------------
 
-def _chain_nonperiodic_all(ts, m, a):
-    """The former nonperiodic_all: connect(a) p_0 s_0 p_1 ... p_k as a
-    left-nested chain of products, rebuilt for every letter."""
+def _reference_nonperiodic_words(ts, m, letters):
+    """_nonperiodic_words as products: the core p_0 s_0 ... p_k as nested
+    products with filled spacer words, then connector words times the core."""
     if is_zero(m):
-        return letter_word(ts.rank, a)
+        return {a: letter_word(ts.rank, a) for a in letters}
     parts = list(h3_bounded_witnesses(ts, m).values())
-    w = connect(ts, a, parts[0].origin, zero(ts.rank))
-    for i, part in enumerate(parts):
-        w = product(ts, w, part)
-        if i + 1 < len(parts):
-            spacer = connect(ts, part.terminus, parts[i + 1].origin, zero(ts.rank))
-            w = product(ts, w, spacer)
-    return w
+    core = parts[0]
+    for part in parts[1:]:
+        spacer = connect(ts, core.terminus, part.origin, zero(ts.rank))
+        core = product(ts, product(ts, core, spacer), part)
+    return {a: product(ts, connect(ts, a, core.origin, zero(ts.rank)), core)
+            for a in letters}
 
 
-def _chain_separating_family(ts, m):
-    """The former separating_family, started from the per-letter chains."""
+def _reference_separate_translates(ts, p, w1, w2):
+    """separate_translates as products: w1 s pick as two products, then grown."""
+    u, v = distinct_pair(ts)
+    spacer_min = join(neg(add(p, w1.shape)), zero(ts.rank))
+    s = connect(ts, w1.terminus, u.origin, spacer_min)
+    base = add(p, add(w1.shape, s.shape))
+    upper = add(base, u.shape)
+    w2pp = grow_to_shape(ts, w2, join(w2.shape, upper))
+    pick = v if restrict(w2pp, base, upper) == u else u
+    w1pp = product(ts, product(ts, w1, s), pick)
+    common = join(w1pp.shape, w2pp.shape)
+    return grow_to_shape(ts, w1pp, common), grow_to_shape(ts, w2pp, common)
+
+
+def _reference_separating_family(ts, m, repair):
+    """separating_family by translates_agree on every triple, each agreeing
+    triple repaired by ``repair`` and every member regrown after it; returns
+    (l, family) and each repair's arguments and result."""
     n = ts.n_letters
-    family = {a: _chain_nonperiodic_all(ts, m, a) for a in range(n)}
+    family = _reference_nonperiodic_words(ts, m, range(n))
     l = zero(ts.rank)
     for w in family.values():
         l = join(l, w.shape)
     family = {a: grow_to_shape(ts, w, l) for a, w in family.items()}
     translates = [p for q in translate_reps(m) for p in (q, neg(q))]
+    repairs = []
     for a in range(n):
         for b in range(n):
             if a == b:
@@ -386,10 +401,21 @@ def _chain_separating_family(ts, m):
             for p in translates:
                 if not translates_agree(family[a], family[b], p):
                     continue
-                family[b], family[a] = separate_translates(ts, p, family[b], family[a])
+                args = (p, family[b], family[a])
+                family[b], family[a] = repair(ts, *args)
+                repairs.append((args, (family[b], family[a])))
                 l = family[a].shape
                 family = {c: grow_to_shape(ts, w, l) for c, w in family.items()}
-    return l, family
+    for a in range(n):
+        if family[a].origin != a:
+            raise WitnessSearchError("separating family lost an origin")
+        for b in range(n):
+            for p in translates:
+                if translates_agree(family[a], family[b], p):
+                    raise WitnessSearchError(
+                        f"separating family failed for letters "
+                        f"({ts.alphabet.name(a)}, {ts.alphabet.name(b)}), p={p}")
+    return (l, family), repairs
 
 
 def _family_inputs():
@@ -408,70 +434,6 @@ def _family_inputs():
         assert all(c.ok for c in (check_h0(ts), check_h1_local(ts), check_h2(ts)))
         systems.append((f"circ{n}", ts))
     return systems
-
-
-def test_separating_family_matches_per_letter_chain():
-    """One shared core gives the family and the nonperiodic words that one
-    chain per letter gave, or the same search error."""
-    outcomes = {"family": 0, "error": 0}
-    for name, ts in _family_inputs():
-        for c in (1, 2):
-            m = (c,) * ts.rank
-            try:
-                want = _chain_separating_family(ts, m)
-            except WitnessSearchError as exc:
-                with pytest.raises(WitnessSearchError) as err:
-                    separating_family(ts, m)
-                assert str(err.value) == str(exc), (name, m)
-                outcomes["error"] += 1
-                continue
-            assert separating_family(ts, m) == want, (name, m)
-            for a in {0, ts.n_letters // 2, ts.n_letters - 1}:
-                assert nonperiodic_all(ts, m, a) == _chain_nonperiodic_all(ts, m, a)
-            outcomes["family"] += 1
-    assert outcomes["family"] >= 40 and outcomes["error"] >= 5, outcomes
-
-
-# ---------------------------------------------------------------------------
-# separating_family's candidate index against the former triple loop, which
-# called the public translates_agree on every (a, b, p) and regrew every
-# member after each repair
-# ---------------------------------------------------------------------------
-
-def _triple_loop_separating_family(ts, m):
-    """The former separating_family, and the number of repairs it made.  It
-    repairs through ``witnesses.separate_translates``, so a test that
-    replaces that function replaces it here too."""
-    n = ts.n_letters
-    family = {a: nonperiodic_all(ts, m, a) for a in range(n)}
-    l = zero(ts.rank)
-    for w in family.values():
-        l = join(l, w.shape)
-    family = {a: grow_to_shape(ts, w, l) for a, w in family.items()}
-    translates = [p for q in translate_reps(m) for p in (q, neg(q))]
-    repairs = 0
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            for p in translates:
-                if not translates_agree(family[a], family[b], p):
-                    continue
-                family[b], family[a] = witnesses.separate_translates(
-                    ts, p, family[b], family[a])
-                repairs += 1
-                l = family[a].shape
-                family = {c: grow_to_shape(ts, w, l) for c, w in family.items()}
-    for a in range(n):
-        if family[a].origin != a:
-            raise WitnessSearchError("separating family lost an origin")
-        for b in range(n):
-            for p in translates:
-                if translates_agree(family[a], family[b], p):
-                    raise WitnessSearchError(
-                        f"separating family failed for letters "
-                        f"({ts.alphabet.name(a)}, {ts.alphabet.name(b)}), p={p}")
-    return (l, family), repairs
 
 
 def _seeded_family_inputs(rank, count, seed):
@@ -501,41 +463,68 @@ _LARGER_ALPHABETS = [
 ]
 
 
-def _triple_loop_inputs(inputs):
-    """(system, p bound) pairs, and the repair count half the families reach:
-    the larger alphabets, or seeded systems named rank-count-seed at p = 1."""
-    if inputs == "larger":
-        return [(circulant(n, gens), m) for n, gens, m in _LARGER_ALPHABETS], 5
-    rank, count, seed = map(int, inputs.split("-"))
-    return [(ts, (1,) * rank) for ts in _seeded_family_inputs(rank, count, seed)], 2
+def _reference_inputs(fs3):
+    """{group: [(system, p bound), ...]}: the family inputs at bounds 1 and 2,
+    fs3 at (1, 1, 1) with two seeded circulants, seeded systems named
+    rank-count-seed@bound, and the larger alphabets."""
+    groups = {"family": [(ts, (c,) * ts.rank) for _, ts in _family_inputs() for c in (1, 2)]}
+    extra = [(fs3, (1, 1, 1))]
+    rng = random.Random(2626)
+    while len(extra) < 3:
+        n = rng.randint(6, 10)
+        ts = circulant(n, [set(rng.sample(range(n), 2)) for _ in range(2)])
+        if all(c.ok for c in (check_h0(ts), check_h1_local(ts), check_h2(ts))):
+            extra.append((ts, (1, 1)))
+    groups["fs3 and circulants"] = extra
+    for rank, count, seed, bound in [(2, 24, 15, 1), (3, 4, 16, 1), (2, 8, 17, 2)]:
+        groups[f"{rank}-{count}-{seed}@{bound}"] = [
+            (ts, (bound,) * rank) for ts in _seeded_family_inputs(rank, count, seed)]
+    groups["larger"] = [(circulant(n, gens), m) for n, gens, m in _LARGER_ALPHABETS]
+    return groups
 
 
-@pytest.mark.parametrize("inputs", ["2-24-15", "3-4-16", "larger"])
-def test_separating_family_matches_the_triple_loop(inputs):
-    """Comparing only the triples whose first overlap rows at l0 match, and
-    filling a member only when it is read, gives the family (or the search
-    error) that translates_agree on every triple, with every member regrown
-    after each repair, gave."""
-    cases, deep = _triple_loop_inputs(inputs)
-    repairs = []
-    for ts, m in cases:
-        try:
-            want, made = _triple_loop_separating_family(ts, m)
-        except WitnessSearchError as exc:
-            with pytest.raises(WitnessSearchError) as err:
-                separating_family(ts, m)
-            assert str(err.value) == str(exc), ts.matrices
-            continue
-        assert separating_family(ts, m) == want, ts.matrices
-        repairs.append(made)
-    assert len(repairs) >= len(cases) // 2, repairs
-    assert sum(r >= deep for r in repairs) >= len(repairs) // 2, repairs
+def test_separating_family_matches_the_reference(fs3):
+    """The nonperiodic words, each repair's pair and the separating family (or
+    the same search error text) equal the reference's on every input group."""
+    made, errors = {}, {}
+    for group, cases in _reference_inputs(fs3).items():
+        made[group], errors[group] = [], 0
+        for ts, m in cases:
+            letters = range(ts.n_letters)
+            try:
+                want_words = _reference_nonperiodic_words(ts, m, letters)
+            except WitnessSearchError as exc:
+                want_words = str(exc)
+            try:
+                got_words = {a: nonperiodic_all(ts, m, a) for a in letters}
+            except WitnessSearchError as exc:
+                got_words = str(exc)
+            assert got_words == want_words, (group, ts.matrices, m)
+            try:
+                want, repairs = _reference_separating_family(
+                    ts, m, _reference_separate_translates)
+            except WitnessSearchError as exc:
+                with pytest.raises(WitnessSearchError) as err:
+                    separating_family(ts, m)
+                assert str(err.value) == str(exc), (group, ts.matrices, m)
+                errors[group] += 1
+                continue
+            for args, pair in repairs:
+                assert separate_translates(ts, *args) == pair, (group, m, args[0])
+            assert separating_family(ts, m) == want, (group, ts.matrices, m)
+            made[group].append(len(repairs))
+        assert len(made[group]) >= len(cases) // 2, (group, made[group])
+    assert len(made["family"]) >= 40 and errors["family"] >= 5, (made, errors)
+    assert sum(made["family"] + made["fs3 and circulants"]) >= 100, made
+    # at least half the families of each group below make that many repairs
+    for group, deep in [("2-24-15@1", 2), ("3-4-16@1", 2), ("larger", 5)]:
+        assert sum(r >= deep for r in made[group]) >= len(made[group]) // 2, made
 
 
 def test_separating_family_recheck_sees_an_unspliced_repair(monkeypatch, fs2, gm2):
     """With repairs that extend both words but splice nothing, the final
-    re-check still finds the triple left agreeing, as the triple loop does:
-    it rebuilds the candidate index from the final words, a = b included."""
+    re-check still finds the triple left agreeing, as the reference does: it
+    rebuilds the candidate index from the final words, a = b included."""
 
     def unspliced(ts, p, w1, w2):
         common = add(w1.shape, (1,) * ts.rank)
@@ -546,81 +535,10 @@ def test_separating_family_recheck_sees_an_unspliced_repair(monkeypatch, fs2, gm
              (circulant(16, [(0, 1)]), (1,)), (circulant(32, [(1, 2)]), (3,))]
     for ts, m in cases:
         with pytest.raises(WitnessSearchError) as want:
-            _triple_loop_separating_family(ts, m)
+            _reference_separating_family(ts, m, unspliced)
         with pytest.raises(WitnessSearchError) as got:
             separating_family(ts, m)
         assert str(got.value) == str(want.value), (ts.matrices, m)
-
-
-# ---------------------------------------------------------------------------
-# overlap plans taken only for compared triples, against the former family,
-# which built the plan of every (l, p) at l0 and again after each repair
-# ---------------------------------------------------------------------------
-
-def _eager_plan_separating_family(ts, m):
-    """The former separating_family: all 2|T| plans built up front and after
-    each repair, and the candidate index read off their first rows."""
-    n = ts.n_letters
-    family = witnesses._nonperiodic_words(ts, m, range(n))
-    ls = [family[0].shape]
-    translates = [q for p in translate_reps(m) for q in (p, neg(p))]
-    plans = [overlap_rows(ls[0], ls[0], q) for q in translates]
-    widths = [width for width, _ in plans]
-
-    def read(c):
-        w = family[c]
-        if w.shape != ls[-1]:
-            family[c] = w = extend_along(ts, w, ls[-1], witnesses._greedy_steps(
-                ts, w.shape, w.terminus, *ls[ls.index(w.shape) + 1:]))
-        return w
-
-    def candidates(plans):
-        firsts = [(rows[0], width) for (_, rows), width in zip(plans, widths)]
-        buckets = [{} for _ in plans]
-        for b in range(n):
-            for ((_, j), width), bucket in zip(firsts, buckets):
-                bucket.setdefault(family[b].letters[j:j + width], []).append(b)
-        return [sorted((b, k) for k, ((i, _), width) in enumerate(firsts)
-                       for b in buckets[k].get(family[a].letters[i:i + width], ()))
-                for a in range(n)]
-
-    for a, pairs in enumerate(candidates(plans)):
-        for b, k in pairs:
-            if a != b and rows_agree(read(a).letters, read(b).letters, plans[k]):
-                family[b], family[a] = witnesses.separate_translates(
-                    ts, translates[k], family[b], family[a])
-                ls.append(family[a].shape)
-                plans = [overlap_rows(ls[-1], ls[-1], q) for q in translates]
-    for c in range(n):
-        read(c)
-    for a, pairs in enumerate(candidates(plans)):
-        if family[a].origin != a:
-            raise WitnessSearchError("separating family lost an origin")
-        for b, k in pairs:
-            if rows_agree(family[a].letters, family[b].letters, plans[k]):
-                raise WitnessSearchError(
-                    f"separating family failed for letters "
-                    f"({ts.alphabet.name(a)}, {ts.alphabet.name(b)}), p={translates[k]}")
-    return ls[-1], family
-
-
-@pytest.mark.parametrize("rank, count, seed, bound", [(2, 24, 15, 1), (2, 8, 17, 2), (3, 4, 16, 1)])
-def test_separating_family_matches_the_eager_plans(rank, count, seed, bound):
-    """First rows found by stride sums, and a plan taken only for a compare,
-    give the family (or the search error text) the eager plans gave."""
-    families = 0
-    for ts in _seeded_family_inputs(rank, count, seed):
-        m = (bound,) * rank
-        try:
-            want = _eager_plan_separating_family(ts, m)
-        except WitnessSearchError as exc:
-            with pytest.raises(WitnessSearchError) as err:
-                separating_family(ts, m)
-            assert str(err.value) == str(exc), ts.matrices
-            continue
-        assert separating_family(ts, m) == want, ts.matrices
-        families += 1
-    assert families >= count // 2, families
 
 
 def test_separating_family_builds_a_plan_only_for_a_compare(monkeypatch, fs2, fs3):
@@ -639,137 +557,6 @@ def test_separating_family_builds_a_plan_only_for_a_compare(monkeypatch, fs2, fs
         assert 0 < counts["overlap_rows"] <= counts["rows_agree"], (ts.matrices, m, counts)
         plans.append(counts["overlap_rows"])
     assert plans[0] < 120, plans
-
-
-# ---------------------------------------------------------------------------
-# each witness word filled once along its concatenated staircase, against the
-# former product chains, which filled every factor and partial product
-# ---------------------------------------------------------------------------
-
-def _former_grow_to_shape(ts, w, target):
-    """The former grow_to_shape: one fill, also when target is shape(w)."""
-    target = tuple(target)
-
-    def greedy(c):
-        for j in range(1, ts.rank + 1):
-            for _ in range(target[j - 1] - w.shape[j - 1]):
-                succ = ts.successors(j, c)
-                if not succ:
-                    raise WitnessSearchError(
-                        f"letter {ts.alphabet.name(c)} has no successor "
-                        f"in direction {j}; the system fails (H2)")
-                c = succ[0]
-                yield j, c
-
-    return extend_along(ts, w, target, greedy(w.terminus))
-
-
-def _former_nonperiodic_words(ts, m, letters):
-    """The former _nonperiodic_words: the core p_0 s_0 ... p_k as nested
-    products with filled spacer words, then connector words times the core."""
-    if is_zero(m):
-        return {a: letter_word(ts.rank, a) for a in letters}
-    parts = list(h3_bounded_witnesses(ts, m).values())
-    core = parts[0]
-    for part in parts[1:]:
-        spacer = connect(ts, core.terminus, part.origin, zero(ts.rank))
-        core = product(ts, product(ts, core, spacer), part)
-    return {a: product(ts, connect(ts, a, core.origin, zero(ts.rank)), core)
-            for a in letters}
-
-
-def _former_separate_translates(ts, p, w1, w2):
-    """The former separate_translates: w1 s pick as two products, then grown."""
-    u, v = distinct_pair(ts)
-    spacer_min = join(neg(add(p, w1.shape)), zero(ts.rank))
-    s = connect(ts, w1.terminus, u.origin, spacer_min)
-    base = add(p, add(w1.shape, s.shape))
-    upper = add(base, u.shape)
-    w2pp = _former_grow_to_shape(ts, w2, join(w2.shape, upper))
-    pick = v if restrict(w2pp, base, upper) == u else u
-    w1pp = product(ts, product(ts, w1, s), pick)
-    common = join(w1pp.shape, w2pp.shape)
-    return _former_grow_to_shape(ts, w1pp, common), _former_grow_to_shape(ts, w2pp, common)
-
-
-def _former_separating_family(ts, m, repairs):
-    """The former separating_family on the former functions; each repair's
-    arguments and result are appended to ``repairs``."""
-    n = ts.n_letters
-    family = _former_nonperiodic_words(ts, m, range(n))
-    l = zero(ts.rank)
-    for w in family.values():
-        l = join(l, w.shape)
-    family = {a: _former_grow_to_shape(ts, w, l) for a, w in family.items()}
-    translates = [p for q in translate_reps(m) for p in (q, neg(q))]
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            for p in translates:
-                if not translates_agree(family[a], family[b], p):
-                    continue
-                args = (p, family[b], family[a])
-                family[b], family[a] = _former_separate_translates(ts, *args)
-                repairs.append((args, (family[b], family[a])))
-                l = family[a].shape
-                family = {c: _former_grow_to_shape(ts, w, l) for c, w in family.items()}
-    for a in range(n):
-        for b in range(n):
-            for p in translates:
-                if translates_agree(family[a], family[b], p):
-                    raise WitnessSearchError(
-                        f"separating family failed for letters "
-                        f"({ts.alphabet.name(a)}, {ts.alphabet.name(b)}), p={p}")
-    return l, family
-
-
-def _single_fill_inputs(fs3):
-    """(name, system, p bound): the family inputs at bounds 1 and 2, fs3 at
-    (1, 1, 1) and two seeded circulants passing (H0)-(H2)."""
-    cases = [(name, ts, (c,) * ts.rank) for name, ts in _family_inputs() for c in (1, 2)]
-    cases.append(("fs3", fs3, (1, 1, 1)))
-    rng = random.Random(2626)
-    while len(cases) < 2 * len(_family_inputs()) + 3:
-        n = rng.randint(6, 10)
-        ts = circulant(n, [set(rng.sample(range(n), 2)) for _ in range(2)])
-        if all(c.ok for c in (check_h0(ts), check_h1_local(ts), check_h2(ts))):
-            cases.append((f"circulant {ts.matrices}", ts, (1, 1)))
-    return cases
-
-
-def test_single_fill_witnesses_match_the_product_chains(fs3):
-    """The nonperiodic words, every repair's pair and the separating family (or
-    the same search error) equal those of the former product chains."""
-    outcomes = {"family": 0, "error": 0, "repairs": 0}
-    for name, ts, m in _single_fill_inputs(fs3):
-        letters = range(ts.n_letters)
-        try:
-            want_words = _former_nonperiodic_words(ts, m, letters)
-        except WitnessSearchError as exc:
-            want_words = str(exc)
-        try:
-            got_words = {a: nonperiodic_all(ts, m, a) for a in letters}
-        except WitnessSearchError as exc:
-            got_words = str(exc)
-        assert got_words == want_words, (name, m)
-        repairs = []
-        try:
-            want = _former_separating_family(ts, m, repairs)
-        except WitnessSearchError as exc:
-            with pytest.raises(WitnessSearchError) as err:
-                separating_family(ts, m)
-            assert str(err.value) == str(exc), (name, m)
-            outcomes["error"] += 1
-            continue
-        for args, pair in repairs:
-            assert separate_translates(ts, *args) == pair, (name, m, args[0])
-        assert separating_family(ts, m) == want, (name, m)
-        outcomes["family"] += 1
-        outcomes["repairs"] += len(repairs)
-    assert outcomes["family"] >= 40 and outcomes["error"] >= 5, outcomes
-    assert outcomes["repairs"] >= 100, outcomes
-
 
 
 def _counting(monkeypatch, module, name, counts):
@@ -839,7 +626,7 @@ def test_grow_to_shape_at_its_own_shape_is_the_word(fs2, gm2):
                 assert grow_to_shape(ts, w, w.shape) is w
                 assert grow_to_shape(ts, w, list(w.shape)) is w
                 assert grow_to_shape(ts, w, add(w.shape, (1, 1))) == \
-                    _former_grow_to_shape(ts, w, add(w.shape, (1, 1)))
+                    unit_grow_to_shape(ts, w, add(w.shape, (1, 1)))
     w = next(words_of_shape(fs2, (2, 1)))
     with pytest.raises(ValueError, match="does not dominate"):
         grow_to_shape(fs2, w, (1, 1))
