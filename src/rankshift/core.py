@@ -18,7 +18,6 @@ functions, so everything is safe to share between threads.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -354,7 +353,7 @@ def check_floor(value: int, floor: int, what: str) -> None:
 
 def _ints(v: Iterable[int], what: str) -> tuple[int, ...]:
     """The corner or translate ``what`` as a tuple; TypeError unless its
-    components are ints, not bools (1.0 and True pass as 1 in a cache key)."""
+    components are ints (nothing is coerced: True and 1.0 would pass as 1)."""
     v = tuple(v)
     if any(type(c) is not int for c in v):
         raise TypeError(f"{what} {v} has a component that is not an integer")
@@ -638,7 +637,7 @@ def translates_agree(w1: Word, w2: Word, p: Translate) -> bool:
     if len(p) != w1.rank:
         raise ValueError("translate has wrong rank")
     _same_rank(w1.shape, w2.shape)
-    plan = overlap_rows(tuple(w1.shape), tuple(w2.shape), _ints(p, "translate"))
+    plan = overlap_rows(w1.shape, w2.shape, _ints(p, "translate"))
     return rows_agree(w1.letters, w2.letters, plan)
 
 
@@ -652,14 +651,11 @@ def rows_agree(a: Sequence[int], b: Sequence[int], plan) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=1024)
 def overlap_rows(l1: Shape, l2: Shape, p: Translate):
     """Row width and row-start pairs of the overlap of [0, l1] and [p, p + l2].
 
     Row starts are row-major positions: in [0, l1] for the first word and in
-    [0, l2] for the second, whose cell x - p faces cell x of the first.  The
-    plan depends only on (l1, l2, p) and is memoised for the last 1024 such
-    keys.
+    [0, l2] for the second, whose cell x - p faces cell x of the first.
     """
     if not p:  # rank 0: each box is the one cell 0
         return 1, ((0, 0),)

@@ -36,6 +36,7 @@ from .core import (
     WitnessSearchError,
     Word,
     _Value,
+    _ints,
     absv,
     box_cells,
     box_offsets,
@@ -43,7 +44,8 @@ from .core import (
     check_direction,
     check_floor,
     check_shape,
-    is_periodic,
+    overlap_rows,
+    rows_agree,
     shapes_upto,
     sub,
     translate_reps,
@@ -183,40 +185,34 @@ def check_h1_local(ts: TileSystem) -> CheckResult:
 
 
 def _code_points(letters: tuple[int, ...]) -> str:
-    """One code point per letter: the oracle's grid form, applied per slab."""
+    """One code point per letter: the oracle's grid form, applied per grid."""
     return "".join(map(chr, letters))
 
 
 def _slab_step(grids_of: dict[Shape, list[str]], total: Shape) -> list[str]:
-    """The grids of total, in order, k the first direction with m_k >= 2: each grid
-    of total - e_k followed by the second slab along k of each grid of total with
-    m_k = 1 that starts with its last slab.  Every two adjacent cells lie in one of
-    the two boxes, so these are exactly the grids.  The cells of [0, (m_1..m_{k-1})]
-    cut a grid into row-major blocks, each with its slabs along k in a run; with
-    one block the joins are in order, and with more they are interleaved and
-    sorted, as one code point per letter makes string order the search's order."""
+    """The grids of total, in no set order, k the first direction with m_k >= 2:
+    each grid of total - e_k followed by the second slab along k of each grid of
+    total with m_k = 1 whose first slab is its last.  Every two adjacent cells lie
+    in one of the two boxes, so these are exactly the grids.  The cells of
+    [0, (m_1..m_{k-1})] cut a grid into row-major blocks, each with its slabs along
+    k in a run, so a slab is the join of its parts in every block; with one block
+    the second slab is appended whole, and with more it is interleaved per block."""
     k = next(k for k, m in enumerate(total) if m >= 2)
     size, blocks = box_size(total[k + 1:]), box_size(total[:k])
     links = grids_of[(*total[:k], 1, *total[k + 1:])]
     shorter = grids_of[(*total[:k], total[k] - 1, *total[k + 1:])]
-    if blocks == 1:
-        ranges: dict[str, list[int]] = {}
-        for i, h in enumerate(links):  # sorted, so links sharing a first slab are a run
-            ranges.setdefault(h[:size], [i, i])[1] = i + 1
-        return [g + h[size:] for g in shorter
-                for h in links[slice(*ranges.get(g[-size:], (0, 0)))]]
     g_run, h_run = total[k] * size, 2 * size  # the length of one block of each
     g_blocks = [slice(b, b + g_run) for b in range(0, g_run * blocks, g_run)]
     h_seconds = [slice(b + size, b + h_run) for b in range(0, h_run * blocks, h_run)]
     by_first: dict[str, list[str]] = {}
     for h in links:
-        by_first.setdefault("".join([h[s.start - size:s.start] for s in h_seconds]),
+        by_first.setdefault(h[:size] if blocks == 1 else
+                            "".join([h[s.start - size:s.start] for s in h_seconds]),
                             []).append(h)
-    grids = [
-        "".join([g[s] + h[t] for s, t in zip(g_blocks, h_seconds)]) for g in shorter
-        for h in by_first.get("".join([g[s.stop - size:s.stop] for s in g_blocks]), ())]
-    grids.sort()
-    return grids
+    if blocks == 1:
+        return [g + h[size:] for g in shorter for h in by_first.get(g[-size:], ())]
+    return ["".join([g[s] + h[t] for s, t in zip(g_blocks, h_seconds)]) for g in shorter
+            for h in by_first.get("".join([g[s.stop - size:s.stop] for s in g_blocks]), ())]
 
 
 def check_h1_oracle(ts: TileSystem, shape_bound: Shape) -> CheckResult:
@@ -227,7 +223,7 @@ def check_h1_oracle(ts: TileSystem, shape_bound: Shape) -> CheckResult:
     words of shape total onto the composable pairs (u, v) of shapes m and n.
     Each shape is enumerated once, grade first: by grid search if it lies in
     {0,1}^r, else by :func:`_slab_step` from the grids held of two shapes of
-    lower grade, in the search's lexicographic order.  A split passes when
+    lower grade, in no set order.  A split passes when
     its words number sum_c #(u ending at c) * #(v starting at c), the count of
     composable pairs, and differ on a staircase 0 -> m -> total; its cells lie
     in [0,m] and [m,total], so the restriction pairs differ too.  A repeat
@@ -241,8 +237,8 @@ def check_h1_oracle(ts: TileSystem, shape_bound: Shape) -> CheckResult:
     of smaller shape unless total = e_i + e_j; the words of that box are
     fixed by the part of either staircase inside it, so words that differ on
     one staircase differ on the other.  A shape e_i + e_j tests both of its
-    staircases.  A failing split walks its pairs in canonical order; the
-    first with no extension, or with two, is the witness.
+    staircases.  A failing split sorts the lists it walks (string order is
+    canonical order); its first pair with no extension, or with two, is the witness.
     Splits where u or v has shape 0 are trivial (the extension is the other
     word) and are skipped, so a bound of grade below 2 checks nothing and
     raises :class:`ValueError`, as does a bad rank or a negative component.
@@ -255,8 +251,7 @@ def check_h1_oracle(ts: TileSystem, shape_bound: Shape) -> CheckResult:
                                      f"into two nonzero shapes; its grade")
     params = {"shape_bound": list(shape_bound)}
     # per shape: its grids, as strings with one code point per letter (far less
-    # memory than tuples; the search forms each slab once and joins them), and
-    # how many of them start and end at each letter
+    # memory than tuples), and how many of them start and end at each letter
     grids_of, starts, ends = {}, {}, {}
 
     def word_json(shape, text):
@@ -286,12 +281,12 @@ def check_h1_oracle(ts: TileSystem, shape_bound: Shape) -> CheckResult:
             pair_of = itemgetter(*box_offsets(total, zero(ts.rank), m),
                                  *box_offsets(total, m, total))
             extensions: dict[str, list[str]] = {}
-            for w in grids:
+            for w in sorted(grids):
                 extensions.setdefault("".join(pair_of(w)), []).append(w)
             by_origin: dict[str, list[str]] = {}
-            for v in grids_of[n]:
+            for v in sorted(grids_of[n]):
                 by_origin.setdefault(v[0], []).append(v)
-            for u in grids_of[m]:
+            for u in sorted(grids_of[m]):
                 for v in by_origin.get(u[-1], ()):
                     found = extensions.get(u + v, [])
                     if len(found) != 1:
@@ -475,12 +470,14 @@ def nonperiodic_witness(ts: TileSystem, p: Translate) -> Optional[Word]:
 
 def _first_nonperiodic(ts: TileSystem, ps: list[Translate]) -> dict[Translate, Word]:
     """The first word of shape |p| that is not p-periodic, per p of ps, which
-    share |p|: one grid search tests each word against the p still open and
-    stops once none is.  A p whose every word is p-periodic has no entry."""
+    share |p|: one grid search tests each word along the plan of each p still
+    open and stops once none is.  A p whose every word is p-periodic has no entry."""
+    l = absv(ps[0])
+    plans = [(p, overlap_rows(l, l, _ints(p, "translate"))) for p in ps]
     first: dict[Translate, Word] = {}
-    for w in words_of_shape(ts, absv(ps[0])):
-        for p in ps:
-            if p not in first and not is_periodic(w, p):
+    for w in words_of_shape(ts, l):
+        for p, plan in plans:
+            if p not in first and not rows_agree(w.letters, w.letters, plan):
                 first[p] = w
         if len(first) == len(ps):
             break

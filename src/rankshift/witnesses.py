@@ -238,7 +238,7 @@ def separating_family(ts: TileSystem, m: Shape) -> tuple[Shape, dict[int, Word]]
     At a common shape l with s = strides(l), that row starts at sum
     max(p, 0)·s in w_a and sum max(-p, 0)·s in w_b; its width at l0 is
     l0_r - |p_r| + 1.  The re-check rebuilds the index at the final l.  The
-    :func:`overlap_rows` plan of (l, p) is taken only for a compare.  A
+    :func:`overlap_rows` plan of (l, p) is taken at a compare, held until l grows.  A
     member is not regrown after each repair: it is filled to the current
     shape when a compare reads it, or at the end, in one fill along the
     greedy legs through the common shapes it missed, so n letters and R
@@ -272,12 +272,19 @@ def separating_family(ts: TileSystem, m: Shape) -> tuple[Shape, dict[int, Word]]
                        for b in buckets[k].get(family[a].letters[i:i + width], ()))
                 for a in range(n)]
 
+    plans: dict[int, tuple] = {}  # by translate index, at the common shape ls[-1]
+
+    def plan(k: int):
+        if k not in plans:
+            plans[k] = overlap_rows(ls[-1], ls[-1], translates[k])
+        return plans[k]
+
     for a, pairs in enumerate(candidates(ls[0])):
         for b, k in pairs:
-            if a != b and rows_agree(read(a).letters, read(b).letters,
-                                     overlap_rows(ls[-1], ls[-1], translates[k])):
+            if a != b and rows_agree(read(a).letters, read(b).letters, plan(k)):
                 family[b], family[a] = separate_translates(ts, translates[k], family[b], family[a])
                 ls.append(family[a].shape)
+                plans.clear()
 
     for c in range(n):
         read(c)
@@ -285,8 +292,7 @@ def separating_family(ts: TileSystem, m: Shape) -> tuple[Shape, dict[int, Word]]
         if family[a].origin != a:
             raise WitnessSearchError("separating family lost an origin")
         for b, k in pairs:
-            if rows_agree(family[a].letters, family[b].letters,
-                          overlap_rows(ls[-1], ls[-1], translates[k])):
+            if rows_agree(family[a].letters, family[b].letters, plan(k)):
                 raise WitnessSearchError(
                     f"separating family failed for letters "
                     f"({ts.alphabet.name(a)}, {ts.alphabet.name(b)}), p={translates[k]}")

@@ -337,23 +337,31 @@ def _slab_step_cases(fs3):
                                 density=rng.choice([0.2, 0.4, 0.6, 0.8])), bound
 
 
-def test_slab_step_matches_the_grid_search(fs3):
+def _slab_step_inputs(ts, total):
+    """The shape with some m_k >= 2 that total is, k the first such direction:
+    k, total - e_k, total with m_k = 1, and the grid search's lists of both."""
+    k = next(k for k, m in enumerate(total) if m >= 2)
+    shorter = (*total[:k], total[k] - 1, *total[k + 1:])
+    link = (*total[:k], 1, *total[k + 1:])
+    held = {s: list(iter_grid_completions(ts, s, form=_code_points))
+            for s in (shorter, link)}
+    return k, shorter, link, held
+
+
+def test_slab_step_matches_the_grid_search(fs3, gm2):
     """Each shape with some m_k >= 2, k the first such direction, built from the
-    grids of total - e_k and of total with m_k = 1, is the grid search's list in
-    the grid search's order; with ones before k, the slabs along k are
-    interleaved in blocks."""
+    grids of total - e_k and of total with m_k = 1, holds the grid search's
+    grids, in any order; with ones before k, the slabs along k are interleaved
+    in blocks.  The oracle holds built lists in no order, so held lists fed
+    shuffled give the same grids too."""
     seen = Counter()
     for ts, bound in _slab_step_cases(fs3):
         for total in shapes_upto(bound):
             if max(total) < 2:
                 continue
-            k = next(k for k, m in enumerate(total) if m >= 2)
-            shorter = (*total[:k], total[k] - 1, *total[k + 1:])
-            link = (*total[:k], 1, *total[k + 1:])
-            held = {s: list(iter_grid_completions(ts, s, form=_code_points))
-                    for s in (shorter, link)}
+            k, shorter, link, held = _slab_step_inputs(ts, total)
             got = _slab_step(held, total)
-            assert got == list(iter_grid_completions(ts, total, form=_code_points)), \
+            assert sorted(got) == list(iter_grid_completions(ts, total, form=_code_points)), \
                 (ts, total)
             blocks = "interleaved" if any(total[:k]) else "runs"
             seen[blocks] += 1
@@ -362,6 +370,15 @@ def test_slab_step_matches_the_grid_search(fs3):
     assert seen["runs"] >= 400 and seen["interleaved"] >= 200, seen
     assert min(seen[blocks, kind] for blocks in ("runs", "interleaved")
                for kind in ("no links", "dead end")) >= 1, seen
+    rng = random.Random(0x5107)
+    for ts, total in [(gm2, (2, 0)), (gm2, (0, 2)), (gm2, (2, 1)), (gm2, (1, 2)),
+                      (gm2, (3, 2)), (gm2, (2, 3)), (fs3, (2, 0, 0)), (fs3, (0, 2, 1)),
+                      (fs3, (1, 2, 0)), (fs3, (1, 1, 2))]:
+        _, _, _, held = _slab_step_inputs(ts, total)
+        for grids in held.values():
+            rng.shuffle(grids)
+        assert sorted(_slab_step(held, total)) == list(
+            iter_grid_completions(ts, total, form=_code_points)), (ts, total)
 
 
 def _former_h1_oracle(ts, shape_bound):
@@ -494,6 +511,28 @@ def test_h1_oracle_matches_the_former_all_splits_oracle(fs3, full2, gm):
     # split no split has matching counts and a repeat on every staircase, so
     # the pair walk never runs on a split that passes
     assert walked == 0, walked
+
+
+def test_h1_oracle_fails_only_in_0_1_r():
+    """Every oracle fail, on seeded random systems and circulants, names a total
+    in {0,1}^r, a shape the oracle grid-searches: so the failing split's sorts
+    of the lists it walks find them already in canonical order."""
+    rng = random.Random(0xF01)
+    fails = Counter()
+    for rank, bound in [(2, (3, 3)), (3, (2, 2, 2))]:
+        for _ in range(120):
+            if rng.random() < 0.5:
+                n = rng.randrange(3, 9)
+                ts = circulant(n, [rng.sample(range(n), rng.randint(1, 3))
+                                   for _ in range(rank)])
+            else:
+                ts = random_system(rng, rng.choice([2, 3]), rank,
+                                   density=rng.choice([0.3, 0.5, 0.7]))
+            witness = check_h1_oracle(ts, bound).witness
+            if witness is not None:
+                assert max(witness["total"]) <= 1, (ts, bound, witness)
+                fails[rank] += 1
+    assert fails[2] >= 50 and fails[3] >= 70, fails
 
 
 def test_h1_oracle_agreement_randomized():
