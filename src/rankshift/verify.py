@@ -44,6 +44,7 @@ from .core import (
     check_direction,
     check_floor,
     check_shape,
+    is_zero,
     overlap_rows,
     rows_agree,
     shapes_upto,
@@ -206,8 +207,7 @@ def _slab_step(grids_of: dict[Shape, list[str]], total: Shape) -> list[str]:
     h_seconds = [slice(b + size, b + h_run) for b in range(0, h_run * blocks, h_run)]
     by_first: dict[str, list[str]] = {}
     for h in links:
-        by_first.setdefault(h[:size] if blocks == 1 else
-                            "".join([h[s.start - size:s.start] for s in h_seconds]),
+        by_first.setdefault("".join([h[s.start - size:s.start] for s in h_seconds]),
                             []).append(h)
     if blocks == 1:
         return [g + h[size:] for g in shorter for h in by_first.get(g[-size:], ())]
@@ -238,7 +238,9 @@ def check_h1_oracle(ts: TileSystem, shape_bound: Shape) -> CheckResult:
     fixed by the part of either staircase inside it, so words that differ on
     one staircase differ on the other.  A shape e_i + e_j tests both of its
     staircases.  A failing split sorts the lists it walks (string order is
-    canonical order); its first pair with no extension, or with two, is the witness.
+    canonical order); its first pair with no extension, or with two, is the
+    witness.  The sorts are a guard: they reorder nothing, as the first failure
+    lies in {0,1}^r (test_h1_oracle_fails_only_in_0_1_r), sorted by the search.
     Splits where u or v has shape 0 are trivial (the extension is the other
     word) and are skipped, so a bound of grade below 2 checks nothing and
     raises :class:`ValueError`, as does a bad rank or a negative component.
@@ -463,8 +465,10 @@ def nonperiodic_witness(ts: TileSystem, p: Translate) -> Optional[Word]:
     the box spanned by those two cells, to a word of shape |p| that differs at
     two of its corners; and |p| is the first shape in canonical order
     dominating |p|.  So the first witness of any shape is the first of shape
-    |p|, and None means every word is p-periodic.
+    |p|, and None means every word is p-periodic.  p = 0 is rejected.
     """
+    if is_zero(p):
+        raise ValueError("p = 0 is not a periodicity direction")
     return _first_nonperiodic(ts, [p]).get(p)
 
 
@@ -472,10 +476,9 @@ def _first_nonperiodic(ts: TileSystem, ps: list[Translate]) -> dict[Translate, W
     """The first word of shape |p| that is not p-periodic, per p of ps, which
     share |p|: one grid search tests each word along the plan of each p still
     open and stops once none is.  A p whose every word is p-periodic has no entry."""
-    l = absv(ps[0])
-    plans = [(p, overlap_rows(l, l, _ints(p, "translate"))) for p in ps]
+    plans = [(p, overlap_rows(absv(p), absv(p), _ints(p, "translate"))) for p in ps]
     first: dict[Translate, Word] = {}
-    for w in words_of_shape(ts, l):
+    for w in words_of_shape(ts, absv(ps[0])):
         for p, plan in plans:
             if p not in first and not rows_agree(w.letters, w.letters, plan):
                 first[p] = w

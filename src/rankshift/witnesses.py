@@ -11,7 +11,7 @@ graded with declaration-order tie-breaks, so outputs are deterministic.
 from __future__ import annotations
 
 from collections import deque
-from functools import reduce
+from functools import cache, reduce
 from itertools import chain
 from typing import Iterable, Iterator
 
@@ -272,19 +272,16 @@ def separating_family(ts: TileSystem, m: Shape) -> tuple[Shape, dict[int, Word]]
                        for b in buckets[k].get(family[a].letters[i:i + width], ()))
                 for a in range(n)]
 
-    plans: dict[int, tuple] = {}  # by translate index, at the common shape ls[-1]
-
-    def plan(k: int):
-        if k not in plans:
-            plans[k] = overlap_rows(ls[-1], ls[-1], translates[k])
-        return plans[k]
+    @cache
+    def plan(k: int):  # by translate index, at the common shape ls[-1]
+        return overlap_rows(ls[-1], ls[-1], translates[k])
 
     for a, pairs in enumerate(candidates(ls[0])):
         for b, k in pairs:
             if a != b and rows_agree(read(a).letters, read(b).letters, plan(k)):
                 family[b], family[a] = separate_translates(ts, translates[k], family[b], family[a])
                 ls.append(family[a].shape)
-                plans.clear()
+                plan.cache_clear()
 
     for c in range(n):
         read(c)

@@ -514,9 +514,22 @@ def test_h1_oracle_matches_the_former_all_splits_oracle(fs3, full2, gm):
 
 
 def test_h1_oracle_fails_only_in_0_1_r():
-    """Every oracle fail, on seeded random systems and circulants, names a total
-    in {0,1}^r, a shape the oracle grid-searches: so the failing split's sorts
-    of the lists it walks find them already in canonical order."""
+    """Every oracle fail names a total in {0,1}^r, a shape the oracle
+    grid-searches, so the failing split's sorts find their lists in canonical
+    order.  This holds for every system.  Take the coloured graph whose
+    colour-i edges are the words of shape e_i.  A pass at every e_i + e_j makes
+    the grids of that shape a complete collection of squares; a pass at every
+    e_i + e_j + e_k then makes it associative, as both fills of a path of
+    colours i, j, k read the staircase k, j, i of a grid holding the path, and
+    the split (e_i, e_j + e_k) extends the path to one.  A complete associative
+    collection defines a k-graph whose paths of degree m are the maps of the
+    grid [0,m] into the graph sending each unit square to a square
+    (Hazlewood, Raeburn, Sims and Webster 2013, section 4), which here are the
+    grids of shape m; its unique factorisation is the oracle's bijection at
+    every split.  A shape with some m_k >= 2 is enumerated, grade first, after
+    every square and cube in the directions it uses, and one direction alone
+    always factors.  This test checks the claim on seeded random systems and
+    circulants."""
     rng = random.Random(0xF01)
     fails = Counter()
     for rank, bound in [(2, (3, 3)), (3, (2, 2, 2))]:

@@ -223,6 +223,16 @@ def test_translates_take_ints_only(fs2, p):
             call()
 
 
+def test_p_zero_is_no_periodicity_direction(fs2):
+    """is_periodic and nonperiodic_witness reject p = 0 alike, rather than
+    read it as a translate every word agrees with."""
+    w = next(words_of_shape(fs2, (1, 1)))
+    for call in (lambda: is_periodic(w, (0, 0)),
+                 lambda: nonperiodic_witness(fs2, (0, 0))):
+        with pytest.raises(ValueError, match=r"^p = 0 is not a periodicity direction$"):
+            call()
+
+
 @pytest.mark.parametrize("m", [(1, 1), (2, 2)])
 def test_separating_family_contract(fs2, gm2, m):
     """The quantified family conditions, verified exhaustively."""
